@@ -3,7 +3,8 @@
     cbfctl simulate|adjoint|optimize|verify|delta-sweep|oracle
            --config <file> --out <dir> [--seed N] [--threads N]
 
-Exit codes: 0 pass, 1 invariant violation, 2 solver failure, 3 config error.
+Exit codes: 0 pass, 1 invariant violation, 2 solver failure, 3 config or
+input-file error.  Any other exception propagates with its traceback.
 The CBFCTL_THREADS environment variable overrides --threads.
 """
 
@@ -15,9 +16,10 @@ import sys
 from dataclasses import replace
 
 from .experiments import run_experiment
+from .fields import CBFTFormatError
 from .harness import EXPERIMENTS, ConfigError, parse_config
 from .optimizer import LineSearchFailure
-from .state_solver import NonConvergenceError
+from .state_solver import HypothesisViolatedError, NonConvergenceError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,11 +63,11 @@ def main(argv: list[str] | None = None) -> int:
     except (NonConvergenceError, LineSearchFailure) as exc:
         print(f"cbfctl: solver failure: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, HypothesisViolatedError) as exc:
         print(f"cbfctl: config error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"cbfctl: config error: {exc}", file=sys.stderr)
+    except CBFTFormatError as exc:
+        print(f"cbfctl: input error: {exc}", file=sys.stderr)
         return 3
     status = "pass" if result.exit_code == 0 else "INVARIANT VIOLATION"
     print(f"cbfctl {config.experiment}: {status} ({len(result.summary['checks'])} checks, out={args.out})")

@@ -14,13 +14,18 @@ gradient seminorm dominates the L2 norm (Poincare with constant 1) and is used
 as the H1-type norm throughout.
 
 Nonlinear products are never formed on the n-grid: physical-space work happens
-on a zero-padded 2n-point grid, which leaves quadratic *and* cubic products of
-retained modes alias-free and makes the quadrature of their integrals exact.
+on a zero-padded grid of M = 3n/2 points per axis.  Any M > 4*kmax leaves
+quadratic *and* cubic products of retained modes alias-free and makes the
+quadrature of their (up to quartic) integrals exact (Orszag's padding rule
+applied to cubic terms).  Fields are real, so the transforms are real FFTs
+over the half spectrum k_last >= 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,10 +37,15 @@ TAU = 2.0 * math.pi
 
 _CBFT_MAGIC = b"CBFT"
 _CBFT_VERSION = 1
+_CBFT_HEADER = struct.Struct("<4sIIIId")  # magic, version, d, n, nt, t_end
 
 
 class GridMismatchError(ValueError):
     """Two fields or trajectories do not share the same Grid / time axis."""
+
+
+class CBFTFormatError(ValueError):
+    """A CBFT trajectory file is malformed; the message names the defect."""
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -70,8 +80,12 @@ class Grid:
 
     @property
     def pad_n(self) -> int:
-        """Transform grid size per axis; 2n keeps cubic products alias-free."""
-        return 2 * self.n
+        """Transform grid size M per axis.
+
+        M = 3n/2 satisfies M >= n and M > 4*kmax for every even n, the
+        condition for alias-free cubic products and exact quartic quadrature.
+        """
+        return 3 * self.n // 2
 
     @property
     def volume(self) -> float:
@@ -79,7 +93,7 @@ class Grid:
 
     @property
     def quad_weight(self) -> float:
-        """Quadrature weight of one padded-grid node, (2*pi / 2n)^d."""
+        """Quadrature weight of one transform-grid node, (2*pi / M)^d."""
         return (TAU / self.pad_n) ** self.d
 
     @cached_property
@@ -111,10 +125,29 @@ class Grid:
         return _frozen(keep)
 
     @cached_property
-    def _pad_ix(self) -> tuple[np.ndarray, ...]:
-        """Open-mesh index placing the n-lattice into the padded 2n-lattice."""
-        pos = self.wavenumbers_1d % self.pad_n
-        return np.ix_(*([pos] * self.d))
+    def _half_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Basic-slice pairs (n-lattice index, stored half-spectrum index)
+        covering the retained modes with k_last >= 0.
+
+        On each full axis the retained slots are two contiguous runs (k >= 0
+        and k < 0), on the last axis one run (0 <= k <= kmax), so 2^(d-1)
+        block copies move every retained coefficient without fancy indexing.
+        """
+        n, m, kx = self.n, self.pad_n, self.kmax
+        runs = ((slice(0, kx + 1), slice(0, kx + 1)), (slice(n - kx, n), slice(m - kx, m)))
+        last = slice(0, kx + 1)
+        return tuple(
+            (
+                (Ellipsis,) + tuple(src for src, _ in combo) + (last,),
+                (Ellipsis,) + tuple(dst for _, dst in combo) + (last,),
+            )
+            for combo in itertools.product(runs, repeat=self.d - 1)
+        )
+
+    @cached_property
+    def _ik_half(self) -> np.ndarray:
+        """1j * k restricted to k_last in [0, kmax], shape (d, n, ..., kmax+1)."""
+        return _frozen(1j * self.k[..., : self.kmax + 1])
 
     @cached_property
     def _reflect_ix(self) -> tuple[np.ndarray, ...]:
@@ -154,30 +187,47 @@ class Grid:
         c = coeffs - self.k * (dot / self.k_sq_safe)
         return np.where(self.dealias_mask, c, 0.0)
 
+    def _irfft(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real M-grid samples of the retained modes of ``coeffs`` (last d axes
+        an n-lattice, or only its first kmax+1 columns).
+
+        Only the k_last in [0, kmax] part of the half spectrum is stored: the
+        complex passes skip the zero columns beyond it, the final irfft
+        zero-pads the last axis to M//2 + 1 and Hermitian symmetry supplies
+        k_last < 0.  These are irfftn's passes, called one axis at a time to
+        spare its per-call overhead on small grids.
+        """
+        m, d = self.pad_n, self.d
+        half = np.zeros(coeffs.shape[:-d] + (m,) * (d - 1) + (self.kmax + 1,), dtype=np.complex128)
+        for src, dst in self._half_blocks:
+            half[dst] = coeffs[src]
+        for axis in range(-d, -1):
+            half = np.fft.ifft(half, axis=axis, norm="forward")
+        return np.fft.irfft(half, n=m, axis=-1, norm="forward")
+
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate on the padded 2n grid; returns real (d, 2n, ..., 2n)."""
-        m = self.pad_n
-        big = np.zeros((self.d,) + (m,) * self.d, dtype=np.complex128)
-        big[(slice(None),) + self._pad_ix] = coeffs
-        vals = np.fft.ifftn(big, axes=tuple(range(1, self.d + 1)))
-        return np.real(vals) * float(m**self.d)
+        """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M)."""
+        return self._irfft(coeffs)
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
-        """Retained-mode coefficients of padded-grid samples (exact, no aliasing
+        """Retained-mode coefficients of M-grid samples (exact, no aliasing
         for products of total degree <= 3 of retained modes)."""
-        m = self.pad_n
-        big = np.fft.fftn(values, axes=tuple(range(1, values.ndim))) / float(m**self.d)
-        coeffs = big[(slice(None),) + self._pad_ix]
+        spec = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.kmax + 1]
+        for axis in range(-self.d, -1):
+            spec = np.fft.fft(spec, axis=axis, norm="forward")
+        coeffs = np.zeros(values.shape[: -self.d] + self.shape, dtype=np.complex128)
+        for src, dst in self._half_blocks:
+            coeffs[src] = spec[dst]
+        # Doubling the k_last > 0 columns and leaving the k_last < 0 ones zero
+        # lets reduce_coeffs' conjugate reflection fill them: it returns c(k)
+        # on k_last > 0 and conj(c(-k)) on k_last < 0, both exactly.
+        coeffs[..., 1 : self.kmax + 1] *= 2.0
         return self.reduce_coeffs(coeffs)
 
     def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """All partials on the padded grid: out[i, j] = d u_j / d x_i."""
-        m = self.pad_n
-        big = np.zeros((self.d, self.d) + (m,) * self.d, dtype=np.complex128)
-        grads = 1j * self.k[:, None, ...] * coeffs[None, :, ...]
-        big[(slice(None), slice(None)) + self._pad_ix] = grads
-        vals = np.fft.ifftn(big, axes=tuple(range(2, self.d + 2)))
-        return np.real(vals) * float(m**self.d)
+        """All partials on the M-grid: out[i, j] = d u_j / d x_i."""
+        half = coeffs[..., : self.kmax + 1]
+        return self._irfft(self._ik_half[:, None] * half[None])
 
 
 class FieldNorms(NamedTuple):
@@ -242,6 +292,8 @@ class SpectralField:
     def validate(self, tol: float = 1e-12) -> None:
         """Assert the class invariants (used by tests and file ingest)."""
         g = self.grid
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("non-finite coefficient")
         if np.any(self.coeffs[:, ~g.dealias_mask] != 0):
             raise ValueError("nonzero coefficient outside the dealiased range")
         if self.hermitian_defect() > tol:
@@ -469,41 +521,51 @@ def write_trajectory(path, traj: Trajectory) -> None:
     g = traj.grid
     lex = _lex_order_axes(g)
     with open(path, "wb") as fh:
-        fh.write(_CBFT_MAGIC)
-        fh.write(struct.pack("<IIII", _CBFT_VERSION, g.d, g.n, traj.nt))
-        fh.write(struct.pack("<d", traj.t_end))
+        fh.write(_CBFT_HEADER.pack(_CBFT_MAGIC, _CBFT_VERSION, g.d, g.n, traj.nt, traj.t_end))
         for s in traj.samples:
-            arr = s.coeffs[(slice(None),) + lex]
-            flat = np.empty(arr.size * 2, dtype="<f8")
-            flat[0::2] = np.real(arr).ravel()
-            flat[1::2] = np.imag(arr).ravel()
-            fh.write(flat.tobytes())
+            fh.write(s.coeffs[(slice(None),) + lex].astype("<c16").tobytes())
 
 
 def read_trajectory(path) -> Trajectory:
+    """Read a CBFT file written by write_trajectory.
+
+    The header's sizes are checked against the file length before anything
+    is allocated, and every sample must pass SpectralField.validate; any
+    defect raises CBFTFormatError naming it.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CBFT_MAGIC:
-            raise ValueError(f"not a CBFT file (magic {magic!r})")
-        version, d, n, nt = struct.unpack("<IIII", fh.read(16))
+        head = fh.read(_CBFT_HEADER.size)
+        if head[:4] != _CBFT_MAGIC:
+            raise CBFTFormatError(f"not a CBFT file (magic {head[:4]!r})")
+        if len(head) < _CBFT_HEADER.size:
+            raise CBFTFormatError(f"CBFT header truncated at {len(head)} bytes")
+        _, version, d, n, nt, t_end = _CBFT_HEADER.unpack(head)
         if version != _CBFT_VERSION:
-            raise ValueError(f"unsupported CBFT version {version}")
-        (t_end,) = struct.unpack("<d", fh.read(8))
-        grid = Grid(d=d, n=n)
-        lex = _lex_order_axes(grid)
-        count = d * n**d
-        samples = []
-        for _ in range(nt + 1):
-            flat = np.frombuffer(fh.read(count * 16), dtype="<f8")
-            if flat.size != count * 2:
-                raise ValueError("truncated CBFT file")
-            arr = (flat[0::2] + 1j * flat[1::2]).reshape((d,) + grid.shape)
-            coeffs = np.empty_like(arr)
-            coeffs[(slice(None),) + lex] = arr
-            field = SpectralField(grid, grid.reduce_coeffs(coeffs))
-            samples.append(field)
-    traj = Trajectory(grid, t_end, tuple(samples))
-    return traj
+            raise CBFTFormatError(f"unsupported CBFT version {version}")
+        try:
+            grid = Grid(d=d, n=n)
+        except ValueError as exc:
+            raise CBFTFormatError(f"CBFT header: {exc}") from None
+        if nt < 1 or not (math.isfinite(t_end) and t_end > 0):
+            raise CBFTFormatError(f"CBFT header: needs nt >= 1 and t_end > 0, got nt={nt}, t_end={t_end!r}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _CBFT_HEADER.size + (nt + 1) * d * n**d * 16
+        if size < expected:
+            raise CBFTFormatError(f"CBFT file holds {size} bytes, its header (d={d}, n={n}, nt={nt}) needs {expected}")
+        if size > expected:
+            raise CBFTFormatError(f"CBFT file has {size - expected} trailing bytes after its {nt + 1} samples")
+        data = np.frombuffer(fh.read(expected - _CBFT_HEADER.size), dtype="<c16")
+    lex = (slice(None),) + _lex_order_axes(grid)
+    samples = []
+    for i, arr in enumerate(data.reshape((nt + 1, d) + grid.shape)):
+        coeffs = np.empty(arr.shape, dtype=np.complex128)
+        coeffs[lex] = arr
+        try:
+            SpectralField(grid, coeffs).validate()
+        except ValueError as exc:
+            raise CBFTFormatError(f"CBFT sample {i}: {exc}") from None
+        samples.append(SpectralField(grid, grid.reduce_coeffs(coeffs)))
+    return Trajectory(grid, t_end, tuple(samples))
 
 
 def write_norm_series(path, traj: Trajectory) -> None:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cbfctl import (
     write_trajectory,
     zero_field,
 )
-from cbfctl.fields import TAU
+from cbfctl.fields import TAU, CBFTFormatError
 
 
 def test_grid_validation():
@@ -32,7 +33,10 @@ def test_grid_validation():
         Grid(d=2, n=2)
     g = Grid(d=2, n=16)
     assert g.kmax == 5
-    assert g.pad_n == 32
+    for n in range(4, 41, 2):
+        g = Grid(d=2, n=n)
+        # alias-free cubic products and exact quartic quadrature
+        assert g.pad_n > 4 * g.kmax and g.pad_n >= n
 
 
 def test_make_field_zero_modes():
@@ -205,6 +209,61 @@ def test_trajectory_io_header(tmp_path, grid2d, rng):
     assert len(raw) == expected
     with pytest.raises(ValueError, match="magic"):
         read_trajectory(__file__)
+
+
+def _cbft_bytes(tmp_path, traj) -> bytes:
+    path = tmp_path / "src.cbft"
+    write_trajectory(path, traj)
+    return path.read_bytes()
+
+
+def test_trajectory_io_rejects_header_sizes_beyond_file(tmp_path, grid2d, rng):
+    raw = _cbft_bytes(tmp_path, random_trajectory(grid2d, 1.0, 2, rng))
+    path = tmp_path / "bad.cbft"
+    # one sample short of what the header declares
+    path.write_bytes(raw[: -2 * grid2d.n**2 * 16])
+    with pytest.raises(CBFTFormatError, match="header .* needs"):
+        read_trajectory(path)
+    # a header asking for 2^60 coefficients must fail before any allocation
+    path.write_bytes(raw[:8] + struct.pack("<III", 3, 2**20, 1) + raw[20:])
+    with pytest.raises(CBFTFormatError, match="header .* needs"):
+        read_trajectory(path)
+
+
+def test_trajectory_io_rejects_trailing_bytes(tmp_path, grid2d, rng):
+    path = tmp_path / "bad.cbft"
+    path.write_bytes(_cbft_bytes(tmp_path, random_trajectory(grid2d, 1.0, 2, rng)) + b"\0" * 16)
+    with pytest.raises(CBFTFormatError, match="16 trailing bytes"):
+        read_trajectory(path)
+
+
+@pytest.mark.parametrize(
+    "defect,message",
+    [
+        ("outside", "nonzero coefficient outside the dealiased range"),
+        ("hermitian", "Hermitian symmetry"),
+        ("divergence", "divergence-free"),
+        ("nan", "non-finite"),
+    ],
+)
+def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message):
+    traj = random_trajectory(grid2d, 1.0, 2, rng)
+    c = traj[1].coeffs.copy()
+    pos = grid2d.mode_positions[(1, 2)]
+    if defect == "outside":
+        c[(0, grid2d.kmax + 1, 0)] = 1.0
+    elif defect == "hermitian":
+        c[(0,) + pos] += 1e-3j
+    elif defect == "divergence":
+        c[(slice(None),) + pos] += 1e-3 * np.array([1.0, 2.0])
+        c[(slice(None),) + grid2d.mode_positions[(-1, -2)]] += 1e-3 * np.array([1.0, 2.0])
+    else:
+        c[(0,) + pos] = np.nan
+    bad = Trajectory(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
+    path = tmp_path / "bad.cbft"
+    write_trajectory(path, bad)
+    with pytest.raises(CBFTFormatError, match=f"sample 1: {message}"):
+        read_trajectory(path)
 
 
 def test_norm_series_csv(tmp_path, grid2d, rng):

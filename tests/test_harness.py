@@ -286,6 +286,33 @@ def test_cli_config_error_exit_3(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nothere.json"), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_cli_exit_3_only_for_input_errors(tmp_path, monkeypatch):
+    import cbfctl.cli as cli
+    from cbfctl.fields import CBFTFormatError, GridMismatchError
+    from cbfctl.state_solver import HypothesisViolatedError
+
+    cfg = _write_config(tmp_path, nt=8)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]
+
+    def raising(exc):
+        def run(*args, **kwargs):
+            raise exc
+        return run
+
+    monkeypatch.setattr(cli, "run_experiment", raising(CBFTFormatError("CBFT file has 8 trailing bytes")))
+    assert main(argv) == 3
+    # the config's coefficients admit no stability split
+    monkeypatch.setattr(cli, "run_experiment", raising(HypothesisViolatedError("kappa=1 needs 0 < kappa < 1")))
+    assert main(argv) == 3
+    # a grid mismatch or an internal ValueError is a bug, not a config error
+    monkeypatch.setattr(cli, "run_experiment", raising(GridMismatchError("grid mismatch")))
+    with pytest.raises(GridMismatchError):
+        main(argv)
+    monkeypatch.setattr(cli, "run_experiment", raising(ValueError("internal")))
+    with pytest.raises(ValueError, match="internal"):
+        main(argv)
+
+
 def test_cli_seed_override_and_determinism(tmp_path):
     cfg = _write_config(tmp_path, nt=8)
     out1, out2, out3 = (tmp_path / f"out{i}" for i in (1, 2, 3))
