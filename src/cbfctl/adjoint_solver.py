@@ -41,8 +41,10 @@ from .fields import (
     Trajectory,
     check_aligned,
     inner_product,
+    l4_from_speed_squared,
     norms,
     random_field,
+    spectral_norms,
 )
 from .operators import (
     OperatorParams,
@@ -50,7 +52,6 @@ from .operators import (
     apply_C,
     l4_norm4,
     speed_squared,
-    weighted_l2_sq,
 )
 from .state_solver import StateRun, _dinv, _l2, picard_solve, solve_difference
 
@@ -155,6 +156,10 @@ def solve_adjoint(
             <=  e^T int ||h||^2  =: K,
 
     with left-endpoint integrals (NaN if the coefficient hypothesis fails).
+
+    Each new sample is transformed once; its |q|^2 gives its l4, the next
+    step's delta weight and, against the step stencil's |m1|^2 and |m2|^2,
+    the weighted integrals of the bound.
     """
     m1, m2 = coeffs
     check_aligned(m1, m2)
@@ -169,11 +174,15 @@ def solve_adjoint(
     dinv = _dinv(grid, params, dt)
 
     p = SpectralField(grid, np.zeros((grid.d,) + grid.shape, dtype=np.complex128))
+    p2 = speed_squared(p)
     rev_samples = [p]
+    rev_l4 = [l4_from_speed_squared(grid, p2)]
+    # weighted[j] = int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2 for n = nt - 1 - j
+    weighted = []
     iters_max = 0
     for j in range(nt):
         stencil = PairStencil(m1r[j + 1], m2r[j + 1], params)
-        extra = delta * speed_squared(p) if delta > 0 else None
+        extra = delta * p2 if delta > 0 else None
 
         def napply(x: SpectralField, _s=stencil, _e=extra) -> SpectralField:
             return _s.apply_transpose(x, extra_weight=_e)
@@ -181,15 +190,20 @@ def solve_adjoint(
         rhs = SpectralField(grid, p.coeffs + dt * hr[j].coeffs)
         p, its = picard_solve(grid, dinv, rhs, napply, dt, picard_tol, max_iters, step=j)
         iters_max = max(iters_max, its)
+        p2 = speed_squared(p)
         rev_samples.append(p)
+        rev_l4.append(l4_from_speed_squared(grid, p2))
+        weighted.append(
+            float(np.sum(stencil.w1 * p2) * grid.quad_weight) + float(np.sum(stencil.w2 * p2) * grid.quad_weight)
+        )
 
     solution = time_reverse(Trajectory(grid, m1.t_end, tuple(rev_samples)))
-    q_norms = [norms(s) for s in solution.samples]
+    q_spec = [spectral_norms(s) for s in solution.samples]
     report = AdjointReport(
         times=solution.times,
-        q_l2=np.array([nm.l2 for nm in q_norms]),
-        q_v=np.array([nm.v for nm in q_norms]),
-        q_l4=np.array([nm.l4 for nm in q_norms]),
+        q_l2=np.array([l2 for l2, _ in q_spec]),
+        q_v=np.array([v for _, v in q_spec]),
+        q_l4=np.array(rev_l4[::-1]),
         kappa=kappa,
         picard_iters_max=iters_max,
     )
@@ -202,13 +216,15 @@ def solve_adjoint(
         report=report,
         state_K=state_K,
     )
-    report.energy_K, report.energy_margin = _adjoint_energy(run, kappa)
+    report.energy_K, report.energy_margin = _adjoint_energy(run, kappa, weighted[::-1])
     return run
 
 
-def _adjoint_energy(run: AdjointRun, kappa: float) -> tuple[float, float]:
+def _adjoint_energy(run: AdjointRun, kappa: float, weighted: Sequence[float]) -> tuple[float, float]:
+    """(K, margin) of the adjoint energy bound; weighted[n] is
+    int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2 for n < nt."""
     params = run.params
-    m1, m2, h, q = run.coeffs[0], run.coeffs[1], run.rhs, run.solution
+    h, q = run.rhs, run.solution
     dt, nt, T = q.dt, q.nt, q.t_end
     K = math.exp(T) * dt * sum(inner_product(h[n], h[n]) for n in range(nt))
     if not params.hypothesis_holds(kappa):
@@ -219,10 +235,8 @@ def _adjoint_energy(run: AdjointRun, kappa: float) -> tuple[float, float]:
     int_qv = dt * float(np.sum(r.q_v[:-1] ** 2))
     int_q4 = dt * float(np.sum(r.q_l4[:-1] ** 4))
     int_w = 0.0
-    for n in range(nt):
-        w1 = speed_squared(m1[n])
-        w2 = speed_squared(m2[n])
-        int_w += dt * (weighted_l2_sq(w1, q[n]) + weighted_l2_sq(w2, q[n]))
+    for w in weighted:
+        int_w += dt * w
     coeff = params.beta - 1.0 / (2.0 * params.mu * kappa)
     lhs = sup_q2 + 2.0 * params.mu * (1.0 - kappa) * int_qv + 2.0 * run.delta * int_q4 + coeff * int_w
     return K, K - lhs

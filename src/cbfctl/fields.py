@@ -182,10 +182,14 @@ class Grid:
         return 0.5 * (c + refl)
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-mode Helmholtz projection c <- (I - k k^T / |k|^2) c, k=0 zeroed."""
+        """Per-mode Helmholtz projection c <- (I - k k^T / |k|^2) c.
+
+        ``coeffs`` must already be reduced (output of reduce_coeffs, or of
+        from_physical, which ends with it): its k = 0 and dealiased-out
+        modes are +0, and the projection leaves them +0.
+        """
         dot = np.sum(self.k * coeffs, axis=0)
-        c = coeffs - self.k * (dot / self.k_sq_safe)
-        return np.where(self.dealias_mask, c, 0.0)
+        return coeffs - self.k * (dot / self.k_sq_safe)
 
     def _irfft(self, coeffs: np.ndarray) -> np.ndarray:
         """Real M-grid samples of the retained modes of ``coeffs`` (last d axes
@@ -225,9 +229,17 @@ class Grid:
         return self.reduce_coeffs(coeffs)
 
     def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """All partials on the M-grid: out[i, j] = d u_j / d x_i."""
+        """The 1-jet of u on the M-grid from one stacked inverse transform:
+        out[0] = u and out[1 + i, j] = d u_j / d x_i, shape (1 + d, d, M, ..., M).
+
+        out[0] is bitwise equal to to_physical(coeffs): every line of the
+        stacked transform is the same transform of the same data.
+        """
         half = coeffs[..., : self.kmax + 1]
-        return self._irfft(self._ik_half[:, None] * half[None])
+        jet = np.empty((1 + self.d,) + half.shape, dtype=np.complex128)
+        jet[0] = half
+        np.multiply(self._ik_half[:, None], half[None], out=jet[1:])
+        return self._irfft(jet)
 
 
 class FieldNorms(NamedTuple):
@@ -352,16 +364,30 @@ def inner_product(u: SpectralField, w: SpectralField) -> float:
     return float(np.real(np.sum(u.coeffs * np.conj(w.coeffs))) * u.grid.volume)
 
 
-def norms(u: SpectralField) -> FieldNorms:
-    """(||u||_2, ||grad u||_2, ||u||_4); l4 by exact padded-grid quadrature."""
+def spectral_norms(u: SpectralField) -> tuple[float, float]:
+    """(||u||_2, ||grad u||_2) by Parseval; no transform."""
     g = u.grid
     sq = np.sum(np.abs(u.coeffs) ** 2, axis=0)
     l2 = math.sqrt(float(np.sum(sq)) * g.volume)
     v = math.sqrt(float(np.sum(g.k_sq * sq)) * g.volume)
-    vals = g.to_physical(u.coeffs)
-    mag2 = np.sum(vals**2, axis=0)
-    l4 = (float(np.sum(mag2**2)) * g.quad_weight) ** 0.25
-    return FieldNorms(l2=l2, v=v, l4=l4)
+    return l2, v
+
+
+def l4_from_speed_squared(grid: Grid, mag2: np.ndarray) -> float:
+    """||u||_4 from |u|^2 on the M-grid, by exact quadrature."""
+    return (float(np.sum(mag2**2)) * grid.quad_weight) ** 0.25
+
+
+def norms(u: SpectralField) -> FieldNorms:
+    """(||u||_2, ||grad u||_2, ||u||_4); l4 by exact padded-grid quadrature.
+
+    Solvers that already hold |u|^2 on the M-grid assemble the same triple
+    from spectral_norms and l4_from_speed_squared without a transform; the
+    values are bitwise those of norms().
+    """
+    l2, v = spectral_norms(u)
+    mag2 = np.sum(u.grid.to_physical(u.coeffs) ** 2, axis=0)
+    return FieldNorms(l2=l2, v=v, l4=l4_from_speed_squared(u.grid, mag2))
 
 
 def random_field(
@@ -377,7 +403,7 @@ def random_field(
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     envelope = np.exp(-decay * np.sqrt(grid.k_sq))
     u = leray_project(grid, raw * envelope)
-    amp = norms(u).l2
+    amp, _ = spectral_norms(u)
     if amp == 0.0 or l2 == 0.0:
         return zero_field(grid)
     return u * (l2 / amp)

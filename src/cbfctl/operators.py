@@ -24,6 +24,12 @@ the Forchheimer part being self-adjoint.  PairStencil below evaluates both
 from one set of frozen coefficient transforms; it is the inner kernel of the
 time steppers, and the exactness of apply/apply_transpose as mutual
 transposes is what the discrete duality identity rests on.
+
+Every field goes through the M-grid once per use: an apply takes the values
+and the gradient of its argument from one 1-jet transform
+(Grid.grad_physical), a stencil transforms its coefficient fields once
+(once in all when m2 is m1), and it keeps |m1|^2 and |m2|^2 so the solvers
+read norms and weighted integrals off it instead of transforming again.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpectralField, _check_same_grid, inner_product, norms
+from .fields import Grid, SpectralField, _check_same_grid, inner_product, l4_from_speed_squared, norms
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,7 @@ def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
     _check_same_grid(p, r)
     g = p.grid
     pv = g.to_physical(p.coeffs)
-    gq = g.grad_physical(q.coeffs)
+    gq = g.grad_physical(q.coeffs)[1:]
     rv = g.to_physical(r.coeffs)
     conv = np.einsum("i...,ij...->j...", pv, gq)
     return float(np.sum(conv * rv) * g.quad_weight)
@@ -108,7 +114,7 @@ def apply_B(p: SpectralField, q: SpectralField) -> SpectralField:
     _check_same_grid(p, q)
     g = p.grid
     pv = g.to_physical(p.coeffs)
-    gq = g.grad_physical(q.coeffs)
+    gq = g.grad_physical(q.coeffs)[1:]
     conv = np.einsum("i...,ij...->j...", pv, gq)
     return SpectralField(g, g.project_coeffs(g.from_physical(conv)))
 
@@ -147,9 +153,9 @@ def adjoint_convection(m1: SpectralField, m2: SpectralField, q: SpectralField) -
     _check_same_grid(m2, q)
     g = q.grid
     m1v = g.to_physical(m1.coeffs)
-    gq = g.grad_physical(q.coeffs)
-    qv = g.to_physical(q.coeffs)
-    gm2 = g.grad_physical(m2.coeffs)
+    jq = g.grad_physical(q.coeffs)
+    qv, gq = jq[0], jq[1:]
+    gm2 = g.grad_physical(m2.coeffs)[1:]
     out = -np.einsum("i...,ij...->j...", m1v, gq) + np.einsum("ij...,j...->i...", gm2, qv)
     return SpectralField(g, g.project_coeffs(g.from_physical(out)))
 
@@ -182,6 +188,10 @@ class PairStencil:
     apply() and apply_transpose() are exact algebraic transposes of each other
     on the retained divergence-free space (the quadrature pairing of each term
     is symmetric/alternating by construction).
+
+    Building it costs one 1-jet transform of m2 and one value transform of
+    m1, or the jet alone when m2 is m1.  It keeps w1 = |m1|^2 and
+    w2 = |m2|^2 on the M-grid (the adjoint energy weights) beside their sum.
     """
 
     def __init__(self, m1: SpectralField, m2: SpectralField, params: OperatorParams):
@@ -189,10 +199,12 @@ class PairStencil:
         g = m1.grid
         self.grid = g
         self.beta = params.beta
-        self._m1v = g.to_physical(m1.coeffs)
-        self._gm2 = g.grad_physical(m2.coeffs)
-        m2v = g.to_physical(m2.coeffs)
-        self._w = np.sum(self._m1v**2, axis=0) + np.sum(m2v**2, axis=0)
+        jet2 = g.grad_physical(m2.coeffs)
+        m2v, self._gm2 = jet2[0], jet2[1:]
+        self._m1v = m2v if m2 is m1 else g.to_physical(m1.coeffs)
+        self.w2 = np.sum(m2v**2, axis=0)
+        self.w1 = self.w2 if m2 is m1 else np.sum(self._m1v**2, axis=0)
+        self._w = self.w1 + self.w2
         self._s = self._m1v + m2v
 
     def _forch(self, qv: np.ndarray) -> np.ndarray:
@@ -201,8 +213,8 @@ class PairStencil:
     def apply(self, v: SpectralField, extra_weight: np.ndarray | None = None) -> SpectralField:
         """B(m1, v) + B(v, m2) + Forchheimer(v) [+ extra_weight * v pointwise]."""
         g = self.grid
-        vv = g.to_physical(v.coeffs)
-        gv = g.grad_physical(v.coeffs)
+        jv = g.grad_physical(v.coeffs)
+        vv, gv = jv[0], jv[1:]
         out = np.einsum("i...,ij...->j...", self._m1v, gv)
         out += np.einsum("i...,ij...->j...", vv, self._gm2)
         out += self._forch(vv)
@@ -213,8 +225,8 @@ class PairStencil:
     def apply_transpose(self, q: SpectralField, extra_weight: np.ndarray | None = None) -> SpectralField:
         """-B(m1, q) + P{sum_j grad((m2)_j) q_j} + Forchheimer(q) [+ weight]."""
         g = self.grid
-        qv = g.to_physical(q.coeffs)
-        gq = g.grad_physical(q.coeffs)
+        jq = g.grad_physical(q.coeffs)
+        qv, gq = jq[0], jq[1:]
         out = -np.einsum("i...,ij...->j...", self._m1v, gq)
         out += np.einsum("ij...,j...->i...", self._gm2, qv)
         out += self._forch(qv)
@@ -225,7 +237,11 @@ class PairStencil:
 
 class StateStencil:
     """Frozen-coefficient implicit part of one state step:
-    x -> B(m_ref, x) + beta P{|m_ref|^2 x}."""
+    x -> B(m_ref, x) + beta P{|m_ref|^2 x}.
+
+    Building it is the one transform of m_ref; its l4 is m_ref's ||.||_4,
+    bitwise equal to norms(m_ref).l4.
+    """
 
     def __init__(self, m_ref: SpectralField, params: OperatorParams):
         g = m_ref.grid
@@ -233,11 +249,12 @@ class StateStencil:
         self.beta = params.beta
         self._mv = g.to_physical(m_ref.coeffs)
         self._w = np.sum(self._mv**2, axis=0)
+        self.l4 = l4_from_speed_squared(g, self._w)
 
     def apply(self, x: SpectralField) -> SpectralField:
         g = self.grid
-        gx = g.grad_physical(x.coeffs)
-        xv = g.to_physical(x.coeffs)
+        jx = g.grad_physical(x.coeffs)
+        xv, gx = jx[0], jx[1:]
         out = np.einsum("i...,ij...->j...", self._mv, gx) + self.beta * self._w * xv
         return SpectralField(g, g.project_coeffs(g.from_physical(out)))
 
@@ -248,22 +265,15 @@ class StateStencil:
         return float(np.sum(self._w * np.sum(xv**2, axis=0)) * g.quad_weight)
 
 
-def weighted_l2_sq(w_phys: np.ndarray, u: SpectralField) -> float:
-    """integral w(x) |u(x)|^2 dx for a scalar padded-grid weight w >= 0."""
-    g = u.grid
-    uv = g.to_physical(u.coeffs)
-    return float(np.sum(w_phys * np.sum(uv**2, axis=0)) * g.quad_weight)
-
-
 def speed_squared(u: SpectralField) -> np.ndarray:
-    """|u(x)|^2 on the padded grid (weight factory for weighted_l2_sq)."""
+    """|u(x)|^2 on the padded grid."""
     g = u.grid
     uv = g.to_physical(u.coeffs)
     return np.sum(uv**2, axis=0)
 
 
 def l4_norm4(u: SpectralField) -> float:
-    """||u||_4^4 without going through norms() (saves two transforms)."""
+    """||u||_4^4 from one transform, without the spectral norms of norms()."""
     g = u.grid
     uv = g.to_physical(u.coeffs)
     return float(np.sum(np.sum(uv**2, axis=0) ** 2) * g.quad_weight)
@@ -282,7 +292,6 @@ __all__ = [
     "adjoint_forchheimer",
     "PairStencil",
     "StateStencil",
-    "weighted_l2_sq",
     "speed_squared",
     "l4_norm4",
     "inner_product",

@@ -40,6 +40,7 @@ from .fields import (
     check_aligned,
     inner_product,
     norms,
+    spectral_norms,
 )
 from .operators import OperatorParams, PairStencil, StateStencil
 
@@ -110,7 +111,7 @@ def step_state(
     """One linearly-implicit state step; output is divergence-free and mean-zero."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    vnorm = norms(m_n).v
+    _, vnorm = spectral_norms(m_n)
     if dt * vnorm > CFL_WARN:
         warnings.warn(
             f"dt * ||m||_V = {dt * vnorm:.3g} is large; the implicit solve may struggle",
@@ -189,10 +190,13 @@ def solve_state(
     grid, dt, nt = f.grid, f.dt, f.nt
     dinv = _dinv(grid, params, dt)
 
+    # Each sample's stencil is its one transform: it serves the next step
+    # and gives the sample's l4; l2, v and the forcing's l2 are spectral.
     samples = [m0]
-    nm = norms(m0)
-    l2s, vs, l4s = [nm.l2], [nm.v], [nm.l4]
-    f_l2 = [norms(f[0]).l2]
+    stencil = StateStencil(m0, params)
+    l2, v = spectral_norms(m0)
+    l2s, vs, l4s = [l2], [v], [stencil.l4]
+    f_l2 = [spectral_norms(f[0])[0]]
     f_pair = [inner_product(f[0], m0)]
     forcing_zero = all(float(np.max(np.abs(f[n].coeffs))) == 0.0 for n in range(nt + 1))
     dissipative: bool | None = True if forcing_zero else None
@@ -200,7 +204,6 @@ def solve_state(
 
     m = m0
     for n in range(nt):
-        stencil = StateStencil(m, params)
         rhs = SpectralField(grid, m.coeffs + dt * f[n].coeffs)
         m_next, its = picard_solve(grid, dinv, rhs, stencil.apply, dt, picard_tol, max_iters, step=n)
         iters_max = max(iters_max, its)
@@ -208,12 +211,13 @@ def solve_state(
             dissipative = False
         m = m_next
         samples.append(m)
-        nm = norms(m)
-        l2s.append(nm.l2)
-        vs.append(nm.v)
-        l4s.append(nm.l4)
+        stencil = StateStencil(m, params)
+        l2, v = spectral_norms(m)
+        l2s.append(l2)
+        vs.append(v)
+        l4s.append(stencil.l4)
         fk = f[n + 1]
-        f_l2.append(norms(fk).l2)
+        f_l2.append(spectral_norms(fk)[0])
         f_pair.append(inner_product(fk, m))
 
     solution = Trajectory(grid, f.t_end, tuple(samples))

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from cbfctl import (
     solve_state,
 )
 from cbfctl.cli import main
-from cbfctl.experiments import observed_order, run_experiment
+from cbfctl.experiments import MarginLedger, _fan_out, _verify_trilinear, observed_order
 from cbfctl.fields import random_forcing
 from cbfctl.harness import DenseSystem, build_tracking_problem, config_from_dict
 from cbfctl.operators import PairStencil, StateStencil, trilinear_b
@@ -313,6 +315,17 @@ def test_cli_exit_3_only_for_input_errors(tmp_path, monkeypatch):
         main(argv)
 
 
+def test_cli_verify_hypothesis_violation_exit_3(tmp_path, capsys):
+    # 2*beta*mu = 0.6 admits no kappa in (0, 1): verify's stability check stops the run
+    cfg = _write_config(tmp_path, nt=8, t_end=0.25, beta=0.3)
+    with pytest.warns(RuntimeWarning, match="a-priori energy bound is not covered"):
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "2*beta*mu = 0.6" in err
+
+
 def test_cli_seed_override_and_determinism(tmp_path):
     cfg = _write_config(tmp_path, nt=8)
     out1, out2, out3 = (tmp_path / f"out{i}" for i in (1, 2, 3))
@@ -406,9 +419,28 @@ def test_cli_optimize_experiment(tmp_path):
     assert (out / "control.cbft").exists() and (out / "cost.svg").exists()
 
 
-def test_run_experiment_threads_deterministic(tmp_path):
-    cfg = config_from_dict({"experiment": "delta-sweep", "n": 8, "nt": 8, "t_end": 0.25, "seed": 5})
-    r1 = run_experiment(cfg, tmp_path / "a", threads=1)
-    r2 = run_experiment(cfg, tmp_path / "b", threads=4)
-    assert (tmp_path / "a" / "delta_sweep.csv").read_bytes() == (tmp_path / "b" / "delta_sweep.csv").read_bytes()
-    assert r1.exit_code == r2.exit_code == 0
+def test_fan_out_keeps_submission_order():
+    # later items finish first, so completion order is the reverse of submission
+    items = list(range(8))
+    started = threading.Barrier(4, timeout=10)
+
+    def slow_first(i):
+        if i < 4:
+            started.wait()  # the first four run at once ...
+        time.sleep(0.01 * (len(items) - i))  # ... and the earliest sleeps longest
+        return i * i
+
+    assert _fan_out(slow_first, items, threads=4) == [i * i for i in items]
+    assert _fan_out(slow_first, items[4:], threads=1) == [i * i for i in items[4:]]
+
+
+def test_fanning_check_thread_invariant():
+    # _verify_trilinear fans 180 seeded cases out; its ledger must not depend on the thread count
+    cfg = config_from_dict({"experiment": "verify", "n": 8, "nt": 8, "t_end": 0.25, "seed": 5})
+    ledgers = []
+    for threads in (1, 4):
+        ledger = MarginLedger()
+        _verify_trilinear(cfg, ledger, threads)
+        ledgers.append(ledger.records)
+    assert ledgers[0] == ledgers[1]
+    assert set(ledgers[0]) == {"trilinear_bqq_rel", "trilinear_alternation_rel"}

@@ -1,0 +1,134 @@
+"""Transform budgets of the solves, and the report values read off their transforms.
+
+Every field goes through the M-grid once per time step: a state step costs
+the stencil of its new sample plus one 1-jet and one forward transform per
+Picard sweep, an adjoint step adds the new sample's transform and the
+coefficient fields' (one transform fewer when both are the same object).
+The reports reuse those transforms, so each of their values must equal a
+recomputation from the solution samples exactly, not just to round-off.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cbfctl import (
+    Grid,
+    OperatorParams,
+    inner_product,
+    norms,
+    random_field,
+    random_trajectory,
+    solve_adjoint,
+    solve_adjoint_noc,
+    solve_state,
+)
+from cbfctl import adjoint_solver, state_solver
+from cbfctl.operators import speed_squared
+
+TRANSFORMS = ("to_physical", "grad_physical", "from_physical")
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Count Grid transforms and record each Picard solve's sweep count."""
+    tally = {"transforms": 0, "sweeps": []}
+    for name in TRANSFORMS:
+        orig = getattr(Grid, name)
+
+        def counted(self, coeffs, _orig=orig):
+            tally["transforms"] += 1
+            return _orig(self, coeffs)
+
+        monkeypatch.setattr(Grid, name, counted)
+    orig_picard = state_solver.picard_solve
+
+    def picard(*args, **kwargs):
+        x, its = orig_picard(*args, **kwargs)
+        tally["sweeps"].append(its)
+        return x, its
+
+    monkeypatch.setattr(state_solver, "picard_solve", picard)
+    monkeypatch.setattr(adjoint_solver, "picard_solve", picard)
+    return tally
+
+
+def _reset(tally):
+    tally["transforms"] = 0
+    tally["sweeps"] = []
+
+
+def _state_budget(sweeps):
+    return 1 + sum(1 + 2 * s for s in sweeps)
+
+
+def _adjoint_budget(sweeps, m1, m2):
+    # sweeps are in reversed time: step j targets slab nt - 1 - j
+    nt = m1.nt
+    shared = [m1[nt - 1 - j] is m2[nt - 1 - j] for j in range(nt)]
+    return 1 + sum(3 - sh + 2 * s for s, sh in zip(sweeps, shared))
+
+
+def _check_state_report(run):
+    for n, s in enumerate(run.solution.samples):
+        assert run.report.l4[n] == norms(s).l4
+
+
+def _check_adjoint_report(adj):
+    q, r, p = adj.solution, adj.report, adj.params
+    for n, s in enumerate(q.samples):
+        nm = norms(s)
+        assert (r.q_l2[n], r.q_v[n], r.q_l4[n]) == (nm.l2, nm.v, nm.l4)
+    # the adjoint energy margin, recomputed sample by sample
+    dt, nt, kappa, g = q.dt, q.nt, r.kappa, q.grid
+    h, (m1, m2) = adj.rhs, adj.coeffs
+    K = math.exp(q.t_end) * dt * sum(inner_product(h[n], h[n]) for n in range(nt))
+    int_w = 0.0
+    for n in range(nt):
+        q2 = speed_squared(q[n])
+        a = float(np.sum(speed_squared(m1[n]) * q2) * g.quad_weight)
+        b = float(np.sum(speed_squared(m2[n]) * q2) * g.quad_weight)
+        int_w += dt * (a + b)
+    lhs = (
+        float(np.max(r.q_l2**2))
+        + 2.0 * p.mu * (1.0 - kappa) * dt * float(np.sum(r.q_v[:-1] ** 2))
+        + 2.0 * adj.delta * dt * float(np.sum(r.q_l4[:-1] ** 4))
+        + (p.beta - 1.0 / (2.0 * p.mu * kappa)) * int_w
+    )
+    assert type(r.energy_margin) is float and type(r.energy_K) is float
+    assert r.energy_K == K
+    assert r.energy_margin == K - lhs
+
+
+@pytest.mark.parametrize("d,n,nt", [(2, 8, 6), (3, 6, 3)])
+def test_transform_budget_and_reused_values(d, n, nt, counts):
+    grid = Grid(d=d, n=n)
+    params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)
+    rng = np.random.default_rng(4242)
+    m0 = random_field(grid, rng, l2=1.0)
+    f1 = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
+    f2 = f1 + random_trajectory(grid, 0.25, nt, rng, l2=0.5)
+    h = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
+
+    _reset(counts)
+    run1 = solve_state(m0, f1, params)
+    assert len(counts["sweeps"]) == nt
+    assert counts["transforms"] == _state_budget(counts["sweeps"])
+    run2 = solve_state(m0, f2, params)
+
+    m1, m2 = run1.solution, run2.solution
+    assert m1[0] is m2[0]  # the shared initial condition: slab 0 reuses one transform
+    for delta in (0.0, 0.3):
+        _reset(counts)
+        adj = solve_adjoint((m1, m2), h, delta, params)
+        assert counts["transforms"] == _adjoint_budget(counts["sweeps"], m1, m2)
+        _check_adjoint_report(adj)
+
+    _reset(counts)
+    noc = solve_adjoint_noc(run1, h)
+    assert counts["transforms"] == 1 + sum(2 + 2 * s for s in counts["sweeps"])
+    _check_adjoint_report(noc)
+
+    _check_state_report(run1)
+    _check_state_report(run2)

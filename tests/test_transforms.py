@@ -73,3 +73,19 @@ def test_cubic_coefficients_match_reference(d, n, rng):
     got = g.from_physical(np.sum(pm**2, axis=0) * pm)
     assert float(np.max(np.abs(got - ref))) <= REL * float(np.max(np.abs(ref)))
 
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3) for n in (6, 8, 16)])
+def test_grad_physical_jet(d, n, rng):
+    # one stacked transform: out[0] is to_physical bitwise, out[1:] the gradient
+    g = Grid(d=d, n=n)
+    u = random_field(g, rng, l2=1.3)
+    jet = g.grad_physical(u.coeffs)
+    assert jet.shape == (1 + d, d) + (g.pad_n,) * d
+    vals = g.to_physical(u.coeffs)
+    assert np.array_equal(jet[0], vals)
+    assert np.array_equal(np.signbit(jet[0]), np.signbit(vals))
+    # x = 2 pi j / M = 2 pi l / 2n holds for j = 3i, l = 4i: compare on those n/2 nodes per axis
+    ref = ref_to_physical(g, 1j * g.k[:, None] * u.coeffs[None])[(Ellipsis,) + (slice(None, None, 4),) * d]
+    got = jet[1:][(Ellipsis,) + (slice(None, None, 3),) * d]
+    assert got.shape == ref.shape == (d, d) + (n // 2,) * d
+    assert float(np.max(np.abs(got - ref))) <= REL * float(np.max(np.abs(ref)))
