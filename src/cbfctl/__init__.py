@@ -36,10 +36,7 @@ from .fields import (
 )
 from .operators import (
     OperatorParams,
-    adjoint_convection,
-    adjoint_forchheimer,
     apply_A,
-    apply_B,
     apply_C,
     monotonicity_gap,
     trilinear_b,

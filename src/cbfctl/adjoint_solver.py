@@ -45,6 +45,7 @@ from .fields import (
     norms,
     random_field,
     spectral_norms,
+    time_l2_norm,
 )
 from .operators import (
     OperatorParams,
@@ -246,6 +247,7 @@ class DualityReport(NamedTuple):
     delta_form: float
     limit_form: float
     scale: float
+    running: tuple[float, ...]
 
 
 def duality_residual(
@@ -266,7 +268,8 @@ def duality_residual(
     exact, so at delta = 0 the residual is solver-tolerance small; at
     delta > 0 the cubic term is discretized at left endpoints and the
     residual is O(dt).  limit_form replaces v by the sampled m1 - m2 and
-    drops the delta term (O(dt) always).
+    drops the delta term (O(dt) always).  running[n] is the delta_form of the
+    sums cut after n steps (running[0] = 0, running[nt] = delta_form).
     """
     if adj.coeffs[0] is not run1.solution or adj.coeffs[1] is not run2.solution:
         raise ValueError("adjoint was not built from the coefficient trajectories of these runs")
@@ -277,21 +280,26 @@ def duality_residual(
 
     lhs = rhs = cubic = 0.0
     scale = 0.0
+    left = []  # left[n] = lhs + cubic after step n
     for n in range(nt):
         gn = run1.forcing[n] - run2.forcing[n]
         lhs += dt * inner_product(gn, q[n])
         scale += dt * _l2(gn) * _l2(q[n])
         if adj.delta > 0:
             cubic += adj.delta * dt * inner_product(apply_C(q[n]), v[n])
+        left.append(lhs + cubic)
     limit = lhs
+    running = [0.0]
     for n in range(1, nt + 1):
         rhs += dt * inner_product(h[n], v[n])
         limit -= dt * inner_product(h[n], run1.solution[n] - run2.solution[n])
         scale += dt * _l2(h[n]) * _l2(v[n])
+        running.append(abs(left[n - 1] - rhs))
     report = DualityReport(
-        delta_form=abs(lhs + cubic - rhs),
+        delta_form=running[-1],
         limit_form=abs(limit),
         scale=max(scale + abs(cubic), 1e-300),
+        running=tuple(running),
     )
     adj.report.duality_delta_form = report.delta_form
     adj.report.duality_limit_form = report.limit_form
@@ -416,7 +424,5 @@ def delta_sweep(
     out = []
     for delta in deltas:
         run = solve_adjoint(coeffs, h, float(delta), params, kappa=kappa, picard_tol=picard_tol, max_iters=max_iters)
-        diff = run.solution - base.solution
-        dist = math.sqrt(max(diff.dt * sum(inner_product(diff[n], diff[n]) for n in range(diff.nt)), 0.0))
-        out.append((float(delta), dist))
+        out.append((float(delta), time_l2_norm(run.solution - base.solution)))
     return base, out

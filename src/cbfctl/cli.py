@@ -1,57 +1,61 @@
 """Command line driver.
 
     cbfctl simulate|adjoint|optimize|verify|delta-sweep|oracle
-           --config <file> --out <dir> [--seed N] [--threads N]
+           --config <file> --out <dir> [--seed N]
 
-Exit codes: 0 pass, 1 invariant violation, 2 solver failure, 3 config or
-input-file error.  Any other exception propagates with its traceback.
-The CBFCTL_THREADS environment variable overrides --threads.
+Exit codes: 0 pass, 1 invariant violation, 2 solver failure, 3 config,
+input-file or command-line argument error.  Any other exception propagates
+with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
+from typing import NoReturn
 
 from .experiments import run_experiment
 from .fields import CBFTFormatError
-from .harness import EXPERIMENTS, ConfigError, parse_config
+from .harness import EXPERIMENTS, ConfigError, config_from_dict, config_to_dict, parse_config
 from .optimizer import LineSearchFailure
 from .state_solver import HypothesisViolatedError, NonConvergenceError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the code of every other input error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cbfctl", description=__doc__)
+    parser = _Parser(prog="cbfctl", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", required=True, help="output directory for artifacts")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for independent runs")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    threads = args.threads
-    env_threads = os.environ.get("CBFCTL_THREADS")
-    if env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            print(f"cbfctl: CBFCTL_THREADS must be an integer, got {env_threads!r}", file=sys.stderr)
-            return 3
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = parse_config(args.config)
-        config = replace(config, experiment=args.experiment)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
     except ConfigError as exc:
         print(f"cbfctl: config error: {exc}", file=sys.stderr)
         return 3
+    overrides = {"experiment": args.experiment}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    try:
+        config = config_from_dict({**config_to_dict(config), **overrides})
+    except ConfigError as exc:
+        # only --seed can fail here; the message starts with its field name
+        parser.error(f"argument --{exc}")
     if not config.hypothesis_satisfied:
         print(
             "cbfctl: warning: coefficient hypothesis 2*beta*mu > 1/kappa fails "
@@ -59,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     try:
-        result = run_experiment(config, args.out, threads=max(threads, 1))
+        result = run_experiment(config, args.out)
     except (NonConvergenceError, LineSearchFailure) as exc:
         print(f"cbfctl: solver failure: {exc}", file=sys.stderr)
         return 2

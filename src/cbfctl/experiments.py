@@ -7,9 +7,9 @@ Every experiment writes into its output directory:
 * summary.json with one record per checked invariant margin,
 * SVG line charts of the main series.
 
-Identical config + seed reproduce the CSV outputs byte for byte; independent
-sweep members may fan out over worker threads (results are merged in
-submission order, so threading never changes output).
+Identical config + seed reproduce the CSV outputs byte for byte.  Each
+sampled check draws every sample from its own child generator of the seed,
+so a sample's numbers do not depend on how many samples came before it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import replace
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .adjoint_solver import (
     solve_adjoint_noc,
 )
 from .fields import (
+    Grid,
     Trajectory,
     inner_product,
     random_field,
@@ -38,7 +39,6 @@ from .fields import (
     time_l2_norm,
     write_norm_series,
     write_trajectory,
-    zero_field,
 )
 from .harness import (
     ProblemConfig,
@@ -47,7 +47,7 @@ from .harness import (
     dense_oracle,
     standard_state_inputs,
 )
-from .operators import apply_A, apply_C, l4_norm4, monotonicity_gap, norms, trilinear_b
+from .operators import PairStencil, apply_A, apply_C, l4_norm4, monotonicity_gap, norms, trilinear_b
 from .optimizer import (
     cost,
     gradient,
@@ -76,11 +76,9 @@ class ExperimentResult(NamedTuple):
     summary: dict
 
 
-def _fan_out(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+def _picard(config: ProblemConfig) -> dict:
+    """The config's inner solver control, as keyword arguments of the solves."""
+    return {"picard_tol": config.picard_tol, "max_iters": config.picard_max_iters}
 
 
 def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -163,10 +161,10 @@ def _write_summary(out_dir: str, config: ProblemConfig, ledger: MarginLedger) ->
 
 def _forced_run(config: ProblemConfig, rng: np.random.Generator):
     m0, f = standard_state_inputs(config, rng)
-    return solve_state(m0, f, config.operator_params(), picard_tol=config.picard_tol, max_iters=config.picard_max_iters)
+    return solve_state(m0, f, config.operator_params(), **_picard(config))
 
 
-def run_simulate(config: ProblemConfig, out_dir: str, threads: int = 1) -> ExperimentResult:
+def run_simulate(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     run = _forced_run(config, config.rng())
     write_trajectory(os.path.join(out_dir, "state.cbft"), run.solution)
@@ -197,43 +195,32 @@ def _adjoint_instance(config: ProblemConfig, rng: np.random.Generator):
     f1 = random_trajectory(grid, config.t_end, config.nt, rng, l2=amp)
     f2 = f1 + random_trajectory(grid, config.t_end, config.nt, rng, l2=0.5 * amp)
     h = random_trajectory(grid, config.t_end, config.nt, rng, l2=amp)
-    run1 = solve_state(m0, f1, params, picard_tol=config.picard_tol, max_iters=config.picard_max_iters)
-    run2 = solve_state(m0, f2, params, picard_tol=config.picard_tol, max_iters=config.picard_max_iters)
+    run1 = solve_state(m0, f1, params, **_picard(config))
+    run2 = solve_state(m0, f2, params, **_picard(config))
     return run1, run2, h
 
 
-def run_adjoint(config: ProblemConfig, out_dir: str, threads: int = 1) -> ExperimentResult:
+def run_adjoint(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     params = config.operator_params()
     run1, run2, h = _adjoint_instance(config, config.rng())
-    diff = solve_difference(run1, run2, picard_tol=config.picard_tol, max_iters=config.picard_max_iters)
+    diff = solve_difference(run1, run2, **_picard(config))
     adj = solve_adjoint(
         (run1.solution, run2.solution),
         h,
         config.delta,
         params,
         kappa=config.kappa_effective,
-        picard_tol=config.picard_tol,
-        max_iters=config.picard_max_iters,
+        **_picard(config),
         state_K=(run1.report.energy_bound_K, run2.report.energy_bound_K),
     )
     dual = duality_residual(adj, run1, run2, difference=diff.trajectory)
 
-    q, v = adj.solution, diff.trajectory
-    dt, nt = q.dt, q.nt
-    running = [0.0]
-    lhs = rhs = cubic = 0.0
-    for n in range(nt):
-        gn = run1.forcing[n] - run2.forcing[n]
-        lhs += dt * inner_product(gn, q[n])
-        if adj.delta > 0:
-            cubic += adj.delta * dt * inner_product(apply_C(q[n]), v[n])
-        rhs += dt * inner_product(h[n + 1], v[n + 1])
-        running.append(abs(lhs + cubic - rhs))
+    q, dt = adj.solution, adj.dt
     write_csv(
         os.path.join(out_dir, "adjoint.csv"),
         ["t", "q_l2", "q_v", "duality_running"],
-        zip(q.times, adj.report.q_l2, adj.report.q_v, running),
+        zip(q.times, adj.report.q_l2, adj.report.q_v, dual.running),
     )
     write_trajectory(os.path.join(out_dir, "adjoint.cbft"), q)
     write_line_chart(
@@ -257,7 +244,7 @@ def run_adjoint(config: ProblemConfig, out_dir: str, threads: int = 1) -> Experi
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def run_delta_sweep(config: ProblemConfig, out_dir: str, threads: int = 1) -> ExperimentResult:
+def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     params = config.operator_params()
     run1, run2, h = _adjoint_instance(config, config.rng())
@@ -267,8 +254,7 @@ def run_delta_sweep(config: ProblemConfig, out_dir: str, threads: int = 1) -> Ex
         DELTA_LADDER,
         params,
         kappa=config.kappa_effective,
-        picard_tol=config.picard_tol,
-        max_iters=config.picard_max_iters,
+        **_picard(config),
     )
     write_csv(os.path.join(out_dir, "delta_sweep.csv"), ["delta", "q_dist"], ladder)
     write_line_chart(
@@ -287,7 +273,7 @@ def run_delta_sweep(config: ProblemConfig, out_dir: str, threads: int = 1) -> Ex
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def run_optimize(config: ProblemConfig, out_dir: str, threads: int = 1) -> ExperimentResult:
+def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     rng = config.rng()
     problem, f_sharp, _hidden = build_tracking_problem(config, rng)
@@ -318,7 +304,7 @@ def run_optimize(config: ProblemConfig, out_dir: str, threads: int = 1) -> Exper
     ledger.flag("cost_reduced_10x_within_100", j100 <= J0 / 10.0, {"J0": J0, "J_100": j100})
     ledger.note("J_final", J_star)
 
-    adj = solve_adjoint_noc(run_star, problem.target, picard_tol=config.picard_tol)
+    adj = solve_adjoint_noc(run_star, problem.target, **_picard(config))
     g_star = gradient(adj.solution, f_star, problem.lam)
     probes = make_probe_bank(f_star, config.radius, 32, rng, grad=g_star, step=1.0 / problem.lam)
     vi = vi_residual(f_star, adj.solution, problem.lam, probes)
@@ -342,7 +328,7 @@ def run_optimize(config: ProblemConfig, out_dir: str, threads: int = 1) -> Exper
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def run_oracle(config: ProblemConfig, out_dir: str, threads: int = 1) -> ExperimentResult:
+def run_oracle(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     grid = config.grid()
     params = config.operator_params()
@@ -365,8 +351,6 @@ def run_oracle(config: ProblemConfig, out_dir: str, threads: int = 1) -> Experim
     ledger.residual("adjoint_matrix_transpose_defect", float(np.max(np.abs(M_adj - M_diff.T))), 1e-12)
 
     # dense matrix application vs direct spectral application
-    from .operators import PairStencil
-
     stencil = PairStencil(m1, m2, params)
     rel_max = 0.0
     for _ in range(5):
@@ -388,7 +372,7 @@ def run_oracle(config: ProblemConfig, out_dir: str, threads: int = 1) -> Experim
     errors, dts = [], []
     for nt in nts:
         f = Trajectory.from_callable(grid, config.t_end, nt, f_fn)
-        run = solve_state(m0, f, params, picard_tol=config.picard_tol, max_iters=config.picard_max_iters)
+        run = solve_state(m0, f, params, **_picard(config))
         stride = nts[-1] // nt
         err = max(
             float(np.sqrt(max(inner_product(run.solution[i] - ref[i * stride], run.solution[i] - ref[i * stride]), 0.0)))
@@ -416,19 +400,10 @@ def run_oracle(config: ProblemConfig, out_dir: str, threads: int = 1) -> Experim
 # verify: condensed all-invariant battery
 # ----------------------------------------------------------------------
 
-def config_to_dict_internal(cfg: ProblemConfig) -> dict:
-    """config_to_dict with the JSON key "lambda" renamed to the field name."""
-    d = config_to_dict(cfg)
-    d["lam"] = d.pop("lambda")
-    return d
-
-
-def _verify_trilinear(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
+def _verify_trilinear(config: ProblemConfig, ledger: MarginLedger) -> None:
     cases = [(2, 12, 120), (3, 8, 60)]
     worst_zero = worst_alt = 0.0
     for d, n, count in cases:
-        from .fields import Grid
-
         grid = Grid(d=d, n=n)
         rngs = _spawn_rngs(config.seed + d, count)
 
@@ -441,14 +416,14 @@ def _verify_trilinear(config: ProblemConfig, ledger: MarginLedger, threads: int)
             alt = abs(trilinear_b(p, q, r) + trilinear_b(p, r, q)) / max(np_.v * nq.v * nr.v, 1e-30)
             return z, alt
 
-        for z, alt in _fan_out(one, rngs, threads):
+        for z, alt in map(one, rngs):
             worst_zero = max(worst_zero, z)
             worst_alt = max(worst_alt, alt)
     ledger.residual("trilinear_bqq_rel", worst_zero, 1e-12)
     ledger.residual("trilinear_alternation_rel", worst_alt, 1e-12)
 
 
-def _verify_forchheimer(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
+def _verify_forchheimer(config: ProblemConfig, ledger: MarginLedger) -> None:
     grid = config.grid()
     rngs = _spawn_rngs(config.seed + 11, 100)
 
@@ -459,12 +434,12 @@ def _verify_forchheimer(config: ProblemConfig, ledger: MarginLedger, threads: in
         ident = abs(pairing - l4_norm4(p)) / max(abs(pairing), 1e-30)
         return ident, monotonicity_gap(p, q)
 
-    results = _fan_out(one, rngs, threads)
+    results = [one(rng) for rng in rngs]
     ledger.residual("forchheimer_identity_rel", max(r[0] for r in results), 1e-10)
     ledger.margin("monotonicity_gap_min", min(r[1] for r in results), 1e-10)
 
 
-def _verify_energy(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
+def _verify_energy(config: ProblemConfig, ledger: MarginLedger) -> None:
     grid = config.grid()
     params = config.operator_params()
     rng = config.rng()
@@ -473,7 +448,7 @@ def _verify_energy(config: ProblemConfig, ledger: MarginLedger, threads: int) ->
     residuals, dts = [], []
     for nt in (config.nt // 4, config.nt // 2, config.nt, 2 * config.nt):
         f = Trajectory.from_callable(grid, config.t_end, nt, f_fn)
-        run = solve_state(m0, f, params, picard_tol=config.picard_tol, max_iters=config.picard_max_iters)
+        run = solve_state(m0, f, params, **_picard(config))
         residuals.append(run.report.energy_equality_residual)
         dts.append(config.t_end / nt)
     ledger.order("energy_equality_order", observed_order(dts, residuals), 0.9)
@@ -484,12 +459,12 @@ def _verify_energy(config: ProblemConfig, ledger: MarginLedger, threads: int) ->
         run = _forced_run(config, rng)
         return energy_estimate_check(run), run.report.energy_bound_K, energy_equality_residual(run)
 
-    results = _fan_out(margin_one, rngs, threads)
+    results = [margin_one(rng) for rng in rngs]
     worst = min(m / max(K, 1e-30) for m, K, _ in results)
     ledger.margin("energy_bound_margin_rel_min", worst, 1e-8)
 
 
-def _verify_lipschitz(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
+def _verify_lipschitz(config: ProblemConfig, ledger: MarginLedger) -> None:
     params = config.operator_params()
     kappa = config.kappa_effective
     rngs = _spawn_rngs(config.seed + 31, 20)
@@ -499,44 +474,44 @@ def _verify_lipschitz(config: ProblemConfig, ledger: MarginLedger, threads: int)
         m0 = random_field(grid, rng, l2=config.amplitude)
         f1 = random_trajectory(grid, config.t_end, config.nt, rng, l2=config.amplitude)
         f2 = f1 + random_trajectory(grid, config.t_end, config.nt, rng, l2=0.5 * config.amplitude)
-        run1 = solve_state(m0, f1, params, picard_tol=config.picard_tol)
-        run2 = solve_state(m0, f2, params, picard_tol=config.picard_tol)
+        run1 = solve_state(m0, f1, params, **_picard(config))
+        run2 = solve_state(m0, f2, params, **_picard(config))
         margin = lipschitz_check(run1, run2, kappa)
         scale = math.exp(config.t_end) * max(time_l2_norm(f1 - f2) ** 2, 1e-30)
         return margin / scale
 
-    ledger.margin("lipschitz_margin_rel_min", min(_fan_out(one, rngs, threads)), 1e-8)
+    ledger.margin("lipschitz_margin_rel_min", min(one(rng) for rng in rngs), 1e-8)
 
     # quadratic rho scaling of the bound's margin
     rng = np.random.default_rng(config.seed + 37)
     m0 = random_field(grid, rng, l2=config.amplitude)
     f1 = random_trajectory(grid, config.t_end, config.nt, rng, l2=config.amplitude)
     gdir = random_trajectory(grid, config.t_end, config.nt, rng, l2=config.amplitude)
-    run1 = solve_state(m0, f1, params, picard_tol=config.picard_tol)
+    run1 = solve_state(m0, f1, params, **_picard(config))
     margins = []
     for rho in (2e-2, 1e-2):
-        run2 = solve_state(m0, f1 + rho * gdir, params, picard_tol=config.picard_tol)
+        run2 = solve_state(m0, f1 + rho * gdir, params, **_picard(config))
         margins.append(lipschitz_check(run1, run2, kappa))
     ratio = margins[0] / margins[1]
     ledger.flag("lipschitz_rho_ratio_4", abs(ratio - 4.0) <= 0.4, ratio)
 
 
-def _verify_duality(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
+def _verify_duality(config: ProblemConfig, ledger: MarginLedger) -> None:
     params = config.operator_params()
     rngs = _spawn_rngs(config.seed + 41, 5)
 
     def one(rng):
         run1, run2, h = _adjoint_instance(config, rng)
-        diff = solve_difference(run1, run2, picard_tol=config.picard_tol)
+        diff = solve_difference(run1, run2, **_picard(config))
         adj = solve_adjoint(
             (run1.solution, run2.solution), h, 0.0, params,
-            kappa=config.kappa_effective, picard_tol=config.picard_tol,
+            kappa=config.kappa_effective, **_picard(config),
             state_K=(run1.report.energy_bound_K, run2.report.energy_bound_K),
         )
         dual = duality_residual(adj, run1, run2, difference=diff.trajectory)
         return dual.delta_form / dual.scale, adj.report.energy_margin / max(adj.report.energy_K, 1e-30)
 
-    results = _fan_out(one, rngs, threads)
+    results = [one(rng) for rng in rngs]
     ledger.residual("duality_delta0_rel_max", max(r[0] for r in results), config.tol_duality)
     ledger.margin("adjoint_energy_margin_rel_min", min(r[1] for r in results), 1e-8)
 
@@ -553,31 +528,30 @@ def _verify_duality(config: ProblemConfig, ledger: MarginLedger, threads: int) -
             f1 = Trajectory.from_callable(grid, config.t_end, nt, f1_fn)
             f2 = Trajectory.from_callable(grid, config.t_end, nt, f2_fn)
             h = Trajectory.from_callable(grid, config.t_end, nt, h_fn)
-            run1 = solve_state(m0, f1, params, picard_tol=config.picard_tol)
-            run2 = solve_state(m0, f2, params, picard_tol=config.picard_tol)
-            diff = solve_difference(run1, run2, picard_tol=config.picard_tol)
-            adj = solve_adjoint((run1.solution, run2.solution), h, delta, params,
-                                kappa=config.kappa_effective, picard_tol=config.picard_tol)
+            run1 = solve_state(m0, f1, params, **_picard(config))
+            run2 = solve_state(m0, f2, params, **_picard(config))
+            diff = solve_difference(run1, run2, **_picard(config))
+            adj = solve_adjoint(
+                (run1.solution, run2.solution), h, delta, params, kappa=config.kappa_effective, **_picard(config)
+            )
             dual = duality_residual(adj, run1, run2, difference=diff.trajectory)
             residuals.append(dual.delta_form)
             dts.append(config.t_end / nt)
         ledger.order(f"duality_delta_{delta:g}_order", observed_order(dts, residuals), 0.9)
 
 
-def _verify_delta_ladder(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
+def _verify_delta_ladder(config: ProblemConfig, ledger: MarginLedger) -> None:
     params = config.operator_params()
     run1, run2, h = _adjoint_instance(config, np.random.default_rng(config.seed + 47))
     _, ladder = delta_sweep(
         (run1.solution, run2.solution), h, (1e-1, 1e-2, 1e-3), params,
-        kappa=config.kappa_effective, picard_tol=config.picard_tol,
+        kappa=config.kappa_effective, **_picard(config),
     )
     dists = [x for _, x in ladder]
     ledger.flag("delta_ladder_monotone", all(dists[i] > dists[i + 1] for i in range(len(dists) - 1)), dists)
 
 
-def _verify_gradient(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
-    from .fields import Grid
-
+def _verify_gradient(config: ProblemConfig, ledger: MarginLedger) -> None:
     grid = Grid(d=2, n=8)
     rng = np.random.default_rng(config.seed + 53)
     params = config.operator_params()
@@ -585,28 +559,25 @@ def _verify_gradient(config: ProblemConfig, ledger: MarginLedger, threads: int) 
     m0 = random_field(grid, rng, l2=0.3 * config.amplitude)
     target = random_trajectory(grid, t_end, nt, rng, l2=0.3 * config.amplitude)
     f = random_trajectory(grid, t_end, nt, rng, l2=0.3 * config.amplitude)
-    run = solve_state(m0, f, params, picard_tol=config.picard_tol)
-    adj = solve_adjoint_noc(run, target, picard_tol=config.picard_tol)
+    run = solve_state(m0, f, params, **_picard(config))
+    adj = solve_adjoint_noc(run, target, **_picard(config))
     g = gradient(adj.solution, f, config.lam)
     eps = 1e-4
     worst = 0.0
     for _ in range(3):
         direction = random_trajectory(grid, t_end, nt, rng, l2=1.0)
-        jp = cost(f + eps * direction, solve_state(m0, f + eps * direction, params, picard_tol=config.picard_tol).solution, target, config.lam)
-        jm = cost(f - eps * direction, solve_state(m0, f - eps * direction, params, picard_tol=config.picard_tol).solution, target, config.lam)
+        f_plus, f_minus = f + eps * direction, f - eps * direction
+        jp = cost(f_plus, solve_state(m0, f_plus, params, **_picard(config)).solution, target, config.lam)
+        jm = cost(f_minus, solve_state(m0, f_minus, params, **_picard(config)).solution, target, config.lam)
         fd = (jp - jm) / (2.0 * eps)
         pred = sum(f.dt * inner_product(g[n], direction[n]) for n in range(nt))
         worst = max(worst, abs(fd - pred) / max(abs(fd), 1e-30))
     ledger.residual("gradient_fd_rel_max", worst, max(1e-4, 2.0 * (t_end / nt) + eps**2))
 
 
-def _verify_optimize(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
-    from .fields import Grid
-
+def _verify_optimize(config: ProblemConfig, ledger: MarginLedger) -> None:
     # lambda small enough that the penalty floor leaves a 5x descent corridor
-    small = ProblemConfig(
-        **{**config_to_dict_internal(config), "n": 8, "nt": 32, "t_end": 0.5, "lam": 1e-3, "amplitude": 1.0}
-    )
+    small = replace(config, n=8, nt=32, t_end=0.5, lam=1e-3, amplitude=1.0)
     rng = small.rng()
     problem, _f_sharp, _ = build_tracking_problem(small, rng)
     f0 = Trajectory.zero(Grid(d=small.d, n=small.n), small.t_end, small.nt)
@@ -615,7 +586,7 @@ def _verify_optimize(config: ProblemConfig, ledger: MarginLedger, threads: int) 
     trace = result.trace
     J0, J_star = trace.rows[0].cost, trace.rows[-1].cost
     ledger.flag("optimize_cost_reduced_5x", J_star <= J0 / 5.0, {"J0": J0, "J_star": J_star})
-    adj = solve_adjoint_noc(result.state, problem.target, picard_tol=small.picard_tol)
+    adj = solve_adjoint_noc(result.state, problem.target, **_picard(small))
     probes = make_probe_bank(result.control, small.radius, 8, rng)
     vi = vi_residual(result.control, adj.solution, problem.lam, probes)
     scale = vi_scale(result.control, probes, problem)
@@ -624,8 +595,8 @@ def _verify_optimize(config: ProblemConfig, ledger: MarginLedger, threads: int) 
     ledger.margin("ioc_residual_rel_min", min(pt.residual for pt in points) / scale, small.tol_vi)
 
 
-def _verify_oracle(config: ProblemConfig, ledger: MarginLedger, threads: int) -> None:
-    tiny = ProblemConfig(**{**config_to_dict_internal(config), "d": 2, "n": 4, "nt": 16, "t_end": 0.5})
+def _verify_oracle(config: ProblemConfig, ledger: MarginLedger) -> None:
+    tiny = replace(config, d=2, n=4, nt=16, t_end=0.5)
     system = dense_oracle(tiny)
     rng = tiny.rng()
     grid = tiny.grid()
@@ -636,17 +607,17 @@ def _verify_oracle(config: ProblemConfig, ledger: MarginLedger, threads: int) ->
     ledger.residual("oracle_transpose_defect", float(np.max(np.abs(M_adj - M_diff.T))), 1e-12)
 
 
-def run_verify(config: ProblemConfig, out_dir: str, threads: int = 1) -> ExperimentResult:
+def run_verify(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
-    _verify_trilinear(config, ledger, threads)
-    _verify_forchheimer(config, ledger, threads)
-    _verify_energy(config, ledger, threads)
-    _verify_lipschitz(config, ledger, threads)
-    _verify_duality(config, ledger, threads)
-    _verify_delta_ladder(config, ledger, threads)
-    _verify_gradient(config, ledger, threads)
-    _verify_optimize(config, ledger, threads)
-    _verify_oracle(config, ledger, threads)
+    _verify_trilinear(config, ledger)
+    _verify_forchheimer(config, ledger)
+    _verify_energy(config, ledger)
+    _verify_lipschitz(config, ledger)
+    _verify_duality(config, ledger)
+    _verify_delta_ladder(config, ledger)
+    _verify_gradient(config, ledger)
+    _verify_optimize(config, ledger)
+    _verify_oracle(config, ledger)
     write_csv(
         os.path.join(out_dir, "verify.csv"),
         ["check", "kind", "value", "tolerance", "pass"],
@@ -670,7 +641,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ProblemConfig, out_dir, threads: int = 1) -> ExperimentResult:
+def run_experiment(config: ProblemConfig, out_dir) -> ExperimentResult:
     """Run the config's experiment, writing artifacts into out_dir.
 
     Failures propagate to the caller, but a summary flagging the partial
@@ -680,7 +651,7 @@ def run_experiment(config: ProblemConfig, out_dir, threads: int = 1) -> Experime
     os.makedirs(out_dir, exist_ok=True)
     runner = _RUNNERS[config.experiment]
     try:
-        return runner(config, str(out_dir), threads)
+        return runner(config, str(out_dir))
     except Exception as exc:
         failure = {
             "experiment": config.experiment,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
@@ -34,7 +34,7 @@ from .fields import (
     time_l2_norm,
     zero_field,
 )
-from .operators import OperatorParams, PairStencil, StateStencil, apply_A, trilinear_b
+from .operators import OperatorParams, PairStencil, StateStencil, apply_A
 from .optimizer import ControlProblem
 from .state_solver import StateRun, solve_state
 
@@ -196,27 +196,8 @@ def parse_config(path) -> ProblemConfig:
 
 
 def config_to_dict(cfg: ProblemConfig) -> dict:
-    out = {
-        "experiment": cfg.experiment,
-        "d": cfg.d,
-        "n": cfg.n,
-        "nt": cfg.nt,
-        "t_end": cfg.t_end,
-        "mu": cfg.mu,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "kappa": cfg.kappa,
-        "lambda": cfg.lam,
-        "delta": cfg.delta,
-        "radius": cfg.radius,
-        "amplitude": cfg.amplitude,
-        "seed": cfg.seed,
-        "picard_tol": cfg.picard_tol,
-        "picard_max_iters": cfg.picard_max_iters,
-        "tol_vi": cfg.tol_vi,
-        "tol_duality": cfg.tol_duality,
-    }
-    return out
+    """The config in the JSON schema: every field by its name, lam as "lambda"."""
+    return {"lambda" if f.name == "lam" else f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +264,6 @@ class DenseSystem:
     def a_matrix(self) -> np.ndarray:
         return self.assemble(apply_A)
 
-    def b_tensor(self) -> np.ndarray:
-        """T[i, j, k] = b(e_i, e_j, e_k); skew in its last two indices."""
-        D = self.dim
-        T = np.empty((D, D, D))
-        for i, ei in enumerate(self.basis):
-            for j, ej in enumerate(self.basis):
-                for k, ek in enumerate(self.basis):
-                    T[i, j, k] = trilinear_b(ei, ej, ek)
-        return T
-
     def difference_step_matrix(self, m1: SpectralField, m2: SpectralField, dt: float) -> np.ndarray:
         """Dense implicit matrix of one difference-system slab."""
         st = PairStencil(m1, m2, self.params)
@@ -335,52 +306,6 @@ class DenseSystem:
                 x = np.linalg.solve(M, rhs)
             samples.append(self.vec_to_field(x))
         return Trajectory(self.grid, t_end, tuple(samples))
-
-    def difference_reference(
-        self,
-        m1_fn: Callable[[float], SpectralField],
-        m2_fn: Callable[[float], SpectralField],
-        g_fn: Callable[[float], SpectralField],
-        t_end: float,
-        nt: int,
-        refine: int = 64,
-    ) -> Trajectory:
-        """Fine-step dense difference solve with coefficients sampled in fine time."""
-        dt = t_end / nt
-        dt_ref = dt / refine
-        x = np.zeros(self.dim)
-        samples = [self.vec_to_field(x)]
-        for n in range(nt):
-            for r in range(refine):
-                t = n * dt + r * dt_ref
-                M = self.difference_step_matrix(m1_fn(t), m2_fn(t), dt_ref)
-                x = np.linalg.solve(M, x + dt_ref * self.field_to_vec(g_fn(t)))
-            samples.append(self.vec_to_field(x))
-        return Trajectory(self.grid, t_end, tuple(samples))
-
-    def adjoint_reference(
-        self,
-        m1_fn: Callable[[float], SpectralField],
-        m2_fn: Callable[[float], SpectralField],
-        h_fn: Callable[[float], SpectralField],
-        t_end: float,
-        nt: int,
-        refine: int = 64,
-    ) -> Trajectory:
-        """Fine-step dense backward solve of the (delta = 0) adjoint."""
-        dt = t_end / nt
-        dt_ref = dt / refine
-        x = np.zeros(self.dim)
-        rev = [self.vec_to_field(x)]
-        for n in range(nt):
-            for r in range(refine):
-                # reversed clock tau -> original time t = t_end - tau
-                tau = n * dt + r * dt_ref
-                t_new = t_end - (tau + dt_ref)
-                M = self.adjoint_step_matrix(m1_fn(t_new), m2_fn(t_new), dt_ref)
-                x = np.linalg.solve(M, x + dt_ref * self.field_to_vec(h_fn(t_end - tau)))
-            rev.append(self.vec_to_field(x))
-        return Trajectory(self.grid, t_end, tuple(reversed(rev)))
 
 
 def dense_oracle(config: ProblemConfig) -> DenseSystem:

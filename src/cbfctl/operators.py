@@ -62,10 +62,6 @@ class OperatorParams:
         """2*beta*mu > 1/kappa for the supplied kappa in (0, 1)."""
         return 0.0 < kappa < 1.0 and 2.0 * self.beta * self.mu > 1.0 / kappa
 
-    def hypothesis_feasible(self) -> bool:
-        """Some admissible kappa exists; equivalent to 2*beta*mu > 1."""
-        return 2.0 * self.beta * self.mu > 1.0
-
     def kappa_star(self) -> float:
         """Default kappa: midpoint of (1/(2 beta mu), 1), clamped to (0, 1)."""
         k = 0.5 * (1.0 / (2.0 * self.beta * self.mu) + 1.0)
@@ -81,22 +77,6 @@ def apply_A(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, u.grid.k_sq * u.coeffs)
 
 
-def a_dual_norm(u: SpectralField) -> float:
-    """Dual (V') norm of A u, evaluated spectrally; equals the V norm of u."""
-    g = u.grid
-    au = g.k_sq * u.coeffs
-    sq = np.sum(np.abs(au) ** 2, axis=0) / g.k_sq_safe
-    return float(np.sqrt(np.sum(sq) * g.volume))
-
-
-def b_dual_norm(u: SpectralField) -> float:
-    """Dual (V') norm of the projected self-convection B(u) = P (u.grad) u."""
-    g = u.grid
-    bu = apply_B(u, u).coeffs
-    sq = np.sum(np.abs(bu) ** 2, axis=0) / g.k_sq_safe
-    return float(np.sqrt(np.sum(sq) * g.volume))
-
-
 def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
     """b(p, q, r) = integral of (p . grad) q . r, exact quadrature."""
     _check_same_grid(p, q)
@@ -107,16 +87,6 @@ def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
     rv = g.to_physical(r.coeffs)
     conv = np.einsum("i...,ij...->j...", pv, gq)
     return float(np.sum(conv * rv) * g.quad_weight)
-
-
-def apply_B(p: SpectralField, q: SpectralField) -> SpectralField:
-    """Projected convection B(p, q) = P (p . grad) q."""
-    _check_same_grid(p, q)
-    g = p.grid
-    pv = g.to_physical(p.coeffs)
-    gq = g.grad_physical(q.coeffs)[1:]
-    conv = np.einsum("i...,ij...->j...", pv, gq)
-    return SpectralField(g, g.project_coeffs(g.from_physical(conv)))
 
 
 def apply_C(p: SpectralField) -> SpectralField:
@@ -138,47 +108,6 @@ def monotonicity_gap(p: SpectralField, q: SpectralField) -> float:
     pairing = float(np.sum(cubic * dv) * g.quad_weight)
     d4 = float(np.sum(np.sum(dv**2, axis=0) ** 2) * g.quad_weight)
     return pairing - 0.25 * d4
-
-
-def adjoint_convection(m1: SpectralField, m2: SpectralField, q: SpectralField) -> SpectralField:
-    """Transposed convection of the difference system.
-
-    Returns -B(m1, q) + P{ sum_j grad((m2)_j) q_j }; for every test field w
-
-        <adjoint_convection(m1, m2, q), w> = b(m1, w, q) + b(w, m2, q),
-
-    i.e. the transpose of  v -> B(m1, v) + B(v, m2).
-    """
-    _check_same_grid(m1, q)
-    _check_same_grid(m2, q)
-    g = q.grid
-    m1v = g.to_physical(m1.coeffs)
-    jq = g.grad_physical(q.coeffs)
-    qv, gq = jq[0], jq[1:]
-    gm2 = g.grad_physical(m2.coeffs)[1:]
-    out = -np.einsum("i...,ij...->j...", m1v, gq) + np.einsum("ij...,j...->i...", gm2, qv)
-    return SpectralField(g, g.project_coeffs(g.from_physical(out)))
-
-
-def adjoint_forchheimer(m1: SpectralField, m2: SpectralField, q: SpectralField, beta: float) -> SpectralField:
-    """Self-adjoint Forchheimer coupling shared by the difference and adjoint
-    systems:
-
-        (beta/2) P{ (|m1|^2 + |m2|^2) q } + (beta/2) P{ ((m1+m2) . q) (m1+m2) }.
-
-    At m1 = m2 = m it collapses to beta P{|m|^2 q} + 2 beta P{(m . q) m}, and
-    applied to m1 - m2 it reproduces beta (C(m1) - C(m2)) identically.
-    """
-    _check_same_grid(m1, q)
-    _check_same_grid(m2, q)
-    g = q.grid
-    m1v = g.to_physical(m1.coeffs)
-    m2v = g.to_physical(m2.coeffs)
-    qv = g.to_physical(q.coeffs)
-    w = np.sum(m1v**2, axis=0) + np.sum(m2v**2, axis=0)
-    s = m1v + m2v
-    out = 0.5 * beta * (w * qv + np.sum(s * qv, axis=0) * s)
-    return SpectralField(g, g.project_coeffs(g.from_physical(out)))
 
 
 class PairStencil:
@@ -258,12 +187,6 @@ class StateStencil:
         out = np.einsum("i...,ij...->j...", self._mv, gx) + self.beta * self._w * xv
         return SpectralField(g, g.project_coeffs(g.from_physical(out)))
 
-    def mixed_forchheimer(self, x: SpectralField) -> float:
-        """integral |m_ref|^2 |x|^2, the step's actual cubic dissipation."""
-        g = self.grid
-        xv = g.to_physical(x.coeffs)
-        return float(np.sum(self._w * np.sum(xv**2, axis=0)) * g.quad_weight)
-
 
 def speed_squared(u: SpectralField) -> np.ndarray:
     """|u(x)|^2 on the padded grid."""
@@ -282,14 +205,9 @@ def l4_norm4(u: SpectralField) -> float:
 __all__ = [
     "OperatorParams",
     "apply_A",
-    "a_dual_norm",
-    "b_dual_norm",
     "trilinear_b",
-    "apply_B",
     "apply_C",
     "monotonicity_gap",
-    "adjoint_convection",
-    "adjoint_forchheimer",
     "PairStencil",
     "StateStencil",
     "speed_squared",

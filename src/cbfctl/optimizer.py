@@ -309,7 +309,9 @@ def ioc_ladder(
     collapsed optimality adjoint (decreasing as rho -> 0)."""
     if base_run is None:
         base_run = problem.solve(f_tilde)
-    q_base = solve_adjoint_noc(base_run, problem.target, picard_tol=problem.picard_tol)
+    q_base = solve_adjoint_noc(
+        base_run, problem.target, picard_tol=problem.picard_tol, max_iters=problem.picard_max_iters
+    )
     return [
         _ioc_point(f_tilde, u_probe, rho, problem, base_run=base_run, q_base=q_base)
         for rho in rhos
@@ -355,8 +357,5 @@ def _ioc_point(
     term3 = 0.5 * rho * problem.lam * sum(dt * inner_product(du[n], du[n]) for n in range(nt))
     residual = term1 + term2 + term3
 
-    q_dist = math.nan
-    if q_base is not None:
-        diff = q_rho.solution - q_base.solution
-        q_dist = math.sqrt(max(diff.dt * sum(inner_product(diff[n], diff[n]) for n in range(diff.nt)), 0.0))
+    q_dist = math.nan if q_base is None else time_l2_norm(q_rho.solution - q_base.solution)
     return IOCPoint(rho, residual, q_dist, q_rho.report.energy_margin)

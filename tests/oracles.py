@@ -1,0 +1,84 @@
+"""Independent operator oracles for the tests.
+
+Each function below evaluates one term of the difference and adjoint
+operators on its own, straight from its definition, with fresh transforms of
+every argument.  The solvers never call them: PairStencil and StateStencil
+compute the same terms from frozen coefficient transforms, and the tests check
+the stencils against these forms.
+"""
+
+import numpy as np
+
+from cbfctl.fields import SpectralField, _check_same_grid
+from cbfctl.harness import DenseSystem
+from cbfctl.operators import trilinear_b
+
+
+def apply_B(p: SpectralField, q: SpectralField) -> SpectralField:
+    """Projected convection B(p, q) = P (p . grad) q."""
+    _check_same_grid(p, q)
+    g = p.grid
+    pv = g.to_physical(p.coeffs)
+    gq = g.grad_physical(q.coeffs)[1:]
+    conv = np.einsum("i...,ij...->j...", pv, gq)
+    return SpectralField(g, g.project_coeffs(g.from_physical(conv)))
+
+
+def b_dual_norm(u: SpectralField) -> float:
+    """Dual (V') norm of the projected self-convection B(u) = P (u.grad) u."""
+    g = u.grid
+    bu = apply_B(u, u).coeffs
+    sq = np.sum(np.abs(bu) ** 2, axis=0) / g.k_sq_safe
+    return float(np.sqrt(np.sum(sq) * g.volume))
+
+
+def adjoint_convection(m1: SpectralField, m2: SpectralField, q: SpectralField) -> SpectralField:
+    """Transposed convection of the difference system.
+
+    Returns -B(m1, q) + P{ sum_j grad((m2)_j) q_j }; for every test field w
+
+        <adjoint_convection(m1, m2, q), w> = b(m1, w, q) + b(w, m2, q),
+
+    i.e. the transpose of  v -> B(m1, v) + B(v, m2).
+    """
+    _check_same_grid(m1, q)
+    _check_same_grid(m2, q)
+    g = q.grid
+    m1v = g.to_physical(m1.coeffs)
+    jq = g.grad_physical(q.coeffs)
+    qv, gq = jq[0], jq[1:]
+    gm2 = g.grad_physical(m2.coeffs)[1:]
+    out = -np.einsum("i...,ij...->j...", m1v, gq) + np.einsum("ij...,j...->i...", gm2, qv)
+    return SpectralField(g, g.project_coeffs(g.from_physical(out)))
+
+
+def adjoint_forchheimer(m1: SpectralField, m2: SpectralField, q: SpectralField, beta: float) -> SpectralField:
+    """Self-adjoint Forchheimer coupling shared by the difference and adjoint
+    systems:
+
+        (beta/2) P{ (|m1|^2 + |m2|^2) q } + (beta/2) P{ ((m1+m2) . q) (m1+m2) }.
+
+    At m1 = m2 = m it collapses to beta P{|m|^2 q} + 2 beta P{(m . q) m}, and
+    applied to m1 - m2 it reproduces beta (C(m1) - C(m2)) identically.
+    """
+    _check_same_grid(m1, q)
+    _check_same_grid(m2, q)
+    g = q.grid
+    m1v = g.to_physical(m1.coeffs)
+    m2v = g.to_physical(m2.coeffs)
+    qv = g.to_physical(q.coeffs)
+    w = np.sum(m1v**2, axis=0) + np.sum(m2v**2, axis=0)
+    s = m1v + m2v
+    out = 0.5 * beta * (w * qv + np.sum(s * qv, axis=0) * s)
+    return SpectralField(g, g.project_coeffs(g.from_physical(out)))
+
+
+def b_tensor(system: DenseSystem) -> np.ndarray:
+    """T[i, j, k] = b(e_i, e_j, e_k) over the dense basis; skew in its last two indices."""
+    D = system.dim
+    T = np.empty((D, D, D))
+    for i, ei in enumerate(system.basis):
+        for j, ej in enumerate(system.basis):
+            for k, ek in enumerate(system.basis):
+                T[i, j, k] = trilinear_b(ei, ej, ek)
+    return T

@@ -9,7 +9,6 @@ from cbfctl import (
     NonConvergenceError,
     OperatorParams,
     Trajectory,
-    apply_B,
     energy_equality_residual,
     energy_estimate_check,
     inner_product,
@@ -26,6 +25,7 @@ from cbfctl import (
 from cbfctl.fields import random_forcing
 from cbfctl.harness import config_from_dict, standard_state_inputs
 from cbfctl.experiments import observed_order
+from oracles import apply_B
 
 
 def _l2(u):
