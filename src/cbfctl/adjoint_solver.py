@@ -37,14 +37,16 @@ import numpy as np
 
 from .fields import (
     Grid,
+    _row_sums,
     SpectralField,
     Trajectory,
     check_aligned,
     inner_product,
+    inner_product_series,
     l4_from_speed_squared,
     norms,
     random_field,
-    spectral_norms,
+    spectral_norm_series,
     time_l2_norm,
 )
 from .operators import (
@@ -54,12 +56,12 @@ from .operators import (
     l4_norm4,
     speed_squared,
 )
-from .state_solver import StateRun, _dinv, _l2, picard_solve, solve_difference
+from .state_solver import StateRun, _dinv, _l2_series, picard_solve, solve_difference
 
 
 def time_reverse(traj: Trajectory) -> Trajectory:
-    """Sample i -> sample nt - i; an involution."""
-    return Trajectory(traj.grid, traj.t_end, tuple(reversed(traj.samples)))
+    """Sample i -> sample nt - i; an involution, and a view (no copy)."""
+    return Trajectory(traj.grid, traj.t_end, traj.coeffs[::-1])
 
 
 def step_adjoint(
@@ -100,16 +102,24 @@ def step_adjoint(
 
 @dataclass
 class AdjointReport:
+    """Sampled norms of q, the Picard sweeps of every step in solve order
+    (picard_sweeps[j] is reversed step j, which yields q at time index
+    nt - 1 - j), and the margins of the adjoint estimates."""
+
     times: np.ndarray
     q_l2: np.ndarray
     q_v: np.ndarray
     q_l4: np.ndarray
+    picard_sweeps: np.ndarray
     energy_K: float = math.nan
     energy_margin: float = math.nan
     kappa: float = math.nan
     duality_delta_form: float = math.nan
     duality_limit_form: float = math.nan
-    picard_iters_max: int = 0
+
+    @property
+    def picard_iters_max(self) -> int:
+        return int(np.max(self.picard_sweeps))
 
 
 @dataclass
@@ -174,39 +184,42 @@ def solve_adjoint(
     m1r, m2r, hr = time_reverse(m1), time_reverse(m2), time_reverse(h)
     dinv = _dinv(grid, params, dt)
 
-    p = SpectralField(grid, np.zeros((grid.d,) + grid.shape, dtype=np.complex128))
+    # q is written in reversed time through a reversed view of its array;
+    # q(T) = 0 is the first reversed sample.
+    qc = np.zeros(m1.coeffs.shape, dtype=np.complex128)
+    rev = qc[::-1]
+    p = SpectralField(grid, rev[0])
     p2 = speed_squared(p)
-    rev_samples = [p]
     rev_l4 = [l4_from_speed_squared(grid, p2)]
     # weighted[j] = int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2 for n = nt - 1 - j
     weighted = []
-    iters_max = 0
+    sweeps = np.zeros(nt, dtype=int)
     for j in range(nt):
-        stencil = PairStencil(m1r[j + 1], m2r[j + 1], params)
+        a = m1r[j + 1]
+        stencil = PairStencil(a, a if m2 is m1 else m2r[j + 1], params)
         extra = delta * p2 if delta > 0 else None
 
         def napply(x: SpectralField, _s=stencil, _e=extra) -> SpectralField:
             return _s.apply_transpose(x, extra_weight=_e)
 
-        rhs = SpectralField(grid, p.coeffs + dt * hr[j].coeffs)
-        p, its = picard_solve(grid, dinv, rhs, napply, dt, picard_tol, max_iters, step=j)
-        iters_max = max(iters_max, its)
+        rhs = SpectralField(grid, p.coeffs + dt * hr.coeffs[j])
+        p, sweeps[j] = picard_solve(grid, dinv, rhs, napply, dt, picard_tol, max_iters, step=j)
+        rev[j + 1] = p.coeffs
         p2 = speed_squared(p)
-        rev_samples.append(p)
         rev_l4.append(l4_from_speed_squared(grid, p2))
         weighted.append(
             float(np.sum(stencil.w1 * p2) * grid.quad_weight) + float(np.sum(stencil.w2 * p2) * grid.quad_weight)
         )
 
-    solution = time_reverse(Trajectory(grid, m1.t_end, tuple(rev_samples)))
-    q_spec = [spectral_norms(s) for s in solution.samples]
+    solution = Trajectory(grid, m1.t_end, qc)
+    q_l2, q_v = spectral_norm_series(solution)
     report = AdjointReport(
         times=solution.times,
-        q_l2=np.array([l2 for l2, _ in q_spec]),
-        q_v=np.array([v for _, v in q_spec]),
+        q_l2=q_l2,
+        q_v=q_v,
         q_l4=np.array(rev_l4[::-1]),
+        picard_sweeps=sweeps,
         kappa=kappa,
-        picard_iters_max=iters_max,
     )
     run = AdjointRun(
         params=params,
@@ -227,7 +240,7 @@ def _adjoint_energy(run: AdjointRun, kappa: float, weighted: Sequence[float]) ->
     params = run.params
     h, q = run.rhs, run.solution
     dt, nt, T = q.dt, q.nt, q.t_end
-    K = math.exp(T) * dt * sum(inner_product(h[n], h[n]) for n in range(nt))
+    K = math.exp(T) * dt * sum(inner_product_series(h, h)[:nt].tolist())
     if not params.hypothesis_holds(kappa):
         warnings.warn("coefficient hypothesis fails; adjoint energy margin undefined", RuntimeWarning)
         return K, math.nan
@@ -277,23 +290,28 @@ def duality_residual(
     check_aligned(v, adj.solution)
     q, h = adj.solution, adj.rhs
     dt, nt = q.dt, q.nt
+    g = run1.forcing - run2.forcing
+    gq = inner_product_series(g, q).tolist()
+    g_l2, q_l2 = _l2_series(g).tolist(), _l2_series(q).tolist()
+    hv = inner_product_series(h, v).tolist()
+    hm = inner_product_series(h, run1.solution - run2.solution).tolist()
+    h_l2, v_l2 = _l2_series(h).tolist(), _l2_series(v).tolist()
 
     lhs = rhs = cubic = 0.0
     scale = 0.0
     left = []  # left[n] = lhs + cubic after step n
     for n in range(nt):
-        gn = run1.forcing[n] - run2.forcing[n]
-        lhs += dt * inner_product(gn, q[n])
-        scale += dt * _l2(gn) * _l2(q[n])
+        lhs += dt * gq[n]
+        scale += dt * g_l2[n] * q_l2[n]
         if adj.delta > 0:
             cubic += adj.delta * dt * inner_product(apply_C(q[n]), v[n])
         left.append(lhs + cubic)
     limit = lhs
     running = [0.0]
     for n in range(1, nt + 1):
-        rhs += dt * inner_product(h[n], v[n])
-        limit -= dt * inner_product(h[n], run1.solution[n] - run2.solution[n])
-        scale += dt * _l2(h[n]) * _l2(v[n])
+        rhs += dt * hv[n]
+        limit -= dt * hm[n]
+        scale += dt * h_l2[n] * v_l2[n]
         running.append(abs(left[n - 1] - rhs))
     report = DualityReport(
         delta_form=running[-1],
@@ -339,7 +357,7 @@ def derivative_bound_check(
         warnings.warn("coefficient hypothesis fails; derivative bound undefined", RuntimeWarning)
         return DerivativeBound(math.nan, math.nan, math.nan, math.nan, math.nan)
 
-    int_h2 = dt * sum(inner_product(h[n], h[n]) for n in range(nt))
+    int_h2 = dt * sum(inner_product_series(h, h)[:nt].tolist())
     if adj.state_K is not None:
         amps = [(Ki / (2.0 * params.beta)) ** 0.25 for Ki in adj.state_K]
     else:
@@ -360,15 +378,16 @@ def derivative_bound_check(
     if rng is None:
         rng = np.random.default_rng(0)
     grid = q.grid
+    dq = np.diff(q.coeffs, axis=0)  # row n is q[n + 1] - q[n]
     sampled = 0.0
     for _ in range(n_probes):
         phi = random_field(grid, rng, l2=1.0)
         freq = rng.uniform(0.5, 3.0) * math.pi / T
         phase = rng.uniform(0.0, 2.0 * math.pi)
         prof = np.cos(freq * q.times + phase)
-        pairing = sum(
-            float(prof[n]) * inner_product(q[n + 1] - q[n], phi) for n in range(nt)
-        )
+        # inner_product(q[n + 1] - q[n], phi) for every n, as one reduction
+        dq_phi = np.real(_row_sums(dq * np.conj(phi.coeffs))) * grid.volume
+        pairing = sum(p * x for p, x in zip(prof[:nt].tolist(), dq_phi.tolist()))
         nm = norms(phi)
         l2v = math.sqrt(dt * float(np.sum(prof[:-1] ** 2))) * nm.v
         l4l4 = (dt * float(np.sum(np.abs(prof[:-1]) ** 4))) ** 0.25 * nm.l4

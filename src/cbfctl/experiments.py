@@ -33,6 +33,7 @@ from .fields import (
     Grid,
     Trajectory,
     inner_product,
+    inner_product_series,
     random_field,
     random_forcing,
     random_trajectory,
@@ -570,7 +571,7 @@ def _verify_gradient(config: ProblemConfig, ledger: MarginLedger) -> None:
         jp = cost(f_plus, solve_state(m0, f_plus, params, **_picard(config)).solution, target, config.lam)
         jm = cost(f_minus, solve_state(m0, f_minus, params, **_picard(config)).solution, target, config.lam)
         fd = (jp - jm) / (2.0 * eps)
-        pred = sum(f.dt * inner_product(g[n], direction[n]) for n in range(nt))
+        pred = sum((f.dt * inner_product_series(g, direction)[:nt]).tolist())
         worst = max(worst, abs(fd - pred) / max(abs(fd), 1e-30))
     ledger.residual("gradient_fd_rel_max", worst, max(1e-4, 2.0 * (t_end / nt) + eps**2))
 

@@ -18,7 +18,15 @@ on a zero-padded grid of M = 3n/2 points per axis.  Any M > 4*kmax leaves
 quadratic *and* cubic products of retained modes alias-free and makes the
 quadrature of their (up to quartic) integrals exact (Orszag's padding rule
 applied to cubic terms).  Fields are real, so the transforms are real FFTs
-over the half spectrum k_last >= 0.
+over the half spectrum k_last >= 0.  Every Grid transform accepts leading
+batch axes.
+
+A Trajectory holds its nt+1 samples as one read-only complex array of shape
+(nt+1, d, n, ..., n); ``traj[n]`` is a SpectralField over row n, without a
+copy.  Trajectory arithmetic is one array operation, and the per-sample
+series (inner_product_series, spectral_norm_series, norm_series) reduce all
+rows in one call: each entry is bitwise the per-sample function's value, and
+time integrals keep the sequential accumulation of a plain loop.
 """
 
 from __future__ import annotations
@@ -51,6 +59,15 @@ class CBFTFormatError(ValueError):
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _block_pairs(axis_runs: Sequence[Sequence[tuple[slice, slice]]]) -> tuple[tuple[tuple, tuple], ...]:
+    """Ellipsis-led basic-slice index pairs (src, dst), one per choice of a
+    (src run, dst run) on every axis; leading batch axes pass through."""
+    return tuple(
+        ((Ellipsis,) + tuple(src for src, _ in combo), (Ellipsis,) + tuple(dst for _, dst in combo))
+        for combo in itertools.product(*axis_runs)
+    )
 
 
 @dataclass(frozen=True)
@@ -136,13 +153,26 @@ class Grid:
         n, m, kx = self.n, self.pad_n, self.kmax
         runs = ((slice(0, kx + 1), slice(0, kx + 1)), (slice(n - kx, n), slice(m - kx, m)))
         last = slice(0, kx + 1)
-        return tuple(
-            (
-                (Ellipsis,) + tuple(src for src, _ in combo) + (last,),
-                (Ellipsis,) + tuple(dst for _, dst in combo) + (last,),
-            )
-            for combo in itertools.product(runs, repeat=self.d - 1)
-        )
+        return _block_pairs([runs] * (self.d - 1) + [((last, last),)])
+
+    def _cube_runs(self, size: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+        """(axis slots, cube slots) of k = 0..kmax and of k = -kmax..-1 on an
+        FFT-ordered axis of ``size`` points; the cube of side 2*kmax + 1 holds
+        k = -kmax..kmax in ascending order, so k -> -k reverses its axes."""
+        kx = self.kmax
+        return (slice(0, kx + 1), slice(kx, 2 * kx + 1)), (slice(size - kx, size), slice(0, kx))
+
+    @cached_property
+    def _cube_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Basic-slice pairs (n-lattice index, cube index) of the retained modes."""
+        return _block_pairs([self._cube_runs(self.n)] * self.d)
+
+    @cached_property
+    def _spec_cube_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Basic-slice pairs (stored half-spectrum index, cube index) filling
+        the cube's k_last >= 0 half from the transform grid's spectrum."""
+        runs = self._cube_runs(self.pad_n)
+        return _block_pairs([runs] * (self.d - 1) + [runs[:1]])
 
     @cached_property
     def _ik_half(self) -> np.ndarray:
@@ -176,10 +206,24 @@ class Grid:
     # ------------------------------------------------------------------
 
     def reduce_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Dealias + hermitianize a raw coefficient array (returns a copy)."""
-        c = np.where(self.dealias_mask, coeffs, 0.0)
-        refl = np.conj(c[(slice(None),) + self._reflect_ix])
-        return 0.5 * (c + refl)
+        """Dealias + hermitianize a raw coefficient array (returns a copy);
+        any leading axes are batch axes."""
+        cube = np.empty(coeffs.shape[: -self.d] + (2 * self.kmax + 1,) * self.d, dtype=np.complex128)
+        for src, dst in self._cube_blocks:
+            cube[dst] = coeffs[src]
+        return self._hermitian_lattice(cube)
+
+    def _hermitian_lattice(self, cube: np.ndarray) -> np.ndarray:
+        """The n-lattice array of 0.5 * (c(k) + conj(c(-k))) over the retained
+        modes of ``cube`` (laid out as in _cube_blocks, overwritten at k = 0),
+        +0 everywhere else."""
+        d = self.d
+        cube[(Ellipsis,) + (self.kmax,) * d] = 0.0
+        herm = 0.5 * (cube + np.conj(cube[(Ellipsis,) + (slice(None, None, -1),) * d]))
+        out = np.zeros(cube.shape[:-d] + self.shape, dtype=np.complex128)
+        for src, dst in self._cube_blocks:
+            out[src] = herm[dst]
+        return out
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-mode Helmholtz projection c <- (I - k k^T / |k|^2) c.
@@ -215,18 +259,21 @@ class Grid:
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of M-grid samples (exact, no aliasing
-        for products of total degree <= 3 of retained modes)."""
-        spec = np.fft.rfft(values, axis=-1, norm="forward")[..., : self.kmax + 1]
-        for axis in range(-self.d, -1):
+        for products of total degree <= 3 of retained modes); any leading
+        axes are batch axes."""
+        d, kx = self.d, self.kmax
+        spec = np.fft.rfft(values, axis=-1, norm="forward")[..., : kx + 1]
+        for axis in range(-d, -1):
             spec = np.fft.fft(spec, axis=axis, norm="forward")
-        coeffs = np.zeros(values.shape[: -self.d] + self.shape, dtype=np.complex128)
-        for src, dst in self._half_blocks:
-            coeffs[src] = spec[dst]
-        # Doubling the k_last > 0 columns and leaving the k_last < 0 ones zero
-        # lets reduce_coeffs' conjugate reflection fill them: it returns c(k)
-        # on k_last > 0 and conj(c(-k)) on k_last < 0, both exactly.
-        coeffs[..., 1 : self.kmax + 1] *= 2.0
-        return self.reduce_coeffs(coeffs)
+        cube = np.empty(values.shape[:-d] + (2 * kx + 1,) * d, dtype=np.complex128)
+        for src, dst in self._spec_cube_blocks:
+            cube[dst] = spec[src]
+        # Doubling the k_last > 0 half and zeroing the k_last < 0 half lets the
+        # conjugate reflection fill the latter: the Hermitian part is c(k) on
+        # k_last > 0 and conj(c(-k)) on k_last < 0, both exactly.
+        cube[..., :kx] = 0.0
+        cube[..., kx + 1 :] *= 2.0
+        return self._hermitian_lattice(cube)
 
     def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """The 1-jet of u on the M-grid from one stacked inverse transform:
@@ -411,25 +458,32 @@ def random_field(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly time-sampled sequence of fields on [0, t_end] (nt+1 samples)."""
+    """Uniformly time-sampled fields on [0, t_end]: one read-only complex
+    array of shape (nt+1, d, n, ..., n) whose row n is the sample at n * dt.
+
+    traj[n] is a SpectralField over the row (a view, no copy); arithmetic
+    and the per-sample series below are single array operations.
+    """
 
     grid: Grid
     t_end: float
-    samples: tuple[SpectralField, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.samples) < 2:
+        sample = (self.grid.d,) + self.grid.shape
+        if self.coeffs.shape[1:] != sample:
+            raise ValueError(f"trajectory array must have shape (nt+1,) + {sample}")
+        if self.coeffs.shape[0] < 2:
             raise ValueError("a trajectory needs nt >= 1, i.e. at least 2 samples")
         if self.t_end <= 0:
             raise ValueError("t_end must be positive")
-        for s in self.samples:
-            if s.grid != self.grid:
-                raise GridMismatchError("all samples must share the trajectory grid")
-        object.__setattr__(self, "samples", tuple(self.samples))
+        if self.coeffs.dtype != np.complex128:
+            object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
+        self.coeffs.setflags(write=False)
 
     @property
     def nt(self) -> int:
-        return len(self.samples) - 1
+        return self.coeffs.shape[0] - 1
 
     @property
     def dt(self) -> float:
@@ -440,33 +494,44 @@ class Trajectory:
         return np.linspace(0.0, self.t_end, self.nt + 1)
 
     def __getitem__(self, i: int) -> SpectralField:
-        return self.samples[i]
+        return SpectralField(self.grid, self.coeffs[i])
 
     def __add__(self, other: "Trajectory") -> "Trajectory":
         check_aligned(self, other)
-        return Trajectory(self.grid, self.t_end, tuple(a + b for a, b in zip(self.samples, other.samples)))
+        return Trajectory(self.grid, self.t_end, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "Trajectory") -> "Trajectory":
         check_aligned(self, other)
-        return Trajectory(self.grid, self.t_end, tuple(a - b for a, b in zip(self.samples, other.samples)))
+        return Trajectory(self.grid, self.t_end, self.coeffs - other.coeffs)
 
     def __mul__(self, c: float) -> "Trajectory":
-        return Trajectory(self.grid, self.t_end, tuple(s * c for s in self.samples))
+        return Trajectory(self.grid, self.t_end, self.coeffs * float(c))
 
     __rmul__ = __mul__
 
     @staticmethod
+    def from_fields(grid: Grid, t_end: float, fields: Sequence[SpectralField]) -> "Trajectory":
+        """The trajectory with the given samples, copied into one array."""
+        coeffs = np.empty((len(fields), grid.d) + grid.shape, dtype=np.complex128)
+        for i, s in enumerate(fields):
+            if s.grid != grid:
+                raise GridMismatchError("all samples must share the trajectory grid")
+            coeffs[i] = s.coeffs
+        return Trajectory(grid, t_end, coeffs)
+
+    @staticmethod
     def from_callable(grid: Grid, t_end: float, nt: int, fn: Callable[[float], SpectralField]) -> "Trajectory":
         ts = np.linspace(0.0, t_end, nt + 1)
-        return Trajectory(grid, t_end, tuple(fn(float(t)) for t in ts))
+        return Trajectory.from_fields(grid, t_end, [fn(float(t)) for t in ts])
 
     @staticmethod
     def constant(field: SpectralField, t_end: float, nt: int) -> "Trajectory":
-        return Trajectory(field.grid, t_end, (field,) * (nt + 1))
+        """Every sample is ``field``: a read-only broadcast view, no copies."""
+        return Trajectory(field.grid, t_end, np.broadcast_to(field.coeffs, (nt + 1,) + field.coeffs.shape))
 
     @staticmethod
     def zero(grid: Grid, t_end: float, nt: int) -> "Trajectory":
-        return Trajectory.constant(zero_field(grid), t_end, nt)
+        return Trajectory(grid, t_end, np.zeros((nt + 1, grid.d) + grid.shape, dtype=np.complex128))
 
 
 def check_aligned(a: Trajectory, b: Trajectory) -> None:
@@ -476,10 +541,40 @@ def check_aligned(a: Trajectory, b: Trajectory) -> None:
         raise GridMismatchError("trajectory time axes differ")
 
 
+# Per-sample series.  Each reduces every sample row of a (nt+1, ...) array in
+# one call; np.sum over a contiguous row is the same pairwise sum as np.sum of
+# that sample alone, so every entry is bitwise the per-sample function's value.
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    return np.sum(x.reshape(x.shape[0], -1), axis=1)
+
+
+def inner_product_series(a: Trajectory, b: Trajectory) -> np.ndarray:
+    """inner_product(a[n], b[n]) for every sample n."""
+    check_aligned(a, b)
+    return np.real(_row_sums(a.coeffs * np.conj(b.coeffs))) * a.grid.volume
+
+
+def spectral_norm_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """spectral_norms(traj[n]) for every sample n, as (l2, v) arrays."""
+    g = traj.grid
+    sq = np.sum(np.abs(traj.coeffs) ** 2, axis=1)
+    return np.sqrt(_row_sums(sq) * g.volume), np.sqrt(_row_sums(g.k_sq * sq) * g.volume)
+
+
+def norm_series(traj: Trajectory) -> FieldNorms:
+    """norms(traj[n]) for every sample n, as a FieldNorms of arrays; the l4
+    series comes from one batched transform of the whole trajectory."""
+    g = traj.grid
+    l2, v = spectral_norm_series(traj)
+    mag2 = np.sum(g.to_physical(traj.coeffs) ** 2, axis=1)
+    l4 = [(s * g.quad_weight) ** 0.25 for s in _row_sums(mag2**2).tolist()]
+    return FieldNorms(l2=l2, v=v, l4=np.array(l4))
+
+
 def time_l2_inner(a: Trajectory, b: Trajectory) -> float:
     """Discrete L2(0,T;H) pairing, left-endpoint rectangle rule."""
-    check_aligned(a, b)
-    return a.dt * sum(inner_product(a[n], b[n]) for n in range(a.nt))
+    return a.dt * sum(inner_product_series(a, b)[:-1].tolist())
 
 
 def time_l2_norm(a: Trajectory) -> float:
@@ -545,11 +640,10 @@ def write_trajectory(path, traj: Trajectory) -> None:
     (k_1 ascending fastest-last, i.e. C order over the sorted wavenumber axes).
     """
     g = traj.grid
-    lex = _lex_order_axes(g)
+    lex = (slice(None), slice(None)) + _lex_order_axes(g)
     with open(path, "wb") as fh:
         fh.write(_CBFT_HEADER.pack(_CBFT_MAGIC, _CBFT_VERSION, g.d, g.n, traj.nt, traj.t_end))
-        for s in traj.samples:
-            fh.write(s.coeffs[(slice(None),) + lex].astype("<c16").tobytes())
+        fh.write(traj.coeffs[lex].astype("<c16").tobytes())
 
 
 def read_trajectory(path) -> Trajectory:
@@ -581,23 +675,20 @@ def read_trajectory(path) -> Trajectory:
         if size > expected:
             raise CBFTFormatError(f"CBFT file has {size - expected} trailing bytes after its {nt + 1} samples")
         data = np.frombuffer(fh.read(expected - _CBFT_HEADER.size), dtype="<c16")
-    lex = (slice(None),) + _lex_order_axes(grid)
-    samples = []
-    for i, arr in enumerate(data.reshape((nt + 1, d) + grid.shape)):
-        coeffs = np.empty(arr.shape, dtype=np.complex128)
-        coeffs[lex] = arr
+    coeffs = np.empty((nt + 1, d) + grid.shape, dtype=np.complex128)
+    coeffs[(slice(None), slice(None)) + _lex_order_axes(grid)] = data.reshape(coeffs.shape)
+    for i, c in enumerate(coeffs):
         try:
-            SpectralField(grid, coeffs).validate()
+            SpectralField(grid, c).validate()
         except ValueError as exc:
             raise CBFTFormatError(f"CBFT sample {i}: {exc}") from None
-        samples.append(SpectralField(grid, grid.reduce_coeffs(coeffs)))
-    return Trajectory(grid, t_end, tuple(samples))
+    return Trajectory(grid, t_end, grid.reduce_coeffs(coeffs))
 
 
 def write_norm_series(path, traj: Trajectory) -> None:
     """CSV norm series: columns t, l2, v_norm, l4."""
+    nm = norm_series(traj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,l2,v_norm,l4\n")
-        for t, s in zip(traj.times, traj.samples):
-            nm = norms(s)
-            fh.write(f"{t!r},{nm.l2!r},{nm.v!r},{nm.l4!r}\n")
+        for t, l2, v, l4 in zip(traj.times, nm.l2.tolist(), nm.v.tolist(), nm.l4.tolist()):
+            fh.write(f"{t!r},{l2!r},{v!r},{l4!r}\n")

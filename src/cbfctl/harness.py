@@ -305,7 +305,7 @@ class DenseSystem:
                 rhs = x + dt_ref * self.field_to_vec(forcing_fn(t))
                 x = np.linalg.solve(M, rhs)
             samples.append(self.vec_to_field(x))
-        return Trajectory(self.grid, t_end, tuple(samples))
+        return Trajectory.from_fields(self.grid, t_end, samples)
 
 
 def dense_oracle(config: ProblemConfig) -> DenseSystem:

@@ -28,8 +28,9 @@ transposes is what the discrete duality identity rests on.
 Every field goes through the M-grid once per use: an apply takes the values
 and the gradient of its argument from one 1-jet transform
 (Grid.grad_physical), a stencil transforms its coefficient fields once
-(once in all when m2 is m1), and it keeps |m1|^2 and |m2|^2 so the solvers
-read norms and weighted integrals off it instead of transforming again.
+(once in all when m2 holds the same coefficient bits as m1), and it keeps
+|m1|^2 and |m2|^2 so the solvers read norms and weighted integrals off it
+instead of transforming again.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ def monotonicity_gap(p: SpectralField, q: SpectralField) -> float:
     return pairing - 0.25 * d4
 
 
+def _bits(c: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a complex array (signed zeros and NaN payloads
+    compare as themselves)."""
+    return np.ascontiguousarray(c).view(np.uint64)
+
+
 class PairStencil:
     """Frozen-coefficient spatial operator of the difference/adjoint systems
     on one time slab, with the coefficient transforms shared between calls.
@@ -119,7 +126,8 @@ class PairStencil:
     is symmetric/alternating by construction).
 
     Building it costs one 1-jet transform of m2 and one value transform of
-    m1, or the jet alone when m2 is m1.  It keeps w1 = |m1|^2 and
+    m1, or the jet alone when m2 holds the same coefficient bits as m1 (then
+    m1's transform is m2's, bit for bit).  It keeps w1 = |m1|^2 and
     w2 = |m2|^2 on the M-grid (the adjoint energy weights) beside their sum.
     """
 
@@ -128,11 +136,12 @@ class PairStencil:
         g = m1.grid
         self.grid = g
         self.beta = params.beta
+        shared = m2 is m1 or np.array_equal(_bits(m1.coeffs), _bits(m2.coeffs))
         jet2 = g.grad_physical(m2.coeffs)
         m2v, self._gm2 = jet2[0], jet2[1:]
-        self._m1v = m2v if m2 is m1 else g.to_physical(m1.coeffs)
+        self._m1v = m2v if shared else g.to_physical(m1.coeffs)
         self.w2 = np.sum(m2v**2, axis=0)
-        self.w1 = self.w2 if m2 is m1 else np.sum(self._m1v**2, axis=0)
+        self.w1 = self.w2 if shared else np.sum(self._m1v**2, axis=0)
         self._w = self.w1 + self.w2
         self._s = self._m1v + m2v
 

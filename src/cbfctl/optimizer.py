@@ -35,6 +35,7 @@ from .fields import (
     Trajectory,
     check_aligned,
     inner_product,
+    inner_product_series,
     random_trajectory,
     time_l2_inner,
     time_l2_norm,
@@ -87,21 +88,20 @@ def cost(f: Trajectory, m: Trajectory, target: Trajectory, lam: float) -> float:
     """Discrete tracking cost; tracking right-endpoint, control left-endpoint."""
     check_aligned(f, m)
     check_aligned(m, target)
-    dt, nt = m.dt, m.nt
+    dt = m.dt
+    e = m - target
     track = 0.0
-    for n in range(1, nt + 1):
-        e = m[n] - target[n]
-        track += dt * inner_product(e, e)
+    for x in inner_product_series(e, e)[1:].tolist():
+        track += dt * x
     ctrl = 0.0
-    for n in range(nt):
-        ctrl += dt * inner_product(f[n], f[n])
+    for x in inner_product_series(f, f)[:-1].tolist():
+        ctrl += dt * x
     return 0.5 * track + 0.5 * lam * ctrl
 
 
 def gradient(q_noc: Trajectory, f: Trajectory, lam: float) -> Trajectory:
     """Pointwise-in-time cost gradient q(t) + lambda f(t)."""
-    check_aligned(q_noc, f)
-    return Trajectory(f.grid, f.t_end, tuple(q + lam * fn for q, fn in zip(q_noc.samples, f.samples)))
+    return lam * f + q_noc
 
 
 def project_admissible(f: Trajectory, radius: float) -> Trajectory:
@@ -255,7 +255,7 @@ def gradient_scale(problem: ControlProblem) -> float:
     """
     T = problem.t_end
     dt, nt = problem.target.dt, problem.target.nt
-    int_md = dt * sum(inner_product(problem.target[n], problem.target[n]) for n in range(nt))
+    int_md = dt * sum(inner_product_series(problem.target, problem.target)[:nt].tolist())
     # sup_t ||m||^2 <= (||m0||^2 + int ||f||^2) e^T <= (||m0||^2 + R^2) e^T
     k_state = (inner_product(problem.m0, problem.m0) + problem.radius**2) * math.exp(T)
     int_h = 2.0 * T * k_state + 2.0 * int_md
@@ -345,16 +345,16 @@ def _ioc_point(
         max_iters=problem.picard_max_iters,
         state_K=(base_run.report.energy_bound_K, run_rho.report.energy_bound_K),
     )
-    dt, nt = f_tilde.dt, f_tilde.nt
+    dt = f_tilde.dt
     term1 = 0.0
-    for n in range(nt):
-        term1 += dt * inner_product(du[n], q_rho.solution[n] + problem.lam * f_tilde[n])
+    for x in inner_product_series(du, q_rho.solution + problem.lam * f_tilde)[:-1].tolist():
+        term1 += dt * x
     z = (run_rho.solution - base_run.solution) * (1.0 / rho)
     term2 = 0.0
-    for n in range(1, nt + 1):
-        term2 += dt * inner_product(z[n], z[n])
+    for x in inner_product_series(z, z)[1:].tolist():
+        term2 += dt * x
     term2 *= 0.5 * rho
-    term3 = 0.5 * rho * problem.lam * sum(dt * inner_product(du[n], du[n]) for n in range(nt))
+    term3 = 0.5 * rho * problem.lam * sum((dt * inner_product_series(du, du)[:-1]).tolist())
     residual = term1 + term2 + term3
 
     q_dist = math.nan if q_base is None else time_l2_norm(q_rho.solution - q_base.solution)

@@ -38,8 +38,9 @@ from .fields import (
     SpectralField,
     Trajectory,
     check_aligned,
-    inner_product,
-    norms,
+    inner_product_series,
+    norm_series,
+    spectral_norm_series,
     spectral_norms,
 )
 from .operators import OperatorParams, PairStencil, StateStencil
@@ -63,8 +64,19 @@ def _dinv(grid: Grid, params: OperatorParams, dt: float) -> np.ndarray:
     return 1.0 / (1.0 + dt * (params.alpha + params.mu * grid.k_sq))
 
 
+def _l2c(c: np.ndarray, volume: float) -> float:
+    """||c||_2 of a raw coefficient array: the square root of its
+    inner_product with itself, as the same expression."""
+    return math.sqrt(max(float(np.real(np.sum(c * np.conj(c))) * volume), 0.0))
+
+
 def _l2(u: SpectralField) -> float:
-    return math.sqrt(max(inner_product(u, u), 0.0))
+    return _l2c(u.coeffs, u.grid.volume)
+
+
+def _l2_series(traj: Trajectory) -> np.ndarray:
+    """_l2(traj[n]) for every sample n."""
+    return np.sqrt(np.maximum(inner_product_series(traj, traj), 0.0))
 
 
 def picard_solve(
@@ -80,16 +92,18 @@ def picard_solve(
     """Solve (D + dt N) x = rhs with D diagonal per mode and N linear.
 
     Fixed-point sweep x <- D^{-1}(rhs - dt N x); converged when the increment
-    drops below tol * ||rhs||_2 (absolute for a zero right-hand side).
+    drops below tol * ||rhs||_2 (absolute for a zero right-hand side).  The
+    iterates are raw coefficient arrays; each sweep wraps one for napply.
     """
-    scale = max(_l2(rhs), 1e-300)
-    x = SpectralField(grid, dinv * rhs.coeffs)
+    b, vol = rhs.coeffs, grid.volume
+    scale = max(_l2c(b, vol), 1e-300)
+    x = dinv * b
     for it in range(max_iters):
-        x_new = SpectralField(grid, dinv * (rhs.coeffs - dt * napply(x).coeffs))
-        delta = _l2(x_new - x)
+        x_new = dinv * (b - dt * napply(SpectralField(grid, x)).coeffs)
+        delta = _l2c(x_new - x, vol)
         x = x_new
         if delta <= tol * scale:
-            return x, it + 1
+            return SpectralField(grid, x), it + 1
     raise NonConvergenceError(
         f"Picard iteration did not reach {tol:g} within {max_iters} sweeps"
         + (f" at step {step}" if step is not None else "")
@@ -127,8 +141,9 @@ def step_state(
 
 @dataclass
 class SolveReport:
-    """Per-run diagnostics: sampled norms and the residuals/margins of the
-    energy identities the trajectory is supposed to satisfy."""
+    """Per-run diagnostics: sampled norms, the Picard sweeps of every step
+    and the residuals/margins of the energy identities the trajectory is
+    supposed to satisfy."""
 
     times: np.ndarray
     l2: np.ndarray
@@ -136,14 +151,18 @@ class SolveReport:
     l4: np.ndarray
     f_l2: np.ndarray
     f_pairing: np.ndarray
+    picard_sweeps: np.ndarray
     energy_equality_residual: float = math.nan
     energy_bound_margin: float = math.nan
     energy_pointwise_margin: float = math.nan
     energy_bound_K: float = math.nan
     hypothesis_wellposed: bool = True
     dissipative: bool | None = None
-    picard_iters_max: int = 0
     lipschitz_margin: float | None = None
+
+    @property
+    def picard_iters_max(self) -> int:
+        return int(np.max(self.picard_sweeps))
 
 
 @dataclass
@@ -191,46 +210,37 @@ def solve_state(
     dinv = _dinv(grid, params, dt)
 
     # Each sample's stencil is its one transform: it serves the next step
-    # and gives the sample's l4; l2, v and the forcing's l2 are spectral.
-    samples = [m0]
+    # and gives the sample's l4.  The spectral series are taken after the loop.
+    coeffs = np.empty(f.coeffs.shape, dtype=np.complex128)
+    coeffs[0] = m0.coeffs
     stencil = StateStencil(m0, params)
-    l2, v = spectral_norms(m0)
-    l2s, vs, l4s = [l2], [v], [stencil.l4]
-    f_l2 = [spectral_norms(f[0])[0]]
-    f_pair = [inner_product(f[0], m0)]
-    forcing_zero = all(float(np.max(np.abs(f[n].coeffs))) == 0.0 for n in range(nt + 1))
-    dissipative: bool | None = True if forcing_zero else None
-    iters_max = 0
-
+    l4s = [stencil.l4]
+    sweeps = np.zeros(nt, dtype=int)
     m = m0
     for n in range(nt):
-        rhs = SpectralField(grid, m.coeffs + dt * f[n].coeffs)
-        m_next, its = picard_solve(grid, dinv, rhs, stencil.apply, dt, picard_tol, max_iters, step=n)
-        iters_max = max(iters_max, its)
-        if forcing_zero and _l2(m_next) > _l2(m) * (1.0 + 1e-12):
-            dissipative = False
-        m = m_next
-        samples.append(m)
+        rhs = SpectralField(grid, m.coeffs + dt * f.coeffs[n])
+        m, sweeps[n] = picard_solve(grid, dinv, rhs, stencil.apply, dt, picard_tol, max_iters, step=n)
+        coeffs[n + 1] = m.coeffs
         stencil = StateStencil(m, params)
-        l2, v = spectral_norms(m)
-        l2s.append(l2)
-        vs.append(v)
         l4s.append(stencil.l4)
-        fk = f[n + 1]
-        f_l2.append(spectral_norms(fk)[0])
-        f_pair.append(inner_product(fk, m))
 
-    solution = Trajectory(grid, f.t_end, tuple(samples))
+    solution = Trajectory(grid, f.t_end, coeffs)
+    l2, v = spectral_norm_series(solution)
+    dissipative = None
+    if not np.any(f.coeffs):
+        # unforced: the energy must not grow from one sample to the next
+        l2u = _l2_series(solution)
+        dissipative = not np.any(l2u[1:] > l2u[:-1] * (1.0 + 1e-12))
     report = SolveReport(
         times=solution.times,
-        l2=np.array(l2s),
-        v=np.array(vs),
+        l2=l2,
+        v=v,
         l4=np.array(l4s),
-        f_l2=np.array(f_l2),
-        f_pairing=np.array(f_pair),
+        f_l2=spectral_norm_series(f)[0],
+        f_pairing=inner_product_series(f, solution),
+        picard_sweeps=sweeps,
         hypothesis_wellposed=params.wellposed(),
         dissipative=dissipative,
-        picard_iters_max=iters_max,
     )
     run = StateRun(params=params, initial=m0, forcing=f, solution=solution, report=report)
     report.energy_equality_residual = energy_equality_residual(run)
@@ -327,16 +337,16 @@ def solve_difference(
     g = run1.forcing - run2.forcing
     dinv = _dinv(grid, params, dt)
 
-    v = SpectralField(grid, np.zeros_like(run1.initial.coeffs))
-    samples = [v]
-    defect = 0.0
+    coeffs = np.zeros(m1.coeffs.shape, dtype=np.complex128)
+    v = SpectralField(grid, coeffs[0])
     for n in range(nt):
         stencil = PairStencil(m1[n], m2[n], params)
-        rhs = SpectralField(grid, v.coeffs + dt * g[n].coeffs)
+        rhs = SpectralField(grid, v.coeffs + dt * g.coeffs[n])
         v, _ = picard_solve(grid, dinv, rhs, stencil.apply, dt, picard_tol, max_iters, step=n)
-        samples.append(v)
-        defect = max(defect, _l2(v - (m1[n + 1] - m2[n + 1])))
-    return DifferenceSolve(Trajectory(grid, m1.t_end, tuple(samples)), defect)
+        coeffs[n + 1] = v.coeffs
+    v = Trajectory(grid, m1.t_end, coeffs)
+    defect = max([0.0] + _l2_series(v - (m1 - m2))[1:].tolist())
+    return DifferenceSolve(v, defect)
 
 
 def lipschitz_check(run1: StateRun, run2: StateRun, kappa: float) -> float:
@@ -357,18 +367,18 @@ def lipschitz_check(run1: StateRun, run2: StateRun, kappa: float) -> float:
             f"(2*beta*mu = {2 * params.beta * params.mu:g})"
         )
     dt, nt, T = run1.dt, run1.solution.nt, run1.solution.t_end
+    nm = norm_series(run1.solution - run2.solution)
+    df = run1.forcing - run2.forcing
+    df2 = inner_product_series(df, df).tolist()
     sup_v2 = 0.0
     int_v_v = int_v_l2 = int_v_l4 = int_df = 0.0
-    for n in range(nt + 1):
-        v = run1.solution[n] - run2.solution[n]
-        nm = norms(v)
-        sup_v2 = max(sup_v2, nm.l2**2)
+    for n, (l2, v, l4) in enumerate(zip(nm.l2.tolist(), nm.v.tolist(), nm.l4.tolist())):
+        sup_v2 = max(sup_v2, l2**2)
         if n < nt:
-            int_v_v += dt * nm.v**2
-            int_v_l2 += dt * nm.l2**2
-            int_v_l4 += dt * nm.l4**4
-            df = run1.forcing[n] - run2.forcing[n]
-            int_df += dt * inner_product(df, df)
+            int_v_v += dt * v**2
+            int_v_l2 += dt * l2**2
+            int_v_l4 += dt * l4**4
+            int_df += dt * df2[n]
     coeff4 = params.beta - 1.0 / (2.0 * params.mu * kappa)
     lhs = (
         sup_v2

@@ -52,7 +52,7 @@ def test_zero_source_gives_zero_adjoint(grid2d, params, rng):
     run1, run2, _ = _pair(grid2d, params, rng, nt=8)
     h = Trajectory.zero(grid2d, 1.0, 8)
     adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
-    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in adj.solution.samples)
+    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in adj.solution)
 
 
 def test_terminal_condition_exact(grid2d, params, rng):
@@ -187,7 +187,7 @@ def test_solve_adjoint_noc_zero_at_target(grid2d, params, rng):
     f = random_trajectory(grid2d, 1.0, 16, rng)
     run = solve_state(m0, f, params)
     adj = solve_adjoint_noc(run, run.solution, params)
-    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in adj.solution.samples)
+    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in adj.solution)
 
 
 def test_solve_adjoint_noc_energy_bound(grid2d, params, rng):

@@ -21,6 +21,7 @@ from cbfctl import (
     write_trajectory,
     zero_field,
 )
+from cbfctl.adjoint_solver import time_reverse
 from cbfctl.fields import TAU, CBFTFormatError
 
 
@@ -237,6 +238,97 @@ def test_trajectory_io_rejects_trailing_bytes(tmp_path, grid2d, rng):
         read_trajectory(path)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _signed_zeros(rng, c):
+    """c with a fifth of its real and imaginary parts replaced by -0.0."""
+    c = c.copy()
+    c.real[rng.random(c.shape) < 0.2] = -0.0
+    c.imag[rng.random(c.shape) < 0.2] = -0.0
+    return c
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (3, 16)])
+def test_reduce_coeffs_bitwise_reference(d, n):
+    # the fancy-index form it replaces: mask everything, reflect the lattice
+    g = Grid(d=d, n=n)
+    rng = np.random.default_rng(11)
+    shape = (2, d) + g.shape
+    c = _signed_zeros(rng, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    masked = np.where(g.dealias_mask, c, 0.0)
+    pos = (-g.wavenumbers_1d) % n
+    ref = 0.5 * (masked + np.conj(masked[(slice(None), slice(None)) + np.ix_(*([pos] * d))]))
+    assert np.array_equal(_bits(g.reduce_coeffs(c)), _bits(ref))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+def test_batched_from_physical_matches_per_sample(d, n):
+    g = Grid(d=d, n=n)
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((2, 3, d) + (g.pad_n,) * d)
+    values[0, 1] = -values[0, 0]  # a sample whose zero modes come out as -0.0
+    got = g.from_physical(values)
+    assert got.shape == (2, 3, d) + g.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(_bits(got[i, j]), _bits(g.from_physical(values[i, j])))
+
+
+def test_trajectory_is_one_read_only_array(grid2d, rng):
+    a = random_trajectory(grid2d, 1.0, 4, rng)
+    assert a.coeffs.shape == (5, 2) + grid2d.shape
+    with pytest.raises(ValueError):
+        a.coeffs[1, 0, 1, 1] = 1.0
+    s = a[2]
+    assert np.shares_memory(s.coeffs, a.coeffs)
+    with pytest.raises(ValueError):
+        s.coeffs[0, 1, 1] = 1.0
+    assert [np.array_equal(x.coeffs, a.coeffs[n]) for n, x in enumerate(a)] == [True] * 5
+    rev = time_reverse(a)
+    assert np.shares_memory(rev.coeffs, a.coeffs)
+    assert np.array_equal(rev[0].coeffs, a[4].coeffs)
+    assert np.array_equal(time_reverse(rev).coeffs, a.coeffs)
+    with pytest.raises(ValueError):
+        rev.coeffs[0, 0, 1, 1] = 1.0
+    const = Trajectory.constant(s, 1.0, 3)
+    assert const.nt == 3 and np.array_equal(const[3].coeffs, s.coeffs)
+    with pytest.raises(ValueError):
+        const.coeffs[0, 0, 1, 1] = 1.0
+
+
+def test_trajectory_arithmetic_leaves_operands(grid2d, rng):
+    f = random_trajectory(grid2d, 1.0, 4, rng)
+    d = random_trajectory(grid2d, 1.0, 4, rng)
+    f0, d0 = f.coeffs.copy(), d.coeffs.copy()
+    eps = 1e-4
+    g = f + eps * d
+    h = f - eps * d
+    assert np.array_equal(_bits(f.coeffs), _bits(f0)) and np.array_equal(_bits(d.coeffs), _bits(d0))
+    assert not np.shares_memory(g.coeffs, f.coeffs) and not np.shares_memory(h.coeffs, d.coeffs)
+    for n in range(5):
+        assert np.array_equal(_bits(g[n].coeffs), _bits((f[n] + eps * d[n]).coeffs))
+        assert np.array_equal(_bits(h[n].coeffs), _bits((f[n] - eps * d[n]).coeffs))
+
+
+def test_trajectory_rejects_bad_samples(grid2d, rng):
+    u = random_field(grid2d, rng)
+    other = random_field(Grid(d=2, n=8), rng)
+    with pytest.raises(GridMismatchError, match="share the trajectory grid"):
+        Trajectory.from_fields(grid2d, 1.0, [u, other, u])
+    with pytest.raises(GridMismatchError, match="share the trajectory grid"):
+        Trajectory.from_callable(grid2d, 1.0, 2, lambda t: other)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        Trajectory.from_fields(grid2d, 1.0, [u])
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        Trajectory(grid2d, 1.0, u.coeffs[None])
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        Trajectory.from_fields(grid2d, 0.0, [u, u])
+    with pytest.raises(ValueError, match="array must have shape"):
+        Trajectory(grid2d, 1.0, np.stack([other.coeffs] * 3))
+
+
 @pytest.mark.parametrize(
     "defect,message",
     [
@@ -259,7 +351,7 @@ def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message)
         c[(slice(None),) + grid2d.mode_positions[(-1, -2)]] += 1e-3 * np.array([1.0, 2.0])
     else:
         c[(0,) + pos] = np.nan
-    bad = Trajectory(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
+    bad = Trajectory.from_fields(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
     path = tmp_path / "bad.cbft"
     write_trajectory(path, bad)
     with pytest.raises(CBFTFormatError, match=f"sample 1: {message}"):

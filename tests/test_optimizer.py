@@ -70,7 +70,7 @@ def test_cost_lambda_scaling(grid2d, params, rng):
 def test_gradient_trivial_cases(grid2d, rng):
     z = Trajectory.zero(grid2d, 1.0, 8)
     g0 = gradient(z, z, 0.3)
-    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in g0.samples)
+    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in g0)
     q = random_trajectory(grid2d, 1.0, 8, rng)
     f = random_trajectory(grid2d, 1.0, 8, rng)
     g_nolam = gradient(q, f, 0.0)

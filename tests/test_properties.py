@@ -78,5 +78,5 @@ def test_cbft_roundtrip(setup, nt):
         write_trajectory(path, traj)
         back = read_trajectory(path)
     assert (back.grid, back.nt, back.t_end) == (g, nt, 0.5)
-    for a, b in zip(back.samples, traj.samples):
+    for a, b in zip(back, traj):
         assert np.array_equal(a.coeffs, b.coeffs)

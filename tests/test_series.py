@@ -1,0 +1,144 @@
+"""Per-sample series computed as one array operation over a trajectory.
+
+Each value the solvers and the optimizer report is recomputed here sample by
+sample, with the per-field functions and the accumulation order of a plain
+loop, and must agree with ``==``: batching changes how a series is computed,
+never a bit of what it holds.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cbfctl import (
+    Grid,
+    OperatorParams,
+    Trajectory,
+    apply_C,
+    cost,
+    duality_residual,
+    gradient,
+    inner_product,
+    norms,
+    random_field,
+    random_trajectory,
+    solve_adjoint,
+    solve_adjoint_noc,
+    solve_difference,
+    solve_state,
+    time_l2_inner,
+)
+from cbfctl.fields import inner_product_series, norm_series, spectral_norm_series, spectral_norms
+
+
+def _l2(u):
+    return math.sqrt(max(inner_product(u, u), 0.0))
+
+
+@pytest.fixture(params=[(2, 8, 12), (3, 6, 3)], ids=["2d", "3d"])
+def case(request):
+    d, n, nt = request.param
+    grid = Grid(d=d, n=n)
+    params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)
+    rng = np.random.default_rng(515)
+    m0 = random_field(grid, rng, l2=1.0)
+    f1 = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
+    f2 = f1 + random_trajectory(grid, 0.25, nt, rng, l2=0.5)
+    h = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
+    run1, run2 = solve_state(m0, f1, params), solve_state(m0, f2, params)
+    return params, m0, run1, run2, h
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (3, 16)])
+def test_series_match_per_sample_functions(d, n):
+    # (3, 16): a sample of 12,288 coefficients, more than one numpy buffer
+    grid = Grid(d=d, n=n)
+    rng = np.random.default_rng(517)
+    a, b = (random_trajectory(grid, 1.0, 5, rng) for _ in range(2))
+    ips = inner_product_series(a, b)
+    l2, v = spectral_norm_series(a)
+    nm = norm_series(a)
+    for k in range(a.nt + 1):
+        assert ips[k] == inner_product(a[k], b[k])
+        assert (l2[k], v[k]) == spectral_norms(a[k])
+        assert (nm.l2[k], nm.v[k], nm.l4[k]) == norms(a[k])
+
+
+def test_state_report_series(case):
+    params, m0, run, _, _ = case
+    r, m, f = run.report, run.solution, run.forcing
+    for n in range(m.nt + 1):
+        assert (r.l2[n], r.v[n]) == spectral_norms(m[n])
+        assert r.f_l2[n] == spectral_norms(f[n])[0]
+        assert r.f_pairing[n] == inner_product(f[n], m[n])
+    assert r.dissipative is None
+    free = solve_state(m0, Trajectory.zero(m0.grid, 0.25, m.nt), params)
+    s = free.solution
+    expected = all(not _l2(s[n + 1]) > _l2(s[n]) * (1.0 + 1e-12) for n in range(s.nt))
+    assert free.report.dissipative is expected is True
+
+
+def test_adjoint_report_series(case):
+    params, _, run1, run2, h = case
+    for adj in (solve_adjoint((run1.solution, run2.solution), h, 0.2, params), solve_adjoint_noc(run1, h)):
+        q, r = adj.solution, adj.report
+        for n in range(q.nt + 1):
+            assert (r.q_l2[n], r.q_v[n]) == spectral_norms(q[n])
+        K = math.exp(q.t_end) * q.dt * sum(inner_product(adj.rhs[n], adj.rhs[n]) for n in range(q.nt))
+        assert r.energy_K == K
+
+
+def test_cost_and_time_inner_keep_loop_accumulation():
+    # long series of mixed-sign pairings, where the order of accumulation
+    # shows in the last bits (a compensated or pairwise sum fails here)
+    grid = Grid(d=2, n=8)
+    rng = np.random.default_rng(516)
+    f, m, target = (random_trajectory(grid, 1.0, 400, rng) for _ in range(3))
+    dt, nt, lam = m.dt, m.nt, 0.1
+    track = 0.0
+    for n in range(1, nt + 1):
+        e = m[n] - target[n]
+        track += dt * inner_product(e, e)
+    ctrl = 0.0
+    for n in range(nt):
+        ctrl += dt * inner_product(f[n], f[n])
+    assert cost(f, m, target, lam) == 0.5 * track + 0.5 * lam * ctrl
+    assert time_l2_inner(f, target) == f.dt * sum(inner_product(f[n], target[n]) for n in range(nt))
+
+
+def test_gradient_series(case):
+    _, _, run, _, target = case
+    f, lam = run.forcing, 0.1
+    q = solve_adjoint_noc(run, target).solution
+    g = gradient(q, f, lam)
+    assert g.t_end == f.t_end
+    for n in range(f.nt + 1):
+        assert np.array_equal((q[n] + lam * f[n]).coeffs.view(np.uint64), g[n].coeffs.view(np.uint64))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.2])
+def test_duality_running(case, delta):
+    params, _, run1, run2, h = case
+    v = solve_difference(run1, run2).trajectory
+    adj = solve_adjoint((run1.solution, run2.solution), h, delta, params)
+    rep = duality_residual(adj, run1, run2, difference=v)
+    q, dt, nt = adj.solution, adj.dt, adj.solution.nt
+    lhs = rhs = cubic = scale = 0.0
+    left = []
+    for n in range(nt):
+        gn = run1.forcing[n] - run2.forcing[n]
+        lhs += dt * inner_product(gn, q[n])
+        scale += dt * _l2(gn) * _l2(q[n])
+        if delta > 0:
+            cubic += delta * dt * inner_product(apply_C(q[n]), v[n])
+        left.append(lhs + cubic)
+    limit = lhs
+    running = [0.0]
+    for n in range(1, nt + 1):
+        rhs += dt * inner_product(h[n], v[n])
+        limit -= dt * inner_product(h[n], run1.solution[n] - run2.solution[n])
+        scale += dt * _l2(h[n]) * _l2(v[n])
+        running.append(abs(left[n - 1] - rhs))
+    assert rep.running == tuple(running)
+    assert (rep.delta_form, rep.limit_form, rep.scale) == (running[-1], abs(limit), max(scale + abs(cubic), 1e-300))

@@ -76,7 +76,7 @@ def test_picard_nonconvergence(grid2d, params, rng):
 def test_solve_state_zero_everything(grid2d, params):
     f = Trajectory.zero(grid2d, 1.0, 8)
     run = solve_state(zero_field(grid2d), f, params)
-    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in run.solution.samples)
+    assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in run.solution)
     assert run.report.energy_equality_residual == 0.0
     assert energy_estimate_check(run) == 0.0
 
@@ -154,7 +154,7 @@ def test_solve_difference_equal_forcings(grid2d, params, rng):
     run1 = solve_state(m0, f, params)
     run2 = solve_state(m0, f, params)
     diff = solve_difference(run1, run2)
-    assert max(_l2(s) for s in diff.trajectory.samples) <= 1e-11
+    assert max(_l2(s) for s in diff.trajectory) <= 1e-11
     assert diff.defect <= 1e-11
 
 

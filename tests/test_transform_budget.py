@@ -63,21 +63,32 @@ def _state_budget(sweeps):
     return 1 + sum(1 + 2 * s for s in sweeps)
 
 
+def _same_bits(u, w):
+    return np.array_equal(u.coeffs.view(np.uint64), w.coeffs.view(np.uint64))
+
+
 def _adjoint_budget(sweeps, m1, m2):
     # sweeps are in reversed time: step j targets slab nt - 1 - j
     nt = m1.nt
-    shared = [m1[nt - 1 - j] is m2[nt - 1 - j] for j in range(nt)]
+    shared = [_same_bits(m1[nt - 1 - j], m2[nt - 1 - j]) for j in range(nt)]
     return 1 + sum(3 - sh + 2 * s for s, sh in zip(sweeps, shared))
 
 
+def _check_sweeps(report, sweeps):
+    # one entry per step, in solve order (reversed time for the adjoint)
+    assert report.picard_sweeps.dtype.kind == "i"
+    assert report.picard_sweeps.tolist() == sweeps
+    assert report.picard_iters_max == max(sweeps)
+
+
 def _check_state_report(run):
-    for n, s in enumerate(run.solution.samples):
+    for n, s in enumerate(run.solution):
         assert run.report.l4[n] == norms(s).l4
 
 
 def _check_adjoint_report(adj):
     q, r, p = adj.solution, adj.report, adj.params
-    for n, s in enumerate(q.samples):
+    for n, s in enumerate(q):
         nm = norms(s)
         assert (r.q_l2[n], r.q_v[n], r.q_l4[n]) == (nm.l2, nm.v, nm.l4)
     # the adjoint energy margin, recomputed sample by sample
@@ -115,19 +126,24 @@ def test_transform_budget_and_reused_values(d, n, nt, counts):
     run1 = solve_state(m0, f1, params)
     assert len(counts["sweeps"]) == nt
     assert counts["transforms"] == _state_budget(counts["sweeps"])
+    _check_sweeps(run1.report, counts["sweeps"])
+    _reset(counts)
     run2 = solve_state(m0, f2, params)
+    _check_sweeps(run2.report, counts["sweeps"])
 
     m1, m2 = run1.solution, run2.solution
-    assert m1[0] is m2[0]  # the shared initial condition: slab 0 reuses one transform
+    assert _same_bits(m1[0], m2[0])  # the shared initial condition: slab 0 reuses one transform
     for delta in (0.0, 0.3):
         _reset(counts)
         adj = solve_adjoint((m1, m2), h, delta, params)
         assert counts["transforms"] == _adjoint_budget(counts["sweeps"], m1, m2)
+        _check_sweeps(adj.report, counts["sweeps"])
         _check_adjoint_report(adj)
 
     _reset(counts)
     noc = solve_adjoint_noc(run1, h)
     assert counts["transforms"] == 1 + sum(2 + 2 * s for s in counts["sweeps"])
+    _check_sweeps(noc.report, counts["sweeps"])
     _check_adjoint_report(noc)
 
     _check_state_report(run1)
