@@ -47,7 +47,6 @@ from .state_solver import (
     SolveReport,
     StateRun,
     energy_equality_residual,
-    energy_estimate_check,
     lipschitz_check,
     solve_difference,
     solve_state,
@@ -71,7 +70,6 @@ from .optimizer import (
     cost,
     gradient,
     ioc_ladder,
-    ioc_residual,
     make_probe_bank,
     optimize,
     project_admissible,

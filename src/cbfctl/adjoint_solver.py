@@ -22,8 +22,9 @@ discretization of the continuous adjoint PDE
 
 Cube-regularized variant: a term delta P{|q|^2 q} is added with the frozen
 coefficient |p_old|^2 of the previous backward step, keeping every step a
-linear solve.  The solve runs in reversed time (p(t) = q(T - t)) as a plain
-forward loop.
+linear solve.  The solve runs in reversed time (p(t) = q(T - t)) as a
+forward state_solver.march, with the transposed pair stencil as its operator,
+into the reversed view of q's coefficient array.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .operators import (
     l4_norm4,
     speed_squared,
 )
-from .state_solver import StateRun, _dinv, _l2_series, picard_solve, solve_difference
+from .state_solver import StateRun, _l2_series, march, solve_difference
 
 
 def time_reverse(traj: Trajectory) -> Trajectory:
@@ -75,9 +77,8 @@ def step_adjoint(
     *,
     picard_tol: float = 1e-11,
     max_iters: int = 200,
-    step: int | None = None,
 ) -> SpectralField:
-    """One reversed-time adjoint step.
+    """One reversed-time adjoint step (the one-step march).
 
     m1_rev, m2_rev are the coefficient fields at the step's *target* reversed
     time (the transposed slab operator), h_n the reversed source at the old
@@ -88,16 +89,14 @@ def step_adjoint(
         raise ValueError("dt must be positive")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    grid = p_n.grid
     stencil = PairStencil(m1_rev, m2_rev, params)
     extra = delta * speed_squared(p_n) if delta > 0 else None
-
-    def napply(x: SpectralField) -> SpectralField:
-        return stencil.apply_transpose(x, extra_weight=extra)
-
-    rhs = SpectralField(grid, p_n.coeffs + dt * h_n.coeffs)
-    x, _ = picard_solve(grid, _dinv(grid, params, dt), rhs, napply, dt, picard_tol, max_iters, step)
-    return x
+    out = np.empty((2,) + p_n.coeffs.shape, dtype=np.complex128)
+    march(
+        p_n, h_n.coeffs[None], dt, params, lambda n, x: partial(stencil.apply_transpose, extra_weight=extra), out,
+        picard_tol=picard_tol, max_iters=max_iters,
+    )
+    return SpectralField(p_n.grid, out[1])
 
 
 @dataclass
@@ -116,10 +115,6 @@ class AdjointReport:
     kappa: float = math.nan
     duality_delta_form: float = math.nan
     duality_limit_form: float = math.nan
-
-    @property
-    def picard_iters_max(self) -> int:
-        return int(np.max(self.picard_sweeps))
 
 
 @dataclass
@@ -180,37 +175,38 @@ def solve_adjoint(
     if kappa is None:
         kappa = params.kappa_star()
 
-    grid, dt, nt = m1.grid, m1.dt, m1.nt
+    grid = m1.grid
     m1r, m2r, hr = time_reverse(m1), time_reverse(m2), time_reverse(h)
-    dinv = _dinv(grid, params, dt)
 
     # q is written in reversed time through a reversed view of its array;
-    # q(T) = 0 is the first reversed sample.
-    qc = np.zeros(m1.coeffs.shape, dtype=np.complex128)
-    rev = qc[::-1]
-    p = SpectralField(grid, rev[0])
-    p2 = speed_squared(p)
-    rev_l4 = [l4_from_speed_squared(grid, p2)]
-    # weighted[j] = int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2 for n = nt - 1 - j
-    weighted = []
-    sweeps = np.zeros(nt, dtype=int)
-    for j in range(nt):
-        a = m1r[j + 1]
-        stencil = PairStencil(a, a if m2 is m1 else m2r[j + 1], params)
-        extra = delta * p2 if delta > 0 else None
+    # q(T) = 0 is the first reversed sample.  rev_l4[j] is the l4 of reversed
+    # sample j and weighted[j] = int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2
+    # for n = nt - 1 - j, against the stencil of the step that produced q_n.
+    rev_l4, weighted = [], []
+    stencil = None
 
-        def napply(x: SpectralField, _s=stencil, _e=extra) -> SpectralField:
-            return _s.apply_transpose(x, extra_weight=_e)
-
-        rhs = SpectralField(grid, p.coeffs + dt * hr.coeffs[j])
-        p, sweeps[j] = picard_solve(grid, dinv, rhs, napply, dt, picard_tol, max_iters, step=j)
-        rev[j + 1] = p.coeffs
+    def record(p: SpectralField) -> np.ndarray:
         p2 = speed_squared(p)
         rev_l4.append(l4_from_speed_squared(grid, p2))
-        weighted.append(
-            float(np.sum(stencil.w1 * p2) * grid.quad_weight) + float(np.sum(stencil.w2 * p2) * grid.quad_weight)
-        )
+        if stencil is not None:
+            weighted.append(
+                float(np.sum(stencil.w1 * p2) * grid.quad_weight) + float(np.sum(stencil.w2 * p2) * grid.quad_weight)
+            )
+        return p2
 
+    def operator(j: int, p: SpectralField) -> Callable[[SpectralField], SpectralField]:
+        nonlocal stencil
+        p2 = record(p)
+        a = m1r[j + 1]
+        stencil = PairStencil(a, a if m2 is m1 else m2r[j + 1], params)
+        return partial(stencil.apply_transpose, extra_weight=delta * p2 if delta > 0 else None)
+
+    qc = np.zeros(m1.coeffs.shape, dtype=np.complex128)
+    sweeps = march(
+        SpectralField(grid, qc[-1]), hr.coeffs, m1.dt, params, operator, qc[::-1],
+        picard_tol=picard_tol, max_iters=max_iters,
+    )
+    record(SpectralField(grid, qc[0]))
     solution = Trajectory(grid, m1.t_end, qc)
     q_l2, q_v = spectral_norm_series(solution)
     report = AdjointReport(

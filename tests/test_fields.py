@@ -50,8 +50,8 @@ def test_make_field_shear_mode():
     # amplitude orthogonal to k: projection leaves the mode untouched
     g = Grid(d=2, n=16)
     u = make_field(g, [((1, 0), (0.0, 1.0))])
-    assert np.allclose(u.mode((1, 0)), [0.0, 1.0])
-    assert np.allclose(u.mode((-1, 0)), [0.0, 1.0])
+    for k in ((1, 0), (-1, 0)):
+        assert np.allclose(u.coeffs[(slice(None),) + g.mode_positions[k]], [0.0, 1.0])
     u.validate()
     # field is (0, 2 cos x): l2^2 = 2 (2 pi)^2
     assert norms(u).l2 == pytest.approx(math.sqrt(2.0) * TAU, rel=1e-13)
@@ -274,6 +274,19 @@ def test_batched_from_physical_matches_per_sample(d, n):
     for i in range(2):
         for j in range(3):
             assert np.array_equal(_bits(got[i, j]), _bits(g.from_physical(values[i, j])))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+def test_batched_grad_physical_matches_per_member(d, n):
+    # the jet axis follows the batch axes; each member is its unbatched jet
+    g = Grid(d=d, n=n)
+    rng = np.random.default_rng(13)
+    coeffs = np.stack([random_field(g, rng).coeffs for _ in range(4)]).reshape((2, 2, d) + g.shape)
+    got = g.grad_physical(coeffs)
+    assert got.shape == (2, 2, 1 + d, d) + (g.pad_n,) * d
+    for i in range(2):
+        for j in range(2):
+            assert np.array_equal(_bits(got[i, j]), _bits(g.grad_physical(coeffs[i, j])))
 
 
 def test_trajectory_is_one_read_only_array(grid2d, rng):

@@ -372,7 +372,6 @@ def test_cli_help_exit_0(capsys):
 
 def test_picard_max_iters_reaches_every_solve(tmp_path, monkeypatch):
     # every Picard solve of verify and optimize must get the config's sweep limit
-    import cbfctl.adjoint_solver as adjoint_solver
     import cbfctl.state_solver as state_solver
 
     real = state_solver.picard_solve
@@ -383,7 +382,6 @@ def test_picard_max_iters_reaches_every_solve(tmp_path, monkeypatch):
         return real(grid, dinv, rhs, napply, dt, tol, max_iters, step)
 
     monkeypatch.setattr(state_solver, "picard_solve", spy)
-    monkeypatch.setattr(adjoint_solver, "picard_solve", spy)
     verify = _write_config(tmp_path, "verify.json", picard_max_iters=150)
     optimize = _write_config(
         tmp_path, "optimize.json", tol_vi=1e-4, picard_max_iters=150, **{"lambda": 1e-3}
@@ -469,3 +467,37 @@ def test_cli_optimize_experiment(tmp_path):
     assert summary["checks"]["vi_residual"]["pass"] is True
     assert summary["checks"]["ioc_q_distance_decreasing"]["pass"] is True
     assert (out / "control.cbft").exists() and (out / "cost.svg").exists()
+
+
+# Cells of these columns are names or flags.  Every other CSV cell is a number,
+# except "None", the tolerance of a verify.csv check that has none (a flag).
+TEXT_COLUMNS = {"check", "kind", "pass"}
+
+
+@pytest.mark.parametrize(
+    "experiment,overrides",
+    [
+        ("simulate", {"nt": 8}),
+        ("adjoint", {"nt": 8, "delta": 0.1}),
+        ("delta-sweep", {"nt": 8, "t_end": 0.25}),
+        ("optimize", {"tol_vi": 1e-4, "lambda": 1e-3}),
+        ("verify", {}),
+        ("oracle", {"n": 4, "nt": 8}),
+    ],
+)
+def test_csv_cells_parse_as_floats(tmp_path, experiment, overrides):
+    # every numeric cell is a plain float literal, e.g. never np.float64(0.5)
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    # at nt=16 verify's O(dt) order checks may fail (exit 1); only the files matter here
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    paths = sorted(out.glob("*.csv"))
+    assert paths
+    for path in paths:
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows, path.name
+        for row in rows:
+            assert len(row) == len(header), path.name
+            for column, cell in zip(header, row):
+                if column not in TEXT_COLUMNS and (column, cell) != ("tolerance", "None"):
+                    float(cell)  # raises on a cell that is not a number

@@ -13,7 +13,6 @@ from cbfctl import (
     gradient,
     inner_product,
     ioc_ladder,
-    ioc_residual,
     make_field,
     make_probe_bank,
     optimize,
@@ -197,7 +196,7 @@ def test_ioc_residual_zero_probe(params, rng):
     g = Grid(d=2, n=8)
     problem, _ = _problem(g, params, rng, nt=8)
     f = random_trajectory(g, 0.5, 8, rng)
-    assert ioc_residual(f, f, 0.25, problem) == 0.0
+    assert ioc_ladder(f, f, (0.25,), problem)[0].residual == 0.0
 
 
 def test_ioc_rho_validation(params, rng):
@@ -205,7 +204,7 @@ def test_ioc_rho_validation(params, rng):
     problem, _ = _problem(g, params, rng, nt=8)
     f = random_trajectory(g, 0.5, 8, rng)
     with pytest.raises(ValueError, match="rho"):
-        ioc_residual(f, 2.0 * f, 1.5, problem)
+        ioc_ladder(f, 2.0 * f, (1.5,), problem)
 
 
 def test_ioc_ladder_at_optimum(params, rng):
