@@ -7,9 +7,8 @@ Every experiment writes into its output directory:
 * summary.json with one record per checked invariant margin,
 * SVG line charts of the main series.
 
-Identical config + seed reproduce the CSV outputs byte for byte.  Each
-sampled check draws every sample from its own child generator of the seed,
-so a sample's numbers do not depend on how many samples came before it.
+Identical config + seed reproduce the CSV outputs byte for byte.  The
+verify experiment runs the check registry (checks.py) at the config's sizes.
 """
 
 from __future__ import annotations
@@ -17,79 +16,44 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .adjoint_solver import (
-    delta_sweep,
-    derivative_bound_check,
-    duality_residual,
-    solve_adjoint,
-    solve_adjoint_noc,
+from .adjoint_solver import delta_sweep, derivative_bound_check, duality_residual, solve_adjoint
+from .checks import (
+    CHECKS,
+    Draw,
+    MarginLedger,
+    certify_optimum,
+    decreasing,
+    observed_order,
+    operator_match,
+    optimize_certificate,
+    pair_instance,
+    reference_errors,
+    verify_profile,
 )
 from .fields import (
-    Grid,
-    Trajectory,
-    inner_product,
-    inner_product_series,
     random_field,
     random_forcing,
     random_trajectory,
     time_l2_norm,
     write_norm_series,
     write_trajectory,
+    zero_field,
 )
-from .harness import (
-    ProblemConfig,
-    build_tracking_problem,
-    config_to_dict,
-    dense_oracle,
-    standard_state_inputs,
-)
-from .operators import PairStencil, apply_A, apply_C, l4_norm4, monotonicity_gap, norms, trilinear_b
-from .optimizer import (
-    cost,
-    gradient,
-    gradient_scale,
-    ioc_ladder,
-    make_probe_bank,
-    optimize,
-    vi_residual,
-    vi_scale,
-)
-from .state_solver import (
-    lipschitz_check,
-    solve_difference,
-    solve_state,
-)
+from .harness import ProblemConfig, config_to_dict, dense_oracle
+from .operators import PairStencil, norms
+from .state_solver import solve_difference, solve_state
 from .svg import write_line_chart
 
 DELTA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
-RHO_LADDER = (0.5, 0.25, 0.1, 0.01)
 
 
 class ExperimentResult(NamedTuple):
     exit_code: int
     summary: dict
-
-
-def _picard(config: ProblemConfig) -> dict:
-    """The config's inner solver control, as keyword arguments of the solves."""
-    return {"picard_tol": config.picard_tol, "max_iters": config.picard_max_iters}
-
-
-def _spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(count)]
-
-
-def observed_order(steps: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares convergence order of errors ~ C * step^p."""
-    xs = np.log(np.asarray(steps, dtype=float))
-    ys = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
 
 
 def _fmt(v) -> str:
@@ -103,41 +67,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-class MarginLedger:
-    """Collects named margin/residual checks for summary.json."""
-
-    def __init__(self) -> None:
-        self.records: dict[str, dict] = {}
-
-    def margin(self, name: str, value: float, tolerance: float) -> bool:
-        """Pass when value >= -tolerance (lower bound check)."""
-        ok = bool(value >= -tolerance) and math.isfinite(value)
-        self.records[name] = {"kind": "margin", "value": value, "tolerance": tolerance, "pass": ok}
-        return ok
-
-    def residual(self, name: str, value: float, tolerance: float) -> bool:
-        """Pass when |value| <= tolerance (smallness check)."""
-        ok = bool(abs(value) <= tolerance) and math.isfinite(value)
-        self.records[name] = {"kind": "residual", "value": value, "tolerance": tolerance, "pass": ok}
-        return ok
-
-    def order(self, name: str, value: float, minimum: float = 0.9) -> bool:
-        ok = bool(value >= minimum) and math.isfinite(value)
-        self.records[name] = {"kind": "order", "value": value, "tolerance": minimum, "pass": ok}
-        return ok
-
-    def flag(self, name: str, ok: bool, value=None) -> bool:
-        self.records[name] = {"kind": "flag", "value": value, "pass": bool(ok)}
-        return bool(ok)
-
-    def note(self, name: str, value) -> None:
-        self.records[name] = {"kind": "note", "value": value, "pass": True}
-
-    @property
-    def all_pass(self) -> bool:
-        return all(rec["pass"] for rec in self.records.values())
 
 
 def _write_summary(out_dir: str, config: ProblemConfig, ledger: MarginLedger) -> dict:
@@ -158,14 +87,11 @@ def _write_summary(out_dir: str, config: ProblemConfig, ledger: MarginLedger) ->
 # individual experiments
 # ----------------------------------------------------------------------
 
-def _forced_run(config: ProblemConfig, rng: np.random.Generator):
-    m0, f = standard_state_inputs(config, rng)
-    return solve_state(m0, f, config.operator_params(), **_picard(config))
-
-
 def run_simulate(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
-    run = _forced_run(config, config.rng())
+    # spin-up from rest, the regime the sup-form a-priori margin is checked in
+    f = random_trajectory(config.grid(), config.t_end, config.nt, config.rng(), l2=config.amplitude)
+    run = solve_state(zero_field(config.grid()), f, config.operator_params(), **config.picard)
     write_trajectory(os.path.join(out_dir, "state.cbft"), run.solution)
     write_norm_series(os.path.join(out_dir, "norms.csv"), run.solution)
     write_line_chart(
@@ -185,32 +111,25 @@ def run_simulate(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def _adjoint_instance(config: ProblemConfig, rng: np.random.Generator):
-    """Forced state pair sharing m0, difference solve, and an adjoint source."""
-    grid = config.grid()
-    params = config.operator_params()
-    amp = config.amplitude
-    m0 = random_field(grid, rng, l2=amp)
-    f1 = random_trajectory(grid, config.t_end, config.nt, rng, l2=amp)
-    f2 = f1 + random_trajectory(grid, config.t_end, config.nt, rng, l2=0.5 * amp)
-    h = random_trajectory(grid, config.t_end, config.nt, rng, l2=amp)
-    run1 = solve_state(m0, f1, params, **_picard(config))
-    run2 = solve_state(m0, f2, params, **_picard(config))
-    return run1, run2, h
+def _adjoint_instance(config: ProblemConfig):
+    """The config's forced state pair sharing m0, and an adjoint source."""
+    a = config.amplitude
+    draw = Draw(config.d, config.n, config.t_end, config.nt, a, a, config.seed)
+    return pair_instance(config, draw, draw.rng())
 
 
 def run_adjoint(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     params = config.operator_params()
-    run1, run2, h = _adjoint_instance(config, config.rng())
-    diff = solve_difference(run1, run2, **_picard(config))
+    run1, run2, h = _adjoint_instance(config)
+    diff = solve_difference(run1, run2, **config.picard)
     adj = solve_adjoint(
         (run1.solution, run2.solution),
         h,
         config.delta,
         params,
         kappa=config.kappa_effective,
-        **_picard(config),
+        **config.picard,
         state_K=(run1.report.energy_bound_K, run2.report.energy_bound_K),
     )
     dual = duality_residual(adj, run1, run2, difference=diff.trajectory)
@@ -246,14 +165,14 @@ def run_adjoint(config: ProblemConfig, out_dir: str) -> ExperimentResult:
 def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     params = config.operator_params()
-    run1, run2, h = _adjoint_instance(config, config.rng())
+    run1, run2, h = _adjoint_instance(config)
     base, ladder = delta_sweep(
         (run1.solution, run2.solution),
         h,
         DELTA_LADDER,
         params,
         kappa=config.kappa_effective,
-        **_picard(config),
+        **config.picard,
     )
     write_csv(os.path.join(out_dir, "delta_sweep.csv"), ["delta", "q_dist"], ladder)
     write_line_chart(
@@ -266,7 +185,7 @@ def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
         log_y=True,
     )
     dists = [x for _, x in ladder]
-    ledger.flag("delta_ladder_monotone", all(dists[i] > dists[i + 1] for i in range(len(dists) - 1)), dists)
+    ledger.flag("delta_ladder_monotone", decreasing(dists), dists)
     ledger.margin("adjoint_energy_margin_delta0", base.report.energy_margin, 1e-8 * max(base.report.energy_K, 1e-30))
     summary = _write_summary(out_dir, config, ledger)
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
@@ -274,12 +193,8 @@ def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
 
 def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
-    rng = config.rng()
-    problem, f_sharp, _hidden = build_tracking_problem(config, rng)
-    f0 = Trajectory.zero(problem.m0.grid, config.t_end, config.nt)
-    g_scale = gradient_scale(problem)
-    result = optimize(problem, f0, max_iters=300, tol=0.5 * config.tol_vi * g_scale)
-    f_star, run_star, trace = result
+    opt = certify_optimum(optimize_certificate(config))
+    f_star, run_star, trace = opt.result
 
     write_csv(
         os.path.join(out_dir, "trace.csv"),
@@ -298,31 +213,20 @@ def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
         log_y=True,
     )
 
-    J0, J_star = trace.rows[0].cost, trace.rows[-1].cost
-    j100 = min(r.cost for r in trace.rows[: min(len(trace.rows), 101)])
-    ledger.flag("cost_reduced_10x_within_100", j100 <= J0 / 10.0, {"J0": J0, "J_100": j100})
-    ledger.note("J_final", J_star)
-
-    adj = solve_adjoint_noc(run_star, problem.target, **_picard(config))
-    g_star = gradient(adj.solution, f_star, problem.lam)
-    probes = make_probe_bank(f_star, config.radius, 32, rng, grad=g_star, step=1.0 / problem.lam)
-    vi = vi_residual(f_star, adj.solution, problem.lam, probes)
-    scale = vi_scale(f_star, probes, problem)
-    ledger.margin("vi_residual", vi, config.tol_vi * scale)
-
-    u_probe = probes[1]
-    points = ioc_ladder(f_star, u_probe, RHO_LADDER, problem, base_run=run_star)
-    ioc_scale = scale
-    for pt in points:
-        ledger.margin(f"ioc_residual_rho_{pt.rho:g}", pt.residual, config.tol_vi * ioc_scale)
-    dists = [pt.q_distance for pt in points]
-    ledger.flag("ioc_q_distance_decreasing", all(dists[i] > dists[i + 1] for i in range(len(dists) - 1)), dists)
+    ledger.flag("cost_reduced_10x_within_100", opt.J_window <= opt.J0 / 10.0, {"J0": opt.J0, "J_100": opt.J_window})
+    ledger.note("J_final", trace.rows[-1].cost)
+    tol = config.tol_vi * opt.scale
+    ledger.margin("vi_residual", opt.vi, tol)
+    for pt in opt.points:
+        ledger.margin(f"ioc_residual_rho_{pt.rho:g}", pt.residual, tol)
+    dists = [pt.q_distance for pt in opt.points]
+    ledger.flag("ioc_q_distance_decreasing", decreasing(dists), dists)
     write_csv(
         os.path.join(out_dir, "ioc.csv"),
         ["rho", "residual", "q_distance", "adjoint_margin"],
-        [(pt.rho, pt.residual, pt.q_distance, pt.adjoint_margin) for pt in points],
+        [(pt.rho, pt.residual, pt.q_distance, pt.adjoint_margin) for pt in opt.points],
     )
-    ledger.note("hidden_control_norm", time_l2_norm(f_sharp))
+    ledger.note("hidden_control_norm", time_l2_norm(opt.f_sharp))
     summary = _write_summary(out_dir, config, ledger)
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
@@ -349,36 +253,15 @@ def run_oracle(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     M_adj = system.adjoint_step_matrix(m1, m2, dt)
     ledger.residual("adjoint_matrix_transpose_defect", float(np.max(np.abs(M_adj - M_diff.T))), 1e-12)
 
-    # dense matrix application vs direct spectral application
-    stencil = PairStencil(m1, m2, params)
-    rel_max = 0.0
-    for _ in range(5):
-        u = random_field(grid, rng, l2=1.0)
-        xu = system.field_to_vec(u)
-        dense_out = M_diff @ xu
-        spectral = xu + dt * system.field_to_vec(
-            params.mu * apply_A(u) + params.alpha * u + stencil.apply(u)
-        )
-        rel = float(np.max(np.abs(dense_out - spectral)) / max(np.max(np.abs(dense_out)), 1e-30))
-        rel_max = max(rel_max, rel)
-    ledger.residual("dense_vs_spectral_operator", rel_max, 1e-12)
+    fields = [random_field(grid, rng, l2=1.0) for _ in range(5)]
+    rel = operator_match(system, M_diff, PairStencil(m1, m2, params), dt, fields)
+    ledger.residual("dense_vs_spectral_operator", rel, 1e-12)
 
     # fine-step reference vs spectral state solve, O(dt) with order >= 0.9
     m0 = random_field(grid, rng, l2=config.amplitude)
     f_fn = random_forcing(grid, rng, l2=config.amplitude, t_scale=config.t_end)
     nts = [max(config.nt // 4, 4), max(config.nt // 2, 8), config.nt]
-    ref = system.state_reference(m0, f_fn, config.t_end, nts[-1], refine=64)
-    errors, dts = [], []
-    for nt in nts:
-        f = Trajectory.from_callable(grid, config.t_end, nt, f_fn)
-        run = solve_state(m0, f, params, **_picard(config))
-        stride = nts[-1] // nt
-        err = max(
-            float(np.sqrt(max(inner_product(run.solution[i] - ref[i * stride], run.solution[i] - ref[i * stride]), 0.0)))
-            for i in range(nt + 1)
-        )
-        errors.append(err)
-        dts.append(config.t_end / nt)
+    dts, errors = reference_errors(system, m0, f_fn, config.t_end, nts, **config.picard)
     order = observed_order(dts, errors)
     ledger.order("state_reference_order", order, 0.9)
     write_csv(os.path.join(out_dir, "oracle_order.csv"), ["dt", "error"], zip(dts, errors))
@@ -395,222 +278,10 @@ def run_oracle(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-# ----------------------------------------------------------------------
-# verify: condensed all-invariant battery
-# ----------------------------------------------------------------------
-
-def _verify_trilinear(config: ProblemConfig, ledger: MarginLedger) -> None:
-    cases = [(2, 12, 120), (3, 8, 60)]
-    worst_zero = worst_alt = 0.0
-    for d, n, count in cases:
-        grid = Grid(d=d, n=n)
-        rngs = _spawn_rngs(config.seed + d, count)
-
-        def one(rng):
-            p = random_field(grid, rng, l2=1.0)
-            q = random_field(grid, rng, l2=1.0)
-            r = random_field(grid, rng, l2=1.0)
-            np_, nq, nr = norms(p), norms(q), norms(r)
-            z = abs(trilinear_b(p, q, q)) / max(np_.v * nq.v**2, 1e-30)
-            alt = abs(trilinear_b(p, q, r) + trilinear_b(p, r, q)) / max(np_.v * nq.v * nr.v, 1e-30)
-            return z, alt
-
-        for z, alt in map(one, rngs):
-            worst_zero = max(worst_zero, z)
-            worst_alt = max(worst_alt, alt)
-    ledger.residual("trilinear_bqq_rel", worst_zero, 1e-12)
-    ledger.residual("trilinear_alternation_rel", worst_alt, 1e-12)
-
-
-def _verify_forchheimer(config: ProblemConfig, ledger: MarginLedger) -> None:
-    grid = config.grid()
-    rngs = _spawn_rngs(config.seed + 11, 100)
-
-    def one(rng):
-        p = random_field(grid, rng, l2=1.0)
-        q = random_field(grid, rng, l2=1.0)
-        pairing = inner_product(apply_C(p), p)
-        ident = abs(pairing - l4_norm4(p)) / max(abs(pairing), 1e-30)
-        return ident, monotonicity_gap(p, q)
-
-    results = [one(rng) for rng in rngs]
-    ledger.residual("forchheimer_identity_rel", max(r[0] for r in results), 1e-10)
-    ledger.margin("monotonicity_gap_min", min(r[1] for r in results), 1e-10)
-
-
-def _verify_energy(config: ProblemConfig, ledger: MarginLedger) -> None:
-    grid = config.grid()
-    params = config.operator_params()
-    rng = config.rng()
-    m0 = random_field(grid, rng, l2=config.amplitude)
-    f_fn = random_forcing(grid, rng, l2=config.amplitude, t_scale=config.t_end)
-    residuals, dts = [], []
-    for nt in (config.nt // 4, config.nt // 2, config.nt, 2 * config.nt):
-        f = Trajectory.from_callable(grid, config.t_end, nt, f_fn)
-        run = solve_state(m0, f, params, **_picard(config))
-        residuals.append(run.report.energy_equality_residual)
-        dts.append(config.t_end / nt)
-    ledger.order("energy_equality_order", observed_order(dts, residuals), 0.9)
-
-    reports = (_forced_run(config, rng).report for rng in _spawn_rngs(config.seed + 23, 20))
-    worst = min(r.energy_bound_margin / max(r.energy_bound_K, 1e-30) for r in reports)
-    ledger.margin("energy_bound_margin_rel_min", worst, 1e-8)
-
-
-def _verify_lipschitz(config: ProblemConfig, ledger: MarginLedger) -> None:
-    params = config.operator_params()
-    kappa = config.kappa_effective
-    rngs = _spawn_rngs(config.seed + 31, 20)
-    grid = config.grid()
-
-    def one(rng):
-        m0 = random_field(grid, rng, l2=config.amplitude)
-        f1 = random_trajectory(grid, config.t_end, config.nt, rng, l2=config.amplitude)
-        f2 = f1 + random_trajectory(grid, config.t_end, config.nt, rng, l2=0.5 * config.amplitude)
-        run1 = solve_state(m0, f1, params, **_picard(config))
-        run2 = solve_state(m0, f2, params, **_picard(config))
-        margin = lipschitz_check(run1, run2, kappa)
-        scale = math.exp(config.t_end) * max(time_l2_norm(f1 - f2) ** 2, 1e-30)
-        return margin / scale
-
-    ledger.margin("lipschitz_margin_rel_min", min(one(rng) for rng in rngs), 1e-8)
-
-    # quadratic rho scaling of the bound's margin
-    rng = np.random.default_rng(config.seed + 37)
-    m0 = random_field(grid, rng, l2=config.amplitude)
-    f1 = random_trajectory(grid, config.t_end, config.nt, rng, l2=config.amplitude)
-    gdir = random_trajectory(grid, config.t_end, config.nt, rng, l2=config.amplitude)
-    run1 = solve_state(m0, f1, params, **_picard(config))
-    margins = []
-    for rho in (2e-2, 1e-2):
-        run2 = solve_state(m0, f1 + rho * gdir, params, **_picard(config))
-        margins.append(lipschitz_check(run1, run2, kappa))
-    ratio = margins[0] / margins[1]
-    ledger.flag("lipschitz_rho_ratio_4", abs(ratio - 4.0) <= 0.4, ratio)
-
-
-def _verify_duality(config: ProblemConfig, ledger: MarginLedger) -> None:
-    params = config.operator_params()
-    rngs = _spawn_rngs(config.seed + 41, 5)
-
-    def one(rng):
-        run1, run2, h = _adjoint_instance(config, rng)
-        diff = solve_difference(run1, run2, **_picard(config))
-        adj = solve_adjoint(
-            (run1.solution, run2.solution), h, 0.0, params,
-            kappa=config.kappa_effective, **_picard(config),
-            state_K=(run1.report.energy_bound_K, run2.report.energy_bound_K),
-        )
-        dual = duality_residual(adj, run1, run2, difference=diff.trajectory)
-        return dual.delta_form / dual.scale, adj.report.energy_margin / max(adj.report.energy_K, 1e-30)
-
-    results = [one(rng) for rng in rngs]
-    ledger.residual("duality_delta0_rel_max", max(r[0] for r in results), config.tol_duality)
-    ledger.margin("adjoint_energy_margin_rel_min", min(r[1] for r in results), 1e-8)
-
-    # O(dt) duality residual for delta > 0
-    grid = config.grid()
-    rng = np.random.default_rng(config.seed + 43)
-    m0 = random_field(grid, rng, l2=config.amplitude)
-    f1_fn = random_forcing(grid, rng, l2=config.amplitude, t_scale=config.t_end)
-    f2_fn = random_forcing(grid, rng, l2=config.amplitude, t_scale=config.t_end)
-    h_fn = random_forcing(grid, rng, l2=config.amplitude, t_scale=config.t_end)
-    for delta in (1e-1, 1e-2):
-        residuals, dts = [], []
-        for nt in (config.nt // 4, config.nt // 2, config.nt):
-            f1 = Trajectory.from_callable(grid, config.t_end, nt, f1_fn)
-            f2 = Trajectory.from_callable(grid, config.t_end, nt, f2_fn)
-            h = Trajectory.from_callable(grid, config.t_end, nt, h_fn)
-            run1 = solve_state(m0, f1, params, **_picard(config))
-            run2 = solve_state(m0, f2, params, **_picard(config))
-            diff = solve_difference(run1, run2, **_picard(config))
-            adj = solve_adjoint(
-                (run1.solution, run2.solution), h, delta, params, kappa=config.kappa_effective, **_picard(config)
-            )
-            dual = duality_residual(adj, run1, run2, difference=diff.trajectory)
-            residuals.append(dual.delta_form)
-            dts.append(config.t_end / nt)
-        ledger.order(f"duality_delta_{delta:g}_order", observed_order(dts, residuals), 0.9)
-
-
-def _verify_delta_ladder(config: ProblemConfig, ledger: MarginLedger) -> None:
-    params = config.operator_params()
-    run1, run2, h = _adjoint_instance(config, np.random.default_rng(config.seed + 47))
-    _, ladder = delta_sweep(
-        (run1.solution, run2.solution), h, (1e-1, 1e-2, 1e-3), params,
-        kappa=config.kappa_effective, **_picard(config),
-    )
-    dists = [x for _, x in ladder]
-    ledger.flag("delta_ladder_monotone", all(dists[i] > dists[i + 1] for i in range(len(dists) - 1)), dists)
-
-
-def _verify_gradient(config: ProblemConfig, ledger: MarginLedger) -> None:
-    grid = Grid(d=2, n=8)
-    rng = np.random.default_rng(config.seed + 53)
-    params = config.operator_params()
-    nt, t_end = 512, 0.25
-    m0 = random_field(grid, rng, l2=0.3 * config.amplitude)
-    target = random_trajectory(grid, t_end, nt, rng, l2=0.3 * config.amplitude)
-    f = random_trajectory(grid, t_end, nt, rng, l2=0.3 * config.amplitude)
-    run = solve_state(m0, f, params, **_picard(config))
-    adj = solve_adjoint_noc(run, target, **_picard(config))
-    g = gradient(adj.solution, f, config.lam)
-    eps = 1e-4
-    worst = 0.0
-    for _ in range(3):
-        direction = random_trajectory(grid, t_end, nt, rng, l2=1.0)
-        f_plus, f_minus = f + eps * direction, f - eps * direction
-        jp = cost(f_plus, solve_state(m0, f_plus, params, **_picard(config)).solution, target, config.lam)
-        jm = cost(f_minus, solve_state(m0, f_minus, params, **_picard(config)).solution, target, config.lam)
-        fd = (jp - jm) / (2.0 * eps)
-        pred = sum((f.dt * inner_product_series(g, direction)[:nt]).tolist())
-        worst = max(worst, abs(fd - pred) / max(abs(fd), 1e-30))
-    ledger.residual("gradient_fd_rel_max", worst, max(1e-4, 2.0 * (t_end / nt) + eps**2))
-
-
-def _verify_optimize(config: ProblemConfig, ledger: MarginLedger) -> None:
-    # lambda small enough that the penalty floor leaves a 5x descent corridor
-    small = replace(config, n=8, nt=32, t_end=0.5, lam=1e-3, amplitude=1.0)
-    rng = small.rng()
-    problem, _f_sharp, _ = build_tracking_problem(small, rng)
-    f0 = Trajectory.zero(Grid(d=small.d, n=small.n), small.t_end, small.nt)
-    g_scale = gradient_scale(problem)
-    result = optimize(problem, f0, max_iters=250, tol=0.5 * small.tol_vi * g_scale)
-    trace = result.trace
-    J0, J_star = trace.rows[0].cost, trace.rows[-1].cost
-    ledger.flag("optimize_cost_reduced_5x", J_star <= J0 / 5.0, {"J0": J0, "J_star": J_star})
-    adj = solve_adjoint_noc(result.state, problem.target, **_picard(small))
-    probes = make_probe_bank(result.control, small.radius, 8, rng)
-    vi = vi_residual(result.control, adj.solution, problem.lam, probes)
-    scale = vi_scale(result.control, probes, problem)
-    ledger.margin("vi_residual_rel", vi / scale, small.tol_vi)
-    points = ioc_ladder(result.control, probes[0], (0.25, 0.1), problem, base_run=result.state)
-    ledger.margin("ioc_residual_rel_min", min(pt.residual for pt in points) / scale, small.tol_vi)
-
-
-def _verify_oracle(config: ProblemConfig, ledger: MarginLedger) -> None:
-    tiny = replace(config, d=2, n=4, nt=16, t_end=0.5)
-    system = dense_oracle(tiny)
-    rng = tiny.rng()
-    grid = tiny.grid()
-    m1 = random_field(grid, rng, l2=1.0)
-    m2 = random_field(grid, rng, l2=1.0)
-    M_diff = system.difference_step_matrix(m1, m2, 0.05)
-    M_adj = system.adjoint_step_matrix(m1, m2, 0.05)
-    ledger.residual("oracle_transpose_defect", float(np.max(np.abs(M_adj - M_diff.T))), 1e-12)
-
-
 def run_verify(config: ProblemConfig, out_dir: str) -> ExperimentResult:
-    ledger = MarginLedger()
-    _verify_trilinear(config, ledger)
-    _verify_forchheimer(config, ledger)
-    _verify_energy(config, ledger)
-    _verify_lipschitz(config, ledger)
-    _verify_duality(config, ledger)
-    _verify_delta_ladder(config, ledger)
-    _verify_gradient(config, ledger)
-    _verify_optimize(config, ledger)
-    _verify_oracle(config, ledger)
+    ledger, profile = MarginLedger(), verify_profile(config)
+    for check in CHECKS:
+        check(profile, ledger)
     write_csv(
         os.path.join(out_dir, "verify.csv"),
         ["check", "kind", "value", "tolerance", "pass"],

@@ -32,7 +32,6 @@ from .fields import (
     random_field,
     random_trajectory,
     time_l2_norm,
-    zero_field,
 )
 from .operators import OperatorParams, PairStencil, StateStencil, apply_A
 from .optimizer import ControlProblem
@@ -106,6 +105,11 @@ class ProblemConfig:
     @property
     def wellposed(self) -> bool:
         return self.operator_params().wellposed()
+
+    @property
+    def picard(self) -> dict:
+        """The inner solver control, as keyword arguments of the solves."""
+        return {"picard_tol": self.picard_tol, "max_iters": self.picard_max_iters}
 
     def grid(self) -> Grid:
         return Grid(d=self.d, n=self.n)
@@ -240,8 +244,8 @@ class DenseSystem:
                     amp = phase * t / (math.sqrt(2.0) * vol)
                     basis.append(make_field(grid, [(k, amp)]))
         if len(basis) > self.MAX_DIM:
-            raise ValueError(
-                f"dense dimension {len(basis)} exceeds {self.MAX_DIM}; shrink the grid"
+            raise ConfigError(
+                f"n: dense dimension {len(basis)} at n={grid.n} exceeds the cap {self.MAX_DIM}; shrink the grid"
             )
         self.basis = basis
 
@@ -309,34 +313,14 @@ class DenseSystem:
 
 
 def dense_oracle(config: ProblemConfig) -> DenseSystem:
-    """Dense mirror for the config's grid; rejects dimensions above 64."""
+    """Dense mirror for the config's grid; a dimension above 64 is a
+    ConfigError that names n."""
     return DenseSystem(config.grid(), config.operator_params())
 
 
 # ----------------------------------------------------------------------
-# canonical experiment inputs (seeded)
+# manufactured control problem (seeded)
 # ----------------------------------------------------------------------
-
-def standard_state_inputs(
-    config: ProblemConfig,
-    rng: np.random.Generator | None = None,
-    *,
-    m0_scale: float = 0.0,
-    forcing_scale: float | None = None,
-) -> tuple[SpectralField, Trajectory]:
-    """Seeded (m0, forcing) pair at the config's scales.
-
-    Defaults to spin-up from rest (m0 = 0), the regime the sup-form a-priori
-    margin is checked in.
-    """
-    grid = config.grid()
-    if rng is None:
-        rng = config.rng()
-    amp = config.amplitude
-    m0 = random_field(grid, rng, l2=m0_scale * amp) if m0_scale > 0 else zero_field(grid)
-    f = random_trajectory(grid, config.t_end, config.nt, rng, l2=forcing_scale if forcing_scale is not None else amp)
-    return m0, f
-
 
 def build_tracking_problem(
     config: ProblemConfig,

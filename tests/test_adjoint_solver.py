@@ -21,7 +21,7 @@ from cbfctl import (
     zero_field,
 )
 from cbfctl.fields import random_forcing
-from cbfctl.experiments import observed_order
+from cbfctl.checks import observed_order
 
 
 def _pair(grid, params, rng, t_end=1.0, nt=32, amp=1.0):

@@ -16,8 +16,8 @@ from cbfctl import (
     random_trajectory,
     solve_state,
 )
+from cbfctl.checks import MarginLedger, duality, observed_order, verify_profile
 from cbfctl.cli import main
-from cbfctl.experiments import observed_order
 from cbfctl.fields import random_forcing
 from cbfctl.harness import DenseSystem, build_tracking_problem, config_from_dict
 from cbfctl.operators import PairStencil, StateStencil, trilinear_b
@@ -430,6 +430,15 @@ def test_cli_oracle_experiment(tmp_path):
     assert summary["checks"]["state_reference_order"]["pass"] is True
 
 
+def test_cli_oracle_default_config_exit_3(tmp_path, capsys):
+    # the default n=16 needs a dense dimension of 120, above the cap of 64
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text("{}")
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "config error: n: dense dimension 120 at n=16 exceeds the cap 64" in err
+
+
 def test_cli_delta_sweep_experiment(tmp_path):
     cfg = _write_config(tmp_path, n=8, nt=8, t_end=0.25)
     out = tmp_path / "outsweep"
@@ -440,17 +449,37 @@ def test_cli_delta_sweep_experiment(tmp_path):
     assert all(dists[i] > dists[i + 1] for i in range(len(dists) - 1))
 
 
+VERIFY_ROWS = """trilinear_bqq_rel trilinear_alternation_rel forchheimer_identity_rel monotonicity_gap_min
+    energy_equality_order energy_bound_margin_rel_min energy_bound_margin_rel_min_t_pos
+    lipschitz_margin_rel_min lipschitz_rho_ratio_4 duality_delta0_rel_max duality_delta_0.1_order
+    duality_delta_0.01_order adjoint_energy_margin_rel_min gradient_fd_rel_max vi_residual_rel
+    ioc_residual_rel_min oracle_transpose_defect""".split()
+
+
 def test_cli_verify_experiment_defaults(tmp_path):
-    # the condensed all-invariant battery on the default config
+    # the nine registry checks on the default config: every row, each passing
     cfg = tmp_path / "defaults.json"
     cfg.write_text("{}")
     out = tmp_path / "outverify"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_pass"] is True
-    assert (out / "verify.csv").exists()
-    names = set(summary["checks"])
-    assert {"trilinear_bqq_rel", "duality_delta0_rel_max", "gradient_fd_rel_max"} <= names
+    rows = [line.split(",") for line in (out / "verify.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == VERIFY_ROWS
+    assert all(row[-1] == "True" for row in rows)
+    # records that are not numbers stay out of verify.csv
+    assert set(summary["checks"]) - set(VERIFY_ROWS) == {
+        "delta_ladder_monotone", "gradient_fd_table", "optimize_cost_reduced_5x_within_250",
+        "ioc_q_distance_decreasing", "optimality_unscaled",
+    }
+
+
+def test_verify_duality_order_at_seed_2():
+    # fitted over (nt, 2nt, 4nt); over (nt/4, nt/2, nt) this read 0.774
+    ledger = MarginLedger()
+    duality(verify_profile(config_from_dict({"seed": 2})), ledger)
+    for delta in ("0.1", "0.01"):
+        assert ledger.records[f"duality_delta_{delta}_order"]["value"] >= 0.9
 
 
 def test_cli_optimize_experiment(tmp_path):

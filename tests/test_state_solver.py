@@ -22,8 +22,7 @@ from cbfctl import (
     zero_field,
 )
 from cbfctl.fields import random_forcing
-from cbfctl.harness import config_from_dict, standard_state_inputs
-from cbfctl.experiments import observed_order
+from cbfctl.checks import observed_order
 from oracles import apply_B
 
 
@@ -139,19 +138,20 @@ def test_energy_equality_stokes_regime(params, rng):
 
 
 def test_energy_estimate_spin_up_margins(params):
-    cfg = config_from_dict({"n": 16, "nt": 64, "t_end": 1.0})
+    # spin-up from rest
+    grid = Grid(d=2, n=16)
     for seed in range(5):
-        m0, f = standard_state_inputs(cfg, np.random.default_rng(seed))
-        run = solve_state(m0, f, params)
+        f = random_trajectory(grid, 1.0, 64, np.random.default_rng(seed))
+        run = solve_state(zero_field(grid), f, params)
         K = run.report.energy_bound_K
         assert run.report.energy_bound_margin >= -1e-8 * K
         assert run.report.energy_pointwise_margin >= -1e-8 * K
 
 
 def test_energy_estimate_high_amplitude(params):
-    cfg = config_from_dict({"n": 16, "nt": 64, "t_end": 1.0, "amplitude": 6.0})
-    m0, f = standard_state_inputs(cfg)
-    run = solve_state(m0, f, params)
+    grid = Grid(d=2, n=16)
+    f = random_trajectory(grid, 1.0, 64, np.random.default_rng(20260808), l2=6.0)
+    run = solve_state(zero_field(grid), f, params)
     assert run.report.energy_bound_margin >= -1e-8 * run.report.energy_bound_K
 
 
