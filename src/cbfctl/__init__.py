@@ -46,7 +46,6 @@ from .state_solver import (
     NonConvergenceError,
     SolveReport,
     StateRun,
-    energy_equality_residual,
     lipschitz_check,
     solve_difference,
     solve_state,
@@ -80,7 +79,6 @@ from .harness import (
     DenseSystem,
     ProblemConfig,
     build_tracking_problem,
-    dense_oracle,
     parse_config,
 )
 from .experiments import run_experiment

@@ -58,7 +58,7 @@ from .operators import (
     l4_norm4,
     speed_squared,
 )
-from .state_solver import StateRun, _l2_series, march, solve_difference
+from .state_solver import StateRun, _l2_series, march
 
 
 def time_reverse(traj: Trajectory) -> Trajectory:
@@ -99,22 +99,19 @@ def step_adjoint(
     return SpectralField(p_n.grid, out[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdjointReport:
     """Sampled norms of q, the Picard sweeps of every step in solve order
     (picard_sweeps[j] is reversed step j, which yields q at time index
     nt - 1 - j), and the margins of the adjoint estimates."""
 
-    times: np.ndarray
     q_l2: np.ndarray
     q_v: np.ndarray
     q_l4: np.ndarray
     picard_sweeps: np.ndarray
-    energy_K: float = math.nan
-    energy_margin: float = math.nan
-    kappa: float = math.nan
-    duality_delta_form: float = math.nan
-    duality_limit_form: float = math.nan
+    energy_K: float
+    energy_margin: float
+    kappa: float
 
 
 @dataclass
@@ -209,15 +206,31 @@ def solve_adjoint(
     record(SpectralField(grid, qc[0]))
     solution = Trajectory(grid, m1.t_end, qc)
     q_l2, q_v = spectral_norm_series(solution)
+    q_l4 = np.array(rev_l4[::-1])
+    dt, nt, T = solution.dt, solution.nt, solution.t_end
+    K = math.exp(T) * dt * sum(inner_product_series(h, h)[:nt].tolist())
+    margin = math.nan
+    if params.hypothesis_holds(kappa):
+        int_w = 0.0
+        for w in weighted[::-1]:
+            int_w += dt * w
+        int_qv = dt * float(np.sum(q_v[:-1] ** 2))
+        int_q4 = dt * float(np.sum(q_l4[:-1] ** 4))
+        coeff = params.beta - 1.0 / (2.0 * params.mu * kappa)
+        lhs = float(np.max(q_l2**2)) + 2.0 * params.mu * (1.0 - kappa) * int_qv + 2.0 * delta * int_q4 + coeff * int_w
+        margin = K - lhs
+    else:
+        warnings.warn("coefficient hypothesis fails; adjoint energy margin undefined", RuntimeWarning)
     report = AdjointReport(
-        times=solution.times,
         q_l2=q_l2,
         q_v=q_v,
-        q_l4=np.array(rev_l4[::-1]),
+        q_l4=q_l4,
         picard_sweeps=sweeps,
+        energy_K=K,
+        energy_margin=margin,
         kappa=kappa,
     )
-    run = AdjointRun(
+    return AdjointRun(
         params=params,
         delta=delta,
         coeffs=coeffs,
@@ -226,30 +239,6 @@ def solve_adjoint(
         report=report,
         state_K=state_K,
     )
-    report.energy_K, report.energy_margin = _adjoint_energy(run, kappa, weighted[::-1])
-    return run
-
-
-def _adjoint_energy(run: AdjointRun, kappa: float, weighted: Sequence[float]) -> tuple[float, float]:
-    """(K, margin) of the adjoint energy bound; weighted[n] is
-    int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2 for n < nt."""
-    params = run.params
-    h, q = run.rhs, run.solution
-    dt, nt, T = q.dt, q.nt, q.t_end
-    K = math.exp(T) * dt * sum(inner_product_series(h, h)[:nt].tolist())
-    if not params.hypothesis_holds(kappa):
-        warnings.warn("coefficient hypothesis fails; adjoint energy margin undefined", RuntimeWarning)
-        return K, math.nan
-    r = run.report
-    sup_q2 = float(np.max(r.q_l2**2))
-    int_qv = dt * float(np.sum(r.q_v[:-1] ** 2))
-    int_q4 = dt * float(np.sum(r.q_l4[:-1] ** 4))
-    int_w = 0.0
-    for w in weighted:
-        int_w += dt * w
-    coeff = params.beta - 1.0 / (2.0 * params.mu * kappa)
-    lhs = sup_q2 + 2.0 * params.mu * (1.0 - kappa) * int_qv + 2.0 * run.delta * int_q4 + coeff * int_w
-    return K, K - lhs
 
 
 class DualityReport(NamedTuple):
@@ -264,11 +253,13 @@ def duality_residual(
     run1: StateRun,
     run2: StateRun,
     *,
-    difference: Trajectory | None = None,
+    difference: Trajectory,
 ) -> DualityReport:
     """Discrete residuals of the duality identities.
 
-    delta_form pairs the adjoint with the paired difference solution v:
+    delta_form pairs the adjoint with the paired difference solution
+    v = difference, the trajectory of solve_difference(run1, run2) under the
+    caller's Picard control:
 
         | dt sum_{n<N} (f1_n - f2_n, q_n)
           + delta dt sum_{n<N} <C(q_n), v_n>  -  dt sum_{n=1..N} (h_n, v_n) |.
@@ -282,7 +273,7 @@ def duality_residual(
     """
     if adj.coeffs[0] is not run1.solution or adj.coeffs[1] is not run2.solution:
         raise ValueError("adjoint was not built from the coefficient trajectories of these runs")
-    v = difference if difference is not None else solve_difference(run1, run2).trajectory
+    v = difference
     check_aligned(v, adj.solution)
     q, h = adj.solution, adj.rhs
     dt, nt = q.dt, q.nt
@@ -309,38 +300,30 @@ def duality_residual(
         limit -= dt * hm[n]
         scale += dt * h_l2[n] * v_l2[n]
         running.append(abs(left[n - 1] - rhs))
-    report = DualityReport(
+    return DualityReport(
         delta_form=running[-1],
         limit_form=abs(limit),
         scale=max(scale + abs(cubic), 1e-300),
         running=tuple(running),
     )
-    adj.report.duality_delta_form = report.delta_form
-    adj.report.duality_limit_form = report.limit_form
-    return report
 
 
 class DerivativeBound(NamedTuple):
     margin: float
     sampled_norm: float
-    bound: float
     k_hat: float
     delta_term: float
 
 
-def derivative_bound_check(
-    adj: AdjointRun,
-    *,
-    n_probes: int = 64,
-    rng: np.random.Generator | None = None,
-) -> DerivativeBound:
+def derivative_bound_check(adj: AdjointRun) -> DerivativeBound:
     """Sampled check of the time-derivative dual-norm estimate
 
         || dq/dt ||_{V' + L^{4/3}}  <=  K_hat + delta^{1/4} (K/2)^{3/4}.
 
-    The dual norm is approximated from below by a fixed bank of random test
-    fields with smooth time profiles, so a nonnegative margin is expected but
-    the check is approximate by construction (warning, not failure).  K_hat
+    The dual norm is approximated from below by a fixed bank of 64 random
+    test fields from default_rng(0) with smooth time profiles, so a
+    nonnegative margin is expected but the check is approximate by
+    construction (warning, not failure).  K_hat
     uses the a-priori constants of the coefficient runs when available and
     otherwise their directly computed L4-in-time norms.
     """
@@ -351,7 +334,7 @@ def derivative_bound_check(
     coeff4 = params.beta - 1.0 / (2.0 * params.mu * kappa)
     if coeff4 <= 0 or not (0 < kappa < 1):
         warnings.warn("coefficient hypothesis fails; derivative bound undefined", RuntimeWarning)
-        return DerivativeBound(math.nan, math.nan, math.nan, math.nan, math.nan)
+        return DerivativeBound(math.nan, math.nan, math.nan, math.nan)
 
     int_h2 = dt * sum(inner_product_series(h, h)[:nt].tolist())
     if adj.state_K is not None:
@@ -371,12 +354,11 @@ def derivative_bound_check(
     delta_term = adj.delta ** 0.25 * (K / 2.0) ** 0.75
     bound = k_hat + delta_term
 
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     grid = q.grid
     dq = np.diff(q.coeffs, axis=0)  # row n is q[n + 1] - q[n]
     sampled = 0.0
-    for _ in range(n_probes):
+    for _ in range(64):
         phi = random_field(grid, rng, l2=1.0)
         freq = rng.uniform(0.5, 3.0) * math.pi / T
         phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -390,13 +372,12 @@ def derivative_bound_check(
         denom = max(l2v, l4l4)
         if denom > 0:
             sampled = max(sampled, abs(pairing) / denom)
-    return DerivativeBound(bound - sampled, sampled, bound, k_hat, delta_term)
+    return DerivativeBound(bound - sampled, sampled, k_hat, delta_term)
 
 
 def solve_adjoint_noc(
     state: StateRun,
     m_d: Trajectory,
-    params: OperatorParams | None = None,
     *,
     kappa: float | None = None,
     picard_tol: float = 1e-11,
@@ -404,15 +385,13 @@ def solve_adjoint_noc(
 ) -> AdjointRun:
     """Optimality adjoint at a candidate state: coefficients collapse to
     (m, m), delta = 0, source h = m - m_d."""
-    if params is None:
-        params = state.params
     h = state.solution - m_d
     K = state.report.energy_bound_K
     return solve_adjoint(
         (state.solution, state.solution),
         h,
         0.0,
-        params,
+        state.params,
         kappa=kappa,
         picard_tol=picard_tol,
         max_iters=max_iters,

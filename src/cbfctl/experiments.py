@@ -27,6 +27,7 @@ from .checks import (
     MarginLedger,
     certify_optimum,
     decreasing,
+    delta_ladder_converges,
     observed_order,
     operator_match,
     optimize_certificate,
@@ -43,7 +44,7 @@ from .fields import (
     write_trajectory,
     zero_field,
 )
-from .harness import ProblemConfig, config_to_dict, dense_oracle
+from .harness import DenseSystem, ProblemConfig, config_to_dict
 from .operators import PairStencil, norms
 from .state_solver import solve_difference, solve_state
 from .svg import write_line_chart
@@ -96,7 +97,7 @@ def run_simulate(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     write_norm_series(os.path.join(out_dir, "norms.csv"), run.solution)
     write_line_chart(
         os.path.join(out_dir, "norms.svg"),
-        run.report.times,
+        run.solution.times,
         {"l2": run.report.l2, "v": run.report.v, "l4": run.report.l4},
         title="state norm history",
         xlabel="t",
@@ -184,8 +185,7 @@ def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
         ylabel="distance",
         log_y=True,
     )
-    dists = [x for _, x in ladder]
-    ledger.flag("delta_ladder_monotone", decreasing(dists), dists)
+    delta_ladder_converges(ledger, ladder)
     ledger.margin("adjoint_energy_margin_delta0", base.report.energy_margin, 1e-8 * max(base.report.energy_K, 1e-30))
     summary = _write_summary(out_dir, config, ledger)
     return ExperimentResult(0 if ledger.all_pass else 1, summary)
@@ -193,7 +193,8 @@ def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
 
 def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
-    opt = certify_optimum(optimize_certificate(config))
+    certificate = optimize_certificate(config)
+    opt = certify_optimum(certificate)
     f_star, run_star, trace = opt.result
 
     write_csv(
@@ -213,7 +214,11 @@ def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
         log_y=True,
     )
 
-    ledger.flag("cost_reduced_10x_within_100", opt.J_window <= opt.J0 / 10.0, {"J0": opt.J0, "J_100": opt.J_window})
+    reduction, window = certificate.reduction, certificate.window
+    ledger.flag(
+        f"cost_reduced_{reduction:g}x_within_{window}", opt.J_window <= opt.J0 / reduction,
+        {"J0": opt.J0, f"J_{window}": opt.J_window},
+    )
     ledger.note("J_final", trace.rows[-1].cost)
     tol = config.tol_vi * opt.scale
     ledger.margin("vi_residual", opt.vi, tol)
@@ -236,7 +241,7 @@ def run_oracle(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     grid = config.grid()
     params = config.operator_params()
     rng = config.rng()
-    system = dense_oracle(config)
+    system = DenseSystem(grid, params)
     D = system.dim
     ledger.note("dense_dimension", D)
 

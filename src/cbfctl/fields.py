@@ -354,16 +354,17 @@ class SpectralField:
             return 0.0
         return float(np.max(np.abs(self.coeffs - refl)) / scale)
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Assert the class invariants (used by tests and file ingest)."""
+    def validate(self) -> None:
+        """Assert the class invariants, the two symmetry defects to 1e-12
+        (used by tests and file ingest)."""
         g = self.grid
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
         if np.any(self.coeffs[:, ~g.dealias_mask] != 0):
             raise ValueError("nonzero coefficient outside the dealiased range")
-        if self.hermitian_defect() > tol:
+        if self.hermitian_defect() > 1e-12:
             raise ValueError("Hermitian symmetry violated")
-        if self.divergence_defect() > tol:
+        if self.divergence_defect() > 1e-12:
             raise ValueError("divergence-free constraint violated")
 
 
@@ -531,11 +532,6 @@ class Trajectory:
         return Trajectory.from_fields(grid, t_end, [fn(float(t)) for t in ts])
 
     @staticmethod
-    def constant(field: SpectralField, t_end: float, nt: int) -> "Trajectory":
-        """Every sample is ``field``: a read-only broadcast view, no copies."""
-        return Trajectory(field.grid, t_end, np.broadcast_to(field.coeffs, (nt + 1,) + field.coeffs.shape))
-
-    @staticmethod
     def zero(grid: Grid, t_end: float, nt: int) -> "Trajectory":
         return Trajectory(grid, t_end, np.zeros((nt + 1, grid.d) + grid.shape, dtype=np.complex128))
 
@@ -592,22 +588,21 @@ def random_forcing(
     rng: np.random.Generator,
     *,
     l2: float = 1.0,
-    decay: float = 0.35,
-    n_time_modes: int = 3,
     t_scale: float = 1.0,
 ) -> Callable[[float], SpectralField]:
     """Smooth-in-time random forcing t -> field, resolution-independent.
 
-    Combines ``n_time_modes`` random fields with low-frequency cosine profiles;
-    sample with Trajectory.from_callable at any nt to study dt refinement.
+    Combines three random fields (random_field's default spectrum) with
+    low-frequency cosine profiles; sample with Trajectory.from_callable at
+    any nt to study dt refinement.
     """
-    fields = [random_field(grid, rng, l2=l2, decay=decay) for _ in range(n_time_modes)]
-    freqs = rng.uniform(0.5, 2.5, size=n_time_modes) * math.pi / t_scale
-    phases = rng.uniform(0.0, TAU, size=n_time_modes)
+    fields = [random_field(grid, rng, l2=l2) for _ in range(3)]
+    freqs = rng.uniform(0.5, 2.5, size=3) * math.pi / t_scale
+    phases = rng.uniform(0.0, TAU, size=3)
 
     def fn(t: float) -> SpectralField:
         acc = fields[0] * math.cos(freqs[0] * t + phases[0])
-        for i in range(1, n_time_modes):
+        for i in range(1, len(fields)):
             acc = acc + fields[i] * math.cos(freqs[i] * t + phases[i])
         return acc
 
@@ -621,10 +616,8 @@ def random_trajectory(
     rng: np.random.Generator,
     *,
     l2: float = 1.0,
-    decay: float = 0.35,
-    n_time_modes: int = 3,
 ) -> Trajectory:
-    fn = random_forcing(grid, rng, l2=l2, decay=decay, n_time_modes=n_time_modes, t_scale=t_end)
+    fn = random_forcing(grid, rng, l2=l2, t_scale=t_end)
     return Trajectory.from_callable(grid, t_end, nt, fn)
 
 

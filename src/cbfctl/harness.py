@@ -268,23 +268,22 @@ class DenseSystem:
     def a_matrix(self) -> np.ndarray:
         return self.assemble(apply_A)
 
+    def _step_matrix(self, op: Callable[[SpectralField], SpectralField], dt: float) -> np.ndarray:
+        """Dense implicit matrix I + dt (mu A + alpha I + L) of one slab, L = op."""
+        L = self.assemble(op)
+        return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + L)
+
     def difference_step_matrix(self, m1: SpectralField, m2: SpectralField, dt: float) -> np.ndarray:
         """Dense implicit matrix of one difference-system slab."""
-        st = PairStencil(m1, m2, self.params)
-        L = self.assemble(st.apply)
-        return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + L)
+        return self._step_matrix(PairStencil(m1, m2, self.params).apply, dt)
 
     def adjoint_step_matrix(self, m1: SpectralField, m2: SpectralField, dt: float) -> np.ndarray:
         """Dense implicit matrix of the matching backward slab; equals the
         transpose of difference_step_matrix to round-off."""
-        st = PairStencil(m1, m2, self.params)
-        Lt = self.assemble(st.apply_transpose)
-        return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + Lt)
+        return self._step_matrix(PairStencil(m1, m2, self.params).apply_transpose, dt)
 
     def state_step_matrix(self, m_ref: SpectralField, dt: float) -> np.ndarray:
-        st = StateStencil(m_ref, self.params)
-        L = self.assemble(st.apply)
-        return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + L)
+        return self._step_matrix(StateStencil(m_ref, self.params).apply, dt)
 
     def state_reference(
         self,
@@ -310,12 +309,6 @@ class DenseSystem:
                 x = np.linalg.solve(M, rhs)
             samples.append(self.vec_to_field(x))
         return Trajectory.from_fields(self.grid, t_end, samples)
-
-
-def dense_oracle(config: ProblemConfig) -> DenseSystem:
-    """Dense mirror for the config's grid; a dimension above 64 is a
-    ConfigError that names n."""
-    return DenseSystem(config.grid(), config.operator_params())
 
 
 # ----------------------------------------------------------------------

@@ -148,20 +148,19 @@ class PairStencil:
     def _forch(self, qv: np.ndarray) -> np.ndarray:
         return 0.5 * self.beta * (self._w * qv + np.sum(self._s * qv, axis=0) * self._s)
 
-    def apply(self, v: SpectralField, extra_weight: np.ndarray | None = None) -> SpectralField:
-        """B(m1, v) + B(v, m2) + Forchheimer(v) [+ extra_weight * v pointwise]."""
+    def apply(self, v: SpectralField) -> SpectralField:
+        """B(m1, v) + B(v, m2) + Forchheimer(v)."""
         g = self.grid
         jv = g.grad_physical(v.coeffs)
         vv, gv = jv[0], jv[1:]
         out = np.einsum("i...,ij...->j...", self._m1v, gv)
         out += np.einsum("i...,ij...->j...", vv, self._gm2)
         out += self._forch(vv)
-        if extra_weight is not None:
-            out += extra_weight * vv
         return SpectralField(g, g.project_coeffs(g.from_physical(out)))
 
     def apply_transpose(self, q: SpectralField, extra_weight: np.ndarray | None = None) -> SpectralField:
-        """-B(m1, q) + P{sum_j grad((m2)_j) q_j} + Forchheimer(q) [+ weight]."""
+        """-B(m1, q) + P{sum_j grad((m2)_j) q_j} + Forchheimer(q)
+        [+ extra_weight * q pointwise, the adjoint's delta term]."""
         g = self.grid
         jq = g.grad_physical(q.coeffs)
         qv, gq = jq[0], jq[1:]

@@ -73,10 +73,6 @@ class ControlProblem:
     def t_end(self) -> float:
         return self.target.t_end
 
-    @property
-    def nt(self) -> int:
-        return self.target.nt
-
     def solve(self, f: Trajectory) -> StateRun:
         check_aligned(f, self.target)
         return solve_state(
@@ -130,7 +126,6 @@ class OptimizeTrace:
     rows: list[TraceRow] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-    message: str = ""
 
 
 class OptimizeResult(NamedTuple):
@@ -145,11 +140,10 @@ def optimize(
     *,
     max_iters: int = 100,
     tol: float = 1e-8,
-    armijo_c: float = 1e-4,
-    shrink: float = 0.5,
     max_backtracks: int = 60,
 ) -> OptimizeResult:
-    """Projected gradient descent with Armijo backtracking on the true cost.
+    """Projected gradient descent with Armijo backtracking on the true cost
+    (sufficient-decrease constant 1e-4, step halved per backtrack).
 
     The trial step starts at 1/lambda (warm-started from twice the previous
     accepted step on later iterations); accepted steps never increase J.
@@ -173,12 +167,10 @@ def optimize(
             trace.rows.append(TraceRow(it, J, pg, 0.0, vi_probe))
             trace.converged = True
             trace.iterations = it
-            trace.message = f"projected gradient norm {pg:.3e} <= tol at iteration {it}"
             return OptimizeResult(f, run, trace)
         if it == max_iters:
             trace.rows.append(TraceRow(it, J, pg, 0.0, vi_probe))
             trace.iterations = it
-            trace.message = f"max_iters reached with projected gradient norm {pg:.3e}"
             return OptimizeResult(f, run, trace)
 
         s = s_ref if it == 0 else min(s_ref, 2.0 * s_prev)
@@ -188,10 +180,10 @@ def optimize(
             run_c = problem.solve(cand)
             J_c = cost(cand, run_c.solution, problem.target, problem.lam)
             decrease = time_l2_inner(g, f - cand)
-            if J_c <= J - armijo_c * decrease:
+            if J_c <= J - 1e-4 * decrease:
                 accepted = True
                 break
-            s *= shrink
+            s *= 0.5
         if not accepted:
             raise LineSearchFailure(
                 f"no sufficient decrease after {max_backtracks} backtracks at iteration {it}"
@@ -282,7 +274,7 @@ def ioc_ladder(
     rhos: Sequence[float],
     problem: ControlProblem,
     *,
-    base_run: StateRun | None = None,
+    base_run: StateRun,
 ) -> list[IOCPoint]:
     """IOC residuals over a rho ladder, with ||q_rho - q|| against the
     collapsed optimality adjoint (decreasing as rho -> 0).
@@ -297,9 +289,8 @@ def ioc_ladder(
     where q_rho solves the intermediate adjoint with coefficients (m, m_rho)
     and source m - m_d.  Nonnegative (up to discretization and optimizer
     tolerance) at an optimum, for every admissible u and 0 < rho < 1.
+    base_run is the state of f_tilde, problem.solve(f_tilde).
     """
-    if base_run is None:
-        base_run = problem.solve(f_tilde)
     q_base = solve_adjoint_noc(
         base_run, problem.target, picard_tol=problem.picard_tol, max_iters=problem.picard_max_iters
     )

@@ -175,27 +175,24 @@ def step_state(
     return SpectralField(m_n.grid, out[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Per-run diagnostics: sampled norms, the Picard sweeps of every step
     and the residuals/margins of the energy identities the trajectory is
     supposed to satisfy."""
 
-    times: np.ndarray
     l2: np.ndarray
     v: np.ndarray
     l4: np.ndarray
     f_l2: np.ndarray
     f_pairing: np.ndarray
     picard_sweeps: np.ndarray
-    energy_equality_residual: float = math.nan
-    energy_bound_margin: float = math.nan
-    energy_bound_margin_t_pos: float = math.nan
-    energy_pointwise_margin: float = math.nan
-    energy_bound_K: float = math.nan
-    hypothesis_wellposed: bool = True
-    dissipative: bool | None = None
-    lipschitz_margin: float | None = None
+    energy_equality_residual: float
+    energy_bound_margin: float
+    energy_bound_margin_t_pos: float
+    energy_pointwise_margin: float
+    energy_bound_K: float
+    dissipative: bool | None
 
 
 @dataclass
@@ -253,57 +250,54 @@ def solve_state(
     solution = Trajectory(f.grid, f.t_end, coeffs)
     l4s.append(StateStencil(solution[-1], params).l4)
     l2, v = spectral_norm_series(solution)
+    l4 = np.array(l4s)
+    f_l2 = spectral_norm_series(f)[0]
+    f_pairing = inner_product_series(f, solution)
     dissipative = None
     if not np.any(f.coeffs):
         # unforced: the energy must not grow from one sample to the next
         l2u = _l2_series(solution)
         dissipative = not np.any(l2u[1:] > l2u[:-1] * (1.0 + 1e-12))
+    residual, K, margin, margin_t_pos, pw_margin = _energy(params, solution, l2, v, l4, f_l2, f_pairing)
     report = SolveReport(
-        times=solution.times,
         l2=l2,
         v=v,
-        l4=np.array(l4s),
-        f_l2=spectral_norm_series(f)[0],
-        f_pairing=inner_product_series(f, solution),
+        l4=l4,
+        f_l2=f_l2,
+        f_pairing=f_pairing,
         picard_sweeps=sweeps,
-        hypothesis_wellposed=params.wellposed(),
+        energy_equality_residual=residual,
+        energy_bound_margin=margin,
+        energy_bound_margin_t_pos=margin_t_pos,
+        energy_pointwise_margin=pw_margin,
+        energy_bound_K=K,
         dissipative=dissipative,
     )
-    run = StateRun(params=params, initial=m0, forcing=f, solution=solution, report=report)
-    report.energy_equality_residual = energy_equality_residual(run)
-    (
-        report.energy_bound_K,
-        report.energy_bound_margin,
-        report.energy_bound_margin_t_pos,
-        report.energy_pointwise_margin,
-    ) = _energy_estimate(run)
-    return run
+    return StateRun(params=params, initial=m0, forcing=f, solution=solution, report=report)
 
 
-def energy_equality_residual(run: StateRun) -> float:
-    """Worst-over-time defect of the energy balance
+def _energy(
+    p: OperatorParams,
+    m: Trajectory,
+    l2: np.ndarray,
+    v: np.ndarray,
+    l4: np.ndarray,
+    f_l2: np.ndarray,
+    f_pairing: np.ndarray,
+) -> tuple[float, float, float, float, float]:
+    """(energy equality residual, K_T, sup-form margin, its minimum over t > 0
+    alone, pointwise margin) of the solution m from its sampled norms, all
+    with left-endpoint rectangle integrals over [0, t_i).
+
+    The residual is the worst-over-time defect of the energy balance
 
         ||m(t)||^2 + 2 mu int ||m||_V^2 + 2 alpha int ||m||^2 + 2 beta int ||m||_4^4
             = ||m0||^2 + 2 int (f, m),
 
-    with left-endpoint rectangle integrals; O(dt) for a converged run.
-    """
-    r, p = run.report, run.params
-    dt = run.dt
-    dissip = 2.0 * dt * (p.mu * r.v**2 + p.alpha * r.l2**2 + p.beta * r.l4**4)
-    work = 2.0 * dt * r.f_pairing
-    # cumulative left-endpoint sums over [0, t_i)
-    cum_d = np.concatenate(([0.0], np.cumsum(dissip[:-1])))
-    cum_w = np.concatenate(([0.0], np.cumsum(work[:-1])))
-    resid = r.l2**2 + cum_d - r.l2[0] ** 2 - cum_w
-    return float(np.max(np.abs(resid)))
+    O(dt) for a converged run.
 
-
-def _energy_estimate(run: StateRun) -> tuple[float, float, float, float]:
-    """(K_T, sup-form margin, its minimum over t > 0 alone, pointwise margin)
-    of the a-priori bound; at t = 0 the sup-form margin is 0 by construction.
-
-    The bound with the running supremum on the left,
+    The margins are those of the a-priori bound; at t = 0 the sup-form margin
+    is 0 by construction.  The bound with the running supremum on the left,
 
         sup_{s<=t} ||m(s)||^2 + dissipation integrals  <=  K_t,
 
@@ -315,15 +309,17 @@ def _energy_estimate(run: StateRun) -> tuple[float, float, float, float]:
     margin uses ||m(t)||^2 in place of the supremum, the form the Gronwall
     argument actually yields for every regime.
     """
-    r, p = run.report, run.params
-    dt = run.dt
-    dissip = 2.0 * dt * (p.mu * r.v**2 + p.alpha * r.l2**2 + p.beta * r.l4**4)
+    dt = m.dt
+    dissip = 2.0 * dt * (p.mu * v**2 + p.alpha * l2**2 + p.beta * l4**4)
+    work = 2.0 * dt * f_pairing
     cum_d = np.concatenate(([0.0], np.cumsum(dissip[:-1])))
-    cum_f = np.concatenate(([0.0], np.cumsum(dt * r.f_l2[:-1] ** 2)))
-    K = (r.l2[0] ** 2 + cum_f) * np.exp(r.times)
-    sup_margin = K - (np.maximum.accumulate(r.l2**2) + cum_d)
-    pw_margin = float(np.min(K - (r.l2**2 + cum_d)))
-    return float(K[-1]), float(np.min(sup_margin)), float(np.min(sup_margin[1:])), pw_margin
+    cum_w = np.concatenate(([0.0], np.cumsum(work[:-1])))
+    residual = float(np.max(np.abs(l2**2 + cum_d - l2[0] ** 2 - cum_w)))
+    cum_f = np.concatenate(([0.0], np.cumsum(dt * f_l2[:-1] ** 2)))
+    K = (l2[0] ** 2 + cum_f) * np.exp(m.times)
+    sup_margin = K - (np.maximum.accumulate(l2**2) + cum_d)
+    pw_margin = float(np.min(K - (l2**2 + cum_d)))
+    return residual, float(K[-1]), float(np.min(sup_margin)), float(np.min(sup_margin[1:])), pw_margin
 
 
 class DifferenceSolve(NamedTuple):
@@ -408,7 +404,4 @@ def lipschitz_check(run1: StateRun, run2: StateRun, kappa: float) -> float:
         + 2.0 * params.alpha * int_v_l2
         + 0.5 * coeff4 * int_v_l4
     )
-    margin = math.exp(T) * int_df - lhs
-    run1.report.lipschitz_margin = margin
-    run2.report.lipschitz_margin = margin
-    return margin
+    return math.exp(T) * int_df - lhs

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ def test_time_reverse_involution(grid2d, rng):
     rev = time_reverse(traj)
     for n in range(9):
         assert np.array_equal(rev[n].coeffs, traj[8 - n].coeffs)
-    const = Trajectory.constant(traj[0], 1.0, 4)
+    const = Trajectory.from_fields(grid2d, 1.0, [traj[0]] * 5)
     revc = time_reverse(const)
     for n in range(5):
         assert np.array_equal(revc[n].coeffs, const[n].coeffs)
@@ -76,7 +78,7 @@ def test_duality_provenance_check(grid2d, params, rng):
     other1, other2, _ = _pair(grid2d, params, rng, nt=8)
     adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
     with pytest.raises(ValueError, match="coefficient trajectories"):
-        duality_residual(adj, other1, other2)
+        duality_residual(adj, other1, other2, difference=solve_difference(other1, other2).trajectory)
 
 
 def test_duality_delta_positive_first_order(params, rng):
@@ -132,7 +134,7 @@ def test_step_adjoint_scalar_cubic_oracle(params):
         return make_field(g, [(k, (0.0, a))])
 
     zero_traj = Trajectory.zero(g, dt * nt, nt)
-    h = Trajectory.constant(unit(amp0), dt * nt, nt)
+    h = Trajectory.from_fields(g, dt * nt, [unit(amp0)] * (nt + 1))
     adj = solve_adjoint((zero_traj, zero_traj), h, delta, params)
 
     # reversed-time scalar reference; physical amplitude of mode (a cos form)
@@ -169,7 +171,7 @@ def test_derivative_bound(grid2d, params, rng):
     margins = {}
     for delta in (0.2, 0.1):
         adj = solve_adjoint((run1.solution, run2.solution), h, delta, params, state_K=state_K)
-        rep = derivative_bound_check(adj, n_probes=24)
+        rep = derivative_bound_check(adj)
         assert rep.margin >= 0.0
         margins[delta] = rep
     # the bound's delta term scales by 2^(-1/4) under delta halving
@@ -178,7 +180,7 @@ def test_derivative_bound(grid2d, params, rng):
     # h = 0: both sides vanish
     hz = Trajectory.zero(grid2d, 1.0, 24)
     adjz = solve_adjoint((run1.solution, run2.solution), hz, 0.0, params, state_K=state_K)
-    repz = derivative_bound_check(adjz, n_probes=8)
+    repz = derivative_bound_check(adjz)
     assert repz.sampled_norm == 0.0
     assert repz.k_hat == 0.0
 
@@ -187,7 +189,7 @@ def test_solve_adjoint_noc_zero_at_target(grid2d, params, rng):
     m0 = random_field(grid2d, rng, l2=0.5)
     f = random_trajectory(grid2d, 1.0, 16, rng)
     run = solve_state(m0, f, params)
-    adj = solve_adjoint_noc(run, run.solution, params)
+    adj = solve_adjoint_noc(run, run.solution)
     assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in adj.solution)
 
 
@@ -229,3 +231,13 @@ def test_exact_discrete_transposition_bilinear_identity(grid2d, params, rng):
         rhs = sum(dt * inner_product(h[n], diff.trajectory[n]) for n in range(1, nt + 1))
         scale = max(abs(lhs), abs(rhs), 1e-30)
         assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def test_reports_are_frozen(grid2d, params, rng):
+    # both reports are complete when their solve returns; nothing fills them in later
+    run1, run2, h = _pair(grid2d, params, rng, nt=4)
+    with pytest.raises(FrozenInstanceError):
+        run1.report.energy_bound_K = 0.0
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+    with pytest.raises(FrozenInstanceError):
+        adj.report.energy_margin = 0.0

@@ -305,7 +305,7 @@ def test_trajectory_is_one_read_only_array(grid2d, rng):
     assert np.array_equal(time_reverse(rev).coeffs, a.coeffs)
     with pytest.raises(ValueError):
         rev.coeffs[0, 0, 1, 1] = 1.0
-    const = Trajectory.constant(s, 1.0, 3)
+    const = Trajectory.from_fields(grid2d, 1.0, [s] * 4)
     assert const.nt == 3 and np.array_equal(const[3].coeffs, s.coeffs)
     with pytest.raises(ValueError):
         const.coeffs[0, 0, 1, 1] = 1.0

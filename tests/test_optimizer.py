@@ -49,7 +49,7 @@ def test_cost_constant_unit_error():
     amp = 1.0 / (math.sqrt(2.0) * TAU)
     unit = make_field(g, [((1, 0), (0.0, amp))])
     assert inner_product(unit, unit) == pytest.approx(1.0, rel=1e-13)
-    m = Trajectory.constant(unit, 1.0, 16)
+    m = Trajectory.from_fields(g, 1.0, [unit] * 17)
     target = Trajectory.zero(g, 1.0, 16)
     f = Trajectory.zero(g, 1.0, 16)
     assert cost(f, m, target, 0.7) == pytest.approx(0.5, rel=1e-12)
@@ -196,7 +196,7 @@ def test_ioc_residual_zero_probe(params, rng):
     g = Grid(d=2, n=8)
     problem, _ = _problem(g, params, rng, nt=8)
     f = random_trajectory(g, 0.5, 8, rng)
-    assert ioc_ladder(f, f, (0.25,), problem)[0].residual == 0.0
+    assert ioc_ladder(f, f, (0.25,), problem, base_run=problem.solve(f))[0].residual == 0.0
 
 
 def test_ioc_rho_validation(params, rng):
@@ -204,7 +204,7 @@ def test_ioc_rho_validation(params, rng):
     problem, _ = _problem(g, params, rng, nt=8)
     f = random_trajectory(g, 0.5, 8, rng)
     with pytest.raises(ValueError, match="rho"):
-        ioc_ladder(f, 2.0 * f, (1.5,), problem)
+        ioc_ladder(f, 2.0 * f, (1.5,), problem, base_run=problem.solve(f))
 
 
 def test_ioc_ladder_at_optimum(params, rng):

@@ -9,7 +9,6 @@ from cbfctl import (
     NonConvergenceError,
     OperatorParams,
     Trajectory,
-    energy_equality_residual,
     inner_product,
     lipschitz_check,
     make_field,
