@@ -30,7 +30,6 @@ from .fields import (
     read_trajectory,
     time_l2_inner,
     time_l2_norm,
-    write_norm_series,
     write_trajectory,
     zero_field,
 )

@@ -156,7 +156,6 @@ class Optimality(NamedTuple):
     window: int
     probes: int
     grad_probe: bool  # the bank leads with the projected descent probe
-    ioc_probe: int  # bank index of the IOC ladder's probe
     rhos: tuple[float, ...]
 
 
@@ -204,7 +203,7 @@ def verify_profile(config: ProblemConfig) -> Profile:
         ),
         # lambda small enough that the penalty floor leaves a 5x descent corridor
         optimality=Optimality(
-            replace(config, n=8, nt=32, t_end=0.5, lam=1e-3, amplitude=1.0), 250, 5.0, 250, 8, False, 0, (0.25, 0.1)
+            replace(config, n=8, nt=32, t_end=0.5, lam=1e-3, amplitude=1.0), 250, 5.0, 250, 8, False, (0.25, 0.1)
         ),
         oracle=Oracle((4,), 0.05, 0, s),
     )
@@ -428,7 +427,7 @@ class Optimum(NamedTuple):
 
 def optimize_certificate(config: ProblemConfig) -> Optimality:
     """What the optimize experiment certifies for the config's problem."""
-    return Optimality(config, 300, 10.0, 100, 32, True, 1, RHO_LADDER)
+    return Optimality(config, 300, 10.0, 100, 32, True, RHO_LADDER)
 
 
 def certify_optimum(s: Optimality) -> Optimum:
@@ -439,12 +438,13 @@ def certify_optimum(s: Optimality) -> Optimum:
     problem, f_sharp, _ = build_tracking_problem(config, rng)
     f0 = Trajectory.zero(problem.m0.grid, config.t_end, config.nt)
     result = optimize(problem, f0, max_iters=s.max_iters, tol=0.5 * config.tol_vi * gradient_scale(problem))
-    adj = solve_adjoint_noc(result.state, problem.target, **config.picard)
-    grad = gradient(adj.solution, result.control, problem.lam) if s.grad_probe else None
-    probes = make_probe_bank(result.control, config.radius, s.probes, rng, grad=grad, step=1.0 / problem.lam)
-    vi = vi_residual(result.control, adj.solution, problem.lam, probes)
-    scale = vi_scale(result.control, probes, problem)
-    points = ioc_ladder(result.control, probes[s.ioc_probe], s.rhos, problem, base_run=result.state)
+    f, q = result.control, result.adjoint.solution
+    grad = gradient(q, f, problem.lam) if s.grad_probe else None
+    probes = make_probe_bank(f, config.radius, s.probes, rng, grad=grad, step=1.0 / problem.lam)
+    vi = vi_residual(f, q, problem.lam, probes)
+    scale = vi_scale(f, probes, problem)
+    # the IOC probe is the bank's first random probe
+    points = ioc_ladder(probes[int(s.grad_probe)], s.rhos, problem, base_run=result.state, base_adjoint=result.adjoint)
     rows = result.trace.rows
     J_window = min(r.cost for r in rows[: s.window + 1])
     return Optimum(f_sharp, result, rows[0].cost, J_window, vi, scale, points)

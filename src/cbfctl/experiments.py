@@ -40,7 +40,6 @@ from .fields import (
     random_forcing,
     random_trajectory,
     time_l2_norm,
-    write_norm_series,
     write_trajectory,
     zero_field,
 )
@@ -94,7 +93,11 @@ def run_simulate(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     f = random_trajectory(config.grid(), config.t_end, config.nt, config.rng(), l2=config.amplitude)
     run = solve_state(zero_field(config.grid()), f, config.operator_params(), **config.picard)
     write_trajectory(os.path.join(out_dir, "state.cbft"), run.solution)
-    write_norm_series(os.path.join(out_dir, "norms.csv"), run.solution)
+    write_csv(
+        os.path.join(out_dir, "norms.csv"),
+        ["t", "l2", "v_norm", "l4"],
+        zip(run.solution.times, run.report.l2, run.report.v, run.report.l4),
+    )
     write_line_chart(
         os.path.join(out_dir, "norms.svg"),
         run.solution.times,
@@ -195,7 +198,7 @@ def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger = MarginLedger()
     certificate = optimize_certificate(config)
     opt = certify_optimum(certificate)
-    f_star, run_star, trace = opt.result
+    f_star, run_star, _, trace = opt.result
 
     write_csv(
         os.path.join(out_dir, "trace.csv"),

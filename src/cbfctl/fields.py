@@ -683,11 +683,3 @@ def read_trajectory(path) -> Trajectory:
             raise CBFTFormatError(f"CBFT sample {i}: {exc}") from None
     return Trajectory(grid, t_end, grid.reduce_coeffs(coeffs))
 
-
-def write_norm_series(path, traj: Trajectory) -> None:
-    """CSV norm series: columns t, l2, v_norm, l4."""
-    nm = norm_series(traj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,l2,v_norm,l4\n")
-        for t, l2, v, l4 in zip(traj.times.tolist(), nm.l2.tolist(), nm.v.tolist(), nm.l4.tolist()):
-            fh.write(f"{t!r},{l2!r},{v!r},{l4!r}\n")

@@ -142,6 +142,7 @@ def config_from_dict(raw: dict) -> ProblemConfig:
             return None
         _expect(isinstance(val, (int, float)) and not isinstance(val, bool), fieldname, "must be a number")
         val = float(val)
+        _expect(math.isfinite(val), fieldname, "must be finite")
         if lo is not None:
             _expect(val > lo if strict else val >= lo, fieldname, f"must be {'>' if strict else '>='} {lo}")
         return val
@@ -343,6 +344,7 @@ def build_tracking_problem(
         m0=m0,
         target=hidden_run.solution,
         radius=config.radius,
+        kappa=config.kappa_effective,
         picard_tol=config.picard_tol,
         picard_max_iters=config.picard_max_iters,
     )

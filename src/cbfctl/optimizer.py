@@ -25,7 +25,7 @@ intermediate adjoint built from the coefficient pair (m[f], m[f_rho]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ class ControlProblem:
     m0: SpectralField
     target: Trajectory
     radius: float
+    kappa: float  # the stability split every optimality adjoint's energy margin uses
     picard_tol: float = 1e-11
     picard_max_iters: int = 200
 
@@ -121,16 +122,17 @@ class TraceRow(NamedTuple):
     vi_residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizeTrace:
-    rows: list[TraceRow] = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
+    rows: list[TraceRow]
+    converged: bool
+    iterations: int
 
 
 class OptimizeResult(NamedTuple):
     control: Trajectory
     state: StateRun
+    adjoint: AdjointRun  # the optimality adjoint at state, solved at problem.kappa
     trace: OptimizeTrace
 
 
@@ -155,40 +157,34 @@ def optimize(
     J = cost(f, run.solution, problem.target, problem.lam)
     s_ref = 1.0 / problem.lam
     s_prev = s_ref
-    trace = OptimizeTrace()
+    rows: list[TraceRow] = []
 
     for it in range(max_iters + 1):
-        adj = solve_adjoint_noc(run, problem.target, picard_tol=problem.picard_tol, max_iters=problem.picard_max_iters)
+        adj = solve_adjoint_noc(
+            run, problem.target, kappa=problem.kappa, picard_tol=problem.picard_tol, max_iters=problem.picard_max_iters
+        )
         g = gradient(adj.solution, f, problem.lam)
         probe = project_admissible(f - s_ref * g, problem.radius)
         pg = time_l2_norm(f - probe) / s_ref
         vi_probe = time_l2_inner(probe - f, g)
-        if pg <= tol:
-            trace.rows.append(TraceRow(it, J, pg, 0.0, vi_probe))
-            trace.converged = True
-            trace.iterations = it
-            return OptimizeResult(f, run, trace)
-        if it == max_iters:
-            trace.rows.append(TraceRow(it, J, pg, 0.0, vi_probe))
-            trace.iterations = it
-            return OptimizeResult(f, run, trace)
+        if pg <= tol or it == max_iters:
+            rows.append(TraceRow(it, J, pg, 0.0, vi_probe))
+            return OptimizeResult(f, run, adj, OptimizeTrace(rows, converged=pg <= tol, iterations=it))
 
         s = s_ref if it == 0 else min(s_ref, 2.0 * s_prev)
-        accepted = False
         for _ in range(max_backtracks):
             cand = project_admissible(f - s * g, problem.radius)
             run_c = problem.solve(cand)
             J_c = cost(cand, run_c.solution, problem.target, problem.lam)
             decrease = time_l2_inner(g, f - cand)
             if J_c <= J - 1e-4 * decrease:
-                accepted = True
                 break
             s *= 0.5
-        if not accepted:
+        else:
             raise LineSearchFailure(
                 f"no sufficient decrease after {max_backtracks} backtracks at iteration {it}"
             )
-        trace.rows.append(TraceRow(it, J, pg, s, vi_probe))
+        rows.append(TraceRow(it, J, pg, s, vi_probe))
         f, run, J, s_prev = cand, run_c, J_c, s
 
     raise AssertionError("unreachable")
@@ -269,15 +265,15 @@ class IOCPoint(NamedTuple):
 
 
 def ioc_ladder(
-    f_tilde: Trajectory,
     u_probe: Trajectory,
     rhos: Sequence[float],
     problem: ControlProblem,
     *,
     base_run: StateRun,
+    base_adjoint: AdjointRun,
 ) -> list[IOCPoint]:
     """IOC residuals over a rho ladder, with ||q_rho - q|| against the
-    collapsed optimality adjoint (decreasing as rho -> 0).
+    collapsed optimality adjoint q (decreasing as rho -> 0).
 
     The residual at rho is the finite-increment optimality residual along
     f_rho = f + rho (u - f):
@@ -289,53 +285,40 @@ def ioc_ladder(
     where q_rho solves the intermediate adjoint with coefficients (m, m_rho)
     and source m - m_d.  Nonnegative (up to discretization and optimizer
     tolerance) at an optimum, for every admissible u and 0 < rho < 1.
-    base_run is the state of f_tilde, problem.solve(f_tilde).
+    base_run is the state m of the control f = base_run.forcing, base_adjoint
+    its optimality adjoint q, as optimize returns them.
     """
-    q_base = solve_adjoint_noc(
-        base_run, problem.target, picard_tol=problem.picard_tol, max_iters=problem.picard_max_iters
-    )
-    return [
-        _ioc_point(f_tilde, u_probe, rho, problem, base_run=base_run, q_base=q_base)
-        for rho in rhos
-    ]
-
-
-def _ioc_point(
-    f_tilde: Trajectory,
-    u_probe: Trajectory,
-    rho: float,
-    problem: ControlProblem,
-    *,
-    base_run: StateRun,
-    q_base: AdjointRun,
-) -> IOCPoint:
-    if not 0.0 < rho < 1.0:
+    if not all(0.0 < rho < 1.0 for rho in rhos):
         raise ValueError("rho must lie in (0, 1)")
-    check_aligned(f_tilde, u_probe)
-    du = u_probe - f_tilde
-    f_rho = f_tilde + rho * du
-    run_rho = problem.solve(f_rho)
-    h = base_run.solution - problem.target
-    q_rho = solve_adjoint(
-        (base_run.solution, run_rho.solution),
-        h,
-        0.0,
-        problem.params,
-        picard_tol=problem.picard_tol,
-        max_iters=problem.picard_max_iters,
-        state_K=(base_run.report.energy_bound_K, run_rho.report.energy_bound_K),
-    )
-    dt = f_tilde.dt
-    term1 = 0.0
-    for x in inner_product_series(du, q_rho.solution + problem.lam * f_tilde)[:-1].tolist():
-        term1 += dt * x
-    z = (run_rho.solution - base_run.solution) * (1.0 / rho)
-    term2 = 0.0
-    for x in inner_product_series(z, z)[1:].tolist():
-        term2 += dt * x
-    term2 *= 0.5 * rho
-    term3 = 0.5 * rho * problem.lam * sum((dt * inner_product_series(du, du)[:-1]).tolist())
-    residual = term1 + term2 + term3
-
-    q_dist = time_l2_norm(q_rho.solution - q_base.solution)
-    return IOCPoint(rho, residual, q_dist, q_rho.report.energy_margin)
+    f, m = base_run.forcing, base_run.solution
+    check_aligned(f, u_probe)
+    du = u_probe - f
+    h = m - problem.target
+    lam_f = problem.lam * f
+    dt = f.dt
+    du_sq = sum((dt * inner_product_series(du, du)[:-1]).tolist())
+    points = []
+    for rho in rhos:
+        run_rho = problem.solve(f + rho * du)
+        q_rho = solve_adjoint(
+            (m, run_rho.solution),
+            h,
+            0.0,
+            problem.params,
+            kappa=problem.kappa,
+            picard_tol=problem.picard_tol,
+            max_iters=problem.picard_max_iters,
+            state_K=(base_run.report.energy_bound_K, run_rho.report.energy_bound_K),
+        )
+        term1 = 0.0
+        for x in inner_product_series(du, q_rho.solution + lam_f)[:-1].tolist():
+            term1 += dt * x
+        z = (run_rho.solution - m) * (1.0 / rho)
+        term2 = 0.0
+        for x in inner_product_series(z, z)[1:].tolist():
+            term2 += dt * x
+        term2 *= 0.5 * rho
+        residual = term1 + term2 + 0.5 * rho * problem.lam * du_sq
+        q_dist = time_l2_norm(q_rho.solution - base_adjoint.solution)
+        points.append(IOCPoint(rho, residual, q_dist, q_rho.report.energy_margin))
+    return points

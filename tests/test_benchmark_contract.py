@@ -15,7 +15,10 @@ from pathlib import Path
 import numpy as np
 
 import cbfctl
-from cbfctl import Grid, OperatorParams, SpectralField, Trajectory, random_field
+from cbfctl import (
+    ControlProblem, Grid, OperatorParams, SpectralField, Trajectory, optimize, random_field, random_trajectory,
+    solve_adjoint, solve_difference, solve_state,
+)
 from cbfctl.operators import StateStencil
 from cbfctl.state_solver import _dinv, picard_solve
 
@@ -69,3 +72,23 @@ def test_picard_solve_returns_field_and_sweeps():
     x, sweeps = picard_solve(grid, _dinv(grid, params, dt), m, StateStencil(m, params).apply, dt, 1e-11, 200)
     assert type(x) is SpectralField and x.grid == grid
     assert type(sweeps) is int and sweeps >= 1
+
+
+def test_solver_results_carry_what_the_hooks_read():
+    # the tracer's steps_of and optimize hooks read these attributes of the results
+    grid = Grid(d=2, n=8)
+    params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)
+    rng = np.random.default_rng(2)
+    m0 = random_field(grid, rng, l2=0.3)
+    f1, f2 = (random_trajectory(grid, 0.25, 4, rng, l2=0.5) for _ in range(2))
+    run1, run2 = solve_state(m0, f1, params), solve_state(m0, f2, params)
+    assert type(run1.solution.nt) is int and run1.solution.nt == 4
+    diff = solve_difference(run1, run2)
+    assert type(diff.trajectory.nt) is int and diff.trajectory.nt == 4
+    adj = solve_adjoint((run1.solution, run2.solution), f1, 0.0, params)
+    assert type(adj.solution.nt) is int and adj.solution.nt == 4
+    problem = ControlProblem(
+        params=params, lam=0.1, m0=m0, target=run1.solution, radius=5.0, kappa=params.kappa_star()
+    )
+    trace = optimize(problem, f2, max_iters=2, tol=1e-12).trace
+    assert type(trace.iterations) is int and trace.iterations == len(trace.rows) - 1

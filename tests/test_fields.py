@@ -17,7 +17,6 @@ from cbfctl import (
     random_trajectory,
     read_trajectory,
     time_l2_norm,
-    write_norm_series,
     write_trajectory,
     zero_field,
 )
@@ -370,11 +369,3 @@ def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message)
     with pytest.raises(CBFTFormatError, match=f"sample 1: {message}"):
         read_trajectory(path)
 
-
-def test_norm_series_csv(tmp_path, grid2d, rng):
-    traj = random_trajectory(grid2d, 1.0, 4, rng)
-    path = tmp_path / "norms.csv"
-    write_norm_series(path, traj)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,l2,v_norm,l4"
-    assert len(lines) == 6

@@ -77,6 +77,23 @@ def test_parse_config_errors_name_field(tmp_path):
         parse_config(bad)
 
 
+NUMBER_FIELDS = (
+    "t_end", "mu", "alpha", "beta", "kappa", "lambda", "delta", "radius", "amplitude",
+    "picard_tol", "tol_vi", "tol_duality",
+)
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_config_rejects_non_finite(tmp_path, field, literal):
+    # JSON's Infinity and an overflowing literal both parse to inf
+    path = tmp_path / "inf.json"
+    path.write_text(f'{{"n": 8, "nt": 4, "{field}": {literal}}}')
+    with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+        parse_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+
 # ----------------------------------------------------------------------
 # dense oracle
 # ----------------------------------------------------------------------
@@ -272,7 +289,9 @@ def test_cli_simulate_and_artifacts(tmp_path):
     code = main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert (out / "state.cbft").exists()
-    assert (out / "norms.csv").exists()
+    lines = (out / "norms.csv").read_text().strip().splitlines()
+    assert lines[0] == "t,l2,v_norm,l4"
+    assert len(lines) == 10
     assert (out / "norms.svg").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["experiment"] == "simulate"
@@ -495,6 +514,20 @@ def test_cli_optimize_experiment(tmp_path):
     assert summary["checks"]["vi_residual"]["pass"] is True
     assert summary["checks"]["ioc_q_distance_decreasing"]["pass"] is True
     assert (out / "control.cbft").exists() and (out / "cost.svg").exists()
+
+
+def test_cli_optimize_kappa_reaches_ioc_margin(tmp_path):
+    # kappa enters only the adjoint energy margin: the optimization itself does not move
+    outs = {}
+    for kappa in (0.9, None):
+        cfg = _write_config(tmp_path, f"k{kappa}.json", nt=8, kappa=kappa, **{"lambda": 1e-3})
+        outs[kappa] = tmp_path / f"out{kappa}"
+        assert main(["optimize", "--config", str(cfg), "--out", str(outs[kappa])]) == 0
+    assert (outs[0.9] / "trace.csv").read_bytes() == (outs[None] / "trace.csv").read_bytes()
+    ioc = {k: [line.split(",") for line in (out / "ioc.csv").read_text().splitlines()] for k, out in outs.items()}
+    assert ioc[0.9][0] == ["rho", "residual", "q_distance", "adjoint_margin"]
+    assert [row[:3] for row in ioc[0.9]] == [row[:3] for row in ioc[None]]
+    assert all(a[3] != b[3] for a, b in zip(ioc[0.9][1:], ioc[None][1:]))
 
 
 # Cells of these columns are names or flags.  Every other CSV cell is a number,

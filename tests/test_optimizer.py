@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,11 @@ from cbfctl import (
     vi_residual,
     zero_field,
 )
+import cbfctl.adjoint_solver
+import cbfctl.optimizer
+from cbfctl.checks import certify_optimum, optimize_certificate
 from cbfctl.fields import TAU, time_l2_inner, time_l2_norm
+from cbfctl.harness import config_from_dict
 from cbfctl.optimizer import vi_scale
 
 
@@ -32,7 +37,9 @@ def _problem(grid, params, rng, *, t_end=0.5, nt=32, lam=0.1, radius=20.0, amp=0
     m0 = random_field(grid, rng, l2=0.3 * amp)
     f_sharp = random_trajectory(grid, t_end, nt, rng, l2=amp)
     hidden = solve_state(m0, f_sharp, params)
-    problem = ControlProblem(params=params, lam=lam, m0=m0, target=hidden.solution, radius=radius)
+    problem = ControlProblem(
+        params=params, lam=lam, m0=m0, target=hidden.solution, radius=radius, kappa=params.kappa_star()
+    )
     return problem, f_sharp
 
 
@@ -125,7 +132,9 @@ def test_optimize_already_optimal(grid2d, params, rng):
     m0 = random_field(grid2d, rng, l2=0.5)
     f0 = Trajectory.zero(grid2d, 0.5, 16)
     run = solve_state(m0, f0, params)
-    problem = ControlProblem(params=params, lam=0.1, m0=m0, target=run.solution, radius=5.0)
+    problem = ControlProblem(
+        params=params, lam=0.1, m0=m0, target=run.solution, radius=5.0, kappa=params.kappa_star()
+    )
     result = optimize(problem, f0, max_iters=10, tol=1e-12)
     assert result.trace.converged
     assert result.trace.iterations == 0
@@ -155,6 +164,39 @@ def test_optimize_reduces_cost_monotonically(params, rng):
     costs = [r.cost for r in result.trace.rows]
     assert all(costs[i + 1] <= costs[i] * (1.0 + 1e-14) for i in range(len(costs) - 1))
     assert costs[-1] < costs[0] / 3.0
+
+
+def test_optimize_returns_its_adjoint(params, rng):
+    # the adjoint of the returned state, solved under the problem's kappa and Picard control
+    g = Grid(d=2, n=8)
+    problem, _ = _problem(g, params, rng, nt=16, lam=1e-3, amp=1.0)
+    problem = replace(problem, kappa=0.9, picard_tol=1e-9, picard_max_iters=50)
+    result = optimize(problem, Trajectory.zero(g, 0.5, 16), max_iters=5, tol=1e-10)
+    again = solve_adjoint_noc(result.state, problem.target, picard_tol=1e-9, max_iters=50)
+    assert np.array_equal(result.adjoint.solution.coeffs, again.solution.coeffs)
+    assert np.array_equal(result.adjoint.report.picard_sweeps, again.report.picard_sweeps)
+    assert result.adjoint.report.kappa == 0.9
+    assert result.trace.iterations == len(result.trace.rows) - 1
+
+
+def test_certify_optimum_solves_each_adjoint_once(monkeypatch):
+    # one adjoint per optimize iteration and one per rho; none solved again at the optimum
+    calls = []
+    solve = cbfctl.adjoint_solver.solve_adjoint
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("kappa"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cbfctl.adjoint_solver, "solve_adjoint", counted)
+    monkeypatch.setattr(cbfctl.optimizer, "solve_adjoint", counted)
+    config = config_from_dict(
+        {"experiment": "optimize", "n": 8, "nt": 8, "t_end": 0.5, "lambda": 1e-3, "seed": 7, "kappa": 0.9}
+    )
+    certificate = optimize_certificate(config)
+    opt = certify_optimum(certificate)
+    assert len(calls) == opt.result.trace.iterations + 1 + len(certificate.rhos)
+    assert set(calls) == {0.9}
 
 
 def test_line_search_failure(params, rng):
@@ -196,15 +238,18 @@ def test_ioc_residual_zero_probe(params, rng):
     g = Grid(d=2, n=8)
     problem, _ = _problem(g, params, rng, nt=8)
     f = random_trajectory(g, 0.5, 8, rng)
-    assert ioc_ladder(f, f, (0.25,), problem, base_run=problem.solve(f))[0].residual == 0.0
+    run = problem.solve(f)
+    q = solve_adjoint_noc(run, problem.target)
+    assert ioc_ladder(f, (0.25,), problem, base_run=run, base_adjoint=q)[0].residual == 0.0
 
 
 def test_ioc_rho_validation(params, rng):
     g = Grid(d=2, n=8)
     problem, _ = _problem(g, params, rng, nt=8)
     f = random_trajectory(g, 0.5, 8, rng)
+    run = problem.solve(f)
     with pytest.raises(ValueError, match="rho"):
-        ioc_ladder(f, 2.0 * f, (1.5,), problem, base_run=problem.solve(f))
+        ioc_ladder(2.0 * f, (1.5,), problem, base_run=run, base_adjoint=solve_adjoint_noc(run, problem.target))
 
 
 def test_ioc_ladder_at_optimum(params, rng):
@@ -213,9 +258,10 @@ def test_ioc_ladder_at_optimum(params, rng):
     f0 = Trajectory.zero(g, 0.5, 16)
     result = optimize(problem, f0, max_iters=60, tol=1e-10)
     probes = make_probe_bank(result.control, problem.radius, 2, rng)
-    adj = solve_adjoint_noc(result.state, problem.target)
     scale = vi_scale(result.control, probes, problem)
-    points = ioc_ladder(result.control, probes[0], (0.5, 0.25, 0.1, 0.01), problem, base_run=result.state)
+    points = ioc_ladder(
+        probes[0], (0.5, 0.25, 0.1, 0.01), problem, base_run=result.state, base_adjoint=result.adjoint
+    )
     for pt in points:
         assert pt.residual >= -1e-6 * scale
         assert pt.adjoint_margin >= -1e-8 * max(abs(pt.adjoint_margin), 1.0)
