@@ -38,7 +38,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fields import (
-    Grid,
     _row_sums,
     SpectralField,
     Trajectory,
@@ -49,16 +48,16 @@ from .fields import (
     norms,
     random_field,
     spectral_norm_series,
+    time_l2_inner,
     time_l2_norm,
 )
 from .operators import (
     OperatorParams,
     PairStencil,
     apply_C,
-    l4_norm4,
     speed_squared,
 )
-from .state_solver import StateRun, _l2_series, march
+from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, _l2_series, march
 
 
 def time_reverse(traj: Trajectory) -> Trajectory:
@@ -75,8 +74,8 @@ def step_adjoint(
     delta: float,
     params: OperatorParams,
     *,
-    picard_tol: float = 1e-11,
-    max_iters: int = 200,
+    picard_tol: float = PICARD_TOL,
+    max_iters: int = PICARD_MAX_ITERS,
 ) -> SpectralField:
     """One reversed-time adjoint step (the one-step march).
 
@@ -107,7 +106,6 @@ class AdjointReport:
 
     q_l2: np.ndarray
     q_v: np.ndarray
-    q_l4: np.ndarray
     picard_sweeps: np.ndarray
     energy_K: float
     energy_margin: float
@@ -131,10 +129,6 @@ class AdjointRun:
     state_K: tuple[float, float] | None = None
 
     @property
-    def grid(self) -> Grid:
-        return self.solution.grid
-
-    @property
     def dt(self) -> float:
         return self.solution.dt
 
@@ -145,9 +139,9 @@ def solve_adjoint(
     delta: float,
     params: OperatorParams,
     *,
-    kappa: float | None = None,
-    picard_tol: float = 1e-11,
-    max_iters: int = 200,
+    kappa: float,
+    picard_tol: float = PICARD_TOL,
+    max_iters: int = PICARD_MAX_ITERS,
     state_K: tuple[float, float] | None = None,
 ) -> AdjointRun:
     """Backward solve of the (regularized) adjoint system via time reversal.
@@ -169,8 +163,6 @@ def solve_adjoint(
     check_aligned(m1, h)
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if kappa is None:
-        kappa = params.kappa_star()
 
     grid = m1.grid
     m1r, m2r, hr = time_reverse(m1), time_reverse(m2), time_reverse(h)
@@ -224,7 +216,6 @@ def solve_adjoint(
     report = AdjointReport(
         q_l2=q_l2,
         q_v=q_v,
-        q_l4=q_l4,
         picard_sweeps=sweeps,
         energy_K=K,
         energy_margin=margin,
@@ -323,27 +314,22 @@ def derivative_bound_check(adj: AdjointRun) -> DerivativeBound:
     The dual norm is approximated from below by a fixed bank of 64 random
     test fields from default_rng(0) with smooth time profiles, so a
     nonnegative margin is expected but the check is approximate by
-    construction (warning, not failure).  K_hat
-    uses the a-priori constants of the coefficient runs when available and
-    otherwise their directly computed L4-in-time norms.
+    construction (warning, not failure).  K_hat uses the a-priori constants
+    of the coefficient runs, so the adjoint must carry state_K.
     """
+    if adj.state_K is None:
+        raise ValueError("derivative_bound_check needs state_K: the a-priori constants of the coefficient runs")
     params, q, h = adj.params, adj.solution, adj.rhs
     kappa = adj.report.kappa
     dt, nt, T = q.dt, q.nt, q.t_end
     K = adj.report.energy_K
-    coeff4 = params.beta - 1.0 / (2.0 * params.mu * kappa)
-    if coeff4 <= 0 or not (0 < kappa < 1):
+    if not params.hypothesis_holds(kappa):
         warnings.warn("coefficient hypothesis fails; derivative bound undefined", RuntimeWarning)
         return DerivativeBound(math.nan, math.nan, math.nan, math.nan)
 
-    int_h2 = dt * sum(inner_product_series(h, h)[:nt].tolist())
-    if adj.state_K is not None:
-        amps = [(Ki / (2.0 * params.beta)) ** 0.25 for Ki in adj.state_K]
-    else:
-        amps = [
-            (dt * sum(l4_norm4(m[n]) for n in range(nt))) ** 0.25
-            for m in adj.coeffs
-        ]
+    coeff4 = params.beta - 1.0 / (2.0 * params.mu * kappa)
+    int_h2 = time_l2_inner(h, h)
+    amps = [(Ki / (2.0 * params.beta)) ** 0.25 for Ki in adj.state_K]
     k_hat = (
         math.sqrt(params.mu * K / (2.0 * (1.0 - kappa)))
         + math.sqrt(params.alpha * K / 2.0)
@@ -380,11 +366,16 @@ def solve_adjoint_noc(
     m_d: Trajectory,
     *,
     kappa: float | None = None,
-    picard_tol: float = 1e-11,
-    max_iters: int = 200,
+    picard_tol: float = PICARD_TOL,
+    max_iters: int = PICARD_MAX_ITERS,
 ) -> AdjointRun:
     """Optimality adjoint at a candidate state: coefficients collapse to
-    (m, m), delta = 0, source h = m - m_d."""
+    (m, m), delta = 0, source h = m - m_d.
+
+    kappa=None means the state's kappa_star().  Every caller in the package
+    passes kappa; the default stays only because the benchmark's gradcheck2d
+    workload calls this without it.
+    """
     h = state.solution - m_d
     K = state.report.energy_bound_K
     return solve_adjoint(
@@ -392,7 +383,7 @@ def solve_adjoint_noc(
         h,
         0.0,
         state.params,
-        kappa=kappa,
+        kappa=state.params.kappa_star() if kappa is None else kappa,
         picard_tol=picard_tol,
         max_iters=max_iters,
         state_K=(K, K),
@@ -405,9 +396,9 @@ def delta_sweep(
     deltas: Sequence[float],
     params: OperatorParams,
     *,
-    kappa: float | None = None,
-    picard_tol: float = 1e-11,
-    max_iters: int = 200,
+    kappa: float,
+    picard_tol: float = PICARD_TOL,
+    max_iters: int = PICARD_MAX_ITERS,
 ) -> tuple[AdjointRun, list[tuple[float, float]]]:
     """Distance ||q^delta - q^0||_{L2(0,T;H)} over a delta ladder.
 

@@ -87,8 +87,7 @@ def _write_summary(out_dir: str, config: ProblemConfig, ledger: MarginLedger) ->
 # individual experiments
 # ----------------------------------------------------------------------
 
-def run_simulate(config: ProblemConfig, out_dir: str) -> ExperimentResult:
-    ledger = MarginLedger()
+def run_simulate(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
     # spin-up from rest, the regime the sup-form a-priori margin is checked in
     f = random_trajectory(config.grid(), config.t_end, config.nt, config.rng(), l2=config.amplitude)
     run = solve_state(zero_field(config.grid()), f, config.operator_params(), **config.picard)
@@ -111,8 +110,6 @@ def run_simulate(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     ledger.residual("energy_equality_residual", run.report.energy_equality_residual, 10.0 * run.dt * scale)
     ledger.margin("energy_bound_margin", run.report.energy_bound_margin, 1e-8 * scale)
     ledger.note("energy_bound_K", K)
-    summary = _write_summary(out_dir, config, ledger)
-    return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
 def _adjoint_instance(config: ProblemConfig):
@@ -122,8 +119,7 @@ def _adjoint_instance(config: ProblemConfig):
     return pair_instance(config, draw, draw.rng())
 
 
-def run_adjoint(config: ProblemConfig, out_dir: str) -> ExperimentResult:
-    ledger = MarginLedger()
+def run_adjoint(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
     params = config.operator_params()
     run1, run2, h = _adjoint_instance(config)
     diff = solve_difference(run1, run2, **config.picard)
@@ -162,12 +158,9 @@ def run_adjoint(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     bound = derivative_bound_check(adj)
     ledger.note("derivative_bound_margin", bound.margin)
     ledger.note("derivative_bound_sampled", bound.sampled_norm)
-    summary = _write_summary(out_dir, config, ledger)
-    return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
-    ledger = MarginLedger()
+def run_delta_sweep(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
     params = config.operator_params()
     run1, run2, h = _adjoint_instance(config)
     base, ladder = delta_sweep(
@@ -190,12 +183,9 @@ def run_delta_sweep(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     )
     delta_ladder_converges(ledger, ladder)
     ledger.margin("adjoint_energy_margin_delta0", base.report.energy_margin, 1e-8 * max(base.report.energy_K, 1e-30))
-    summary = _write_summary(out_dir, config, ledger)
-    return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
-    ledger = MarginLedger()
+def run_optimize(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
     certificate = optimize_certificate(config)
     opt = certify_optimum(certificate)
     f_star, run_star, _, trace = opt.result
@@ -235,12 +225,9 @@ def run_optimize(config: ProblemConfig, out_dir: str) -> ExperimentResult:
         [(pt.rho, pt.residual, pt.q_distance, pt.adjoint_margin) for pt in opt.points],
     )
     ledger.note("hidden_control_norm", time_l2_norm(opt.f_sharp))
-    summary = _write_summary(out_dir, config, ledger)
-    return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def run_oracle(config: ProblemConfig, out_dir: str) -> ExperimentResult:
-    ledger = MarginLedger()
+def run_oracle(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
     grid = config.grid()
     params = config.operator_params()
     rng = config.rng()
@@ -271,7 +258,7 @@ def run_oracle(config: ProblemConfig, out_dir: str) -> ExperimentResult:
     nts = [max(config.nt // 4, 4), max(config.nt // 2, 8), config.nt]
     dts, errors = reference_errors(system, m0, f_fn, config.t_end, nts, **config.picard)
     order = observed_order(dts, errors)
-    ledger.order("state_reference_order", order, 0.9)
+    ledger.order("state_reference_order", order)
     write_csv(os.path.join(out_dir, "oracle_order.csv"), ["dt", "error"], zip(dts, errors))
     write_line_chart(
         os.path.join(out_dir, "oracle_order.svg"),
@@ -282,12 +269,10 @@ def run_oracle(config: ProblemConfig, out_dir: str) -> ExperimentResult:
         ylabel="error",
         log_y=True,
     )
-    summary = _write_summary(out_dir, config, ledger)
-    return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
-def run_verify(config: ProblemConfig, out_dir: str) -> ExperimentResult:
-    ledger, profile = MarginLedger(), verify_profile(config)
+def run_verify(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
+    profile = verify_profile(config)
     for check in CHECKS:
         check(profile, ledger)
     write_csv(
@@ -299,8 +284,6 @@ def run_verify(config: ProblemConfig, out_dir: str) -> ExperimentResult:
             if isinstance(rec.get("value"), (int, float))
         ],
     )
-    summary = _write_summary(out_dir, config, ledger)
-    return ExperimentResult(0 if ledger.all_pass else 1, summary)
 
 
 _RUNNERS = {
@@ -314,16 +297,19 @@ _RUNNERS = {
 
 
 def run_experiment(config: ProblemConfig, out_dir) -> ExperimentResult:
-    """Run the config's experiment, writing artifacts into out_dir.
+    """Run the config's experiment, writing artifacts into out_dir; its
+    checks go into one ledger, written last as summary.json.
 
     Failures propagate to the caller, but a summary flagging the partial
     outputs is written first so an interrupted artifact directory is
     self-describing.
     """
+    out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    runner = _RUNNERS[config.experiment]
+    ledger = MarginLedger()
     try:
-        return runner(config, str(out_dir))
+        _RUNNERS[config.experiment](config, out_dir, ledger)
+        summary = _write_summary(out_dir, config, ledger)
     except Exception as exc:
         failure = {
             "experiment": config.experiment,
@@ -335,3 +321,4 @@ def run_experiment(config: ProblemConfig, out_dir) -> ExperimentResult:
             json.dump(failure, fh, indent=2, sort_keys=True)
             fh.write("\n")
         raise
+    return ExperimentResult(0 if ledger.all_pass else 1, summary)

@@ -193,21 +193,14 @@ class Grid:
         pos = (-self.wavenumbers_1d) % self.n
         return np.ix_(*([pos] * self.d))
 
-    @cached_property
-    def mode_positions(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Retained wavenumber tuple -> array index (excludes k = 0)."""
-        out: dict[tuple[int, ...], tuple[int, ...]] = {}
-        it = np.ndindex(*self.shape)
-        kk = self.k.astype(np.int64)
-        for idx in it:
-            if not self.dealias_mask[idx]:
-                continue
-            out[tuple(int(kk[j][idx]) for j in range(self.d))] = idx
-        return out
+    def position(self, k: Sequence[int]) -> tuple[int, ...]:
+        """Array index of the wavenumber k in FFT storage order."""
+        return tuple(ki % self.n for ki in k)
 
     def retained_modes(self) -> list[tuple[int, ...]]:
-        """All retained wavenumber tuples, lexicographically sorted."""
-        return sorted(self.mode_positions)
+        """All retained wavenumber tuples (k = 0 excluded), lexicographically sorted."""
+        kx = self.kmax
+        return [k for k in itertools.product(range(-kx, kx + 1), repeat=self.d) if any(k)]
 
     # ------------------------------------------------------------------
     # raw coefficient-array helpers (module-internal workhorses)
@@ -397,11 +390,9 @@ def make_field(grid: Grid, mode_list: Iterable[tuple[Sequence[int], Sequence[com
         a = np.asarray(amp, dtype=np.complex128)
         if a.shape != (grid.d,):
             raise ValueError(f"amplitude must be a {grid.d}-vector")
-        pos = grid.mode_positions[kt]
-        neg = grid.mode_positions[tuple(-ki for ki in kt)]
-        coeffs[(slice(None),) + pos] += a
-        coeffs[(slice(None),) + neg] += np.conj(a)
-    return SpectralField(grid, grid.project_coeffs(grid.reduce_coeffs(coeffs)))
+        coeffs[(slice(None),) + grid.position(kt)] += a
+        coeffs[(slice(None),) + grid.position([-ki for ki in kt])] += np.conj(a)
+    return leray_project(grid, coeffs)
 
 
 def leray_project(grid: Grid, coeffs: np.ndarray) -> SpectralField:
@@ -482,8 +473,8 @@ class Trajectory:
             raise ValueError(f"trajectory array must have shape (nt+1,) + {sample}")
         if self.coeffs.shape[0] < 2:
             raise ValueError("a trajectory needs nt >= 1, i.e. at least 2 samples")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError("t_end must be positive and finite")
         if self.coeffs.dtype != np.complex128:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
         self.coeffs.setflags(write=False)
@@ -588,7 +579,7 @@ def random_forcing(
     rng: np.random.Generator,
     *,
     l2: float = 1.0,
-    t_scale: float = 1.0,
+    t_scale: float,
 ) -> Callable[[float], SpectralField]:
     """Smooth-in-time random forcing t -> field, resolution-independent.
 

@@ -35,7 +35,7 @@ from .fields import (
 )
 from .operators import OperatorParams, PairStencil, StateStencil, apply_A
 from .optimizer import ControlProblem
-from .state_solver import StateRun, solve_state
+from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, solve_state
 
 EXPERIMENTS = ("simulate", "adjoint", "optimize", "verify", "delta-sweep", "oracle")
 
@@ -59,8 +59,8 @@ _DEFAULTS = {
     "radius": 10.0,
     "amplitude": 1.0,
     "seed": 20260808,
-    "picard_tol": 1e-11,
-    "picard_max_iters": 200,
+    "picard_tol": PICARD_TOL,
+    "picard_max_iters": PICARD_MAX_ITERS,
     "tol_vi": 1e-6,
     "tol_duality": 1e-10,
 }
@@ -318,7 +318,7 @@ class DenseSystem:
 
 def build_tracking_problem(
     config: ProblemConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[ControlProblem, Trajectory, StateRun]:
     """Manufactured velocity-tracking instance.
 
@@ -329,8 +329,6 @@ def build_tracking_problem(
     is not claimed, only trackability.
     """
     grid = config.grid()
-    if rng is None:
-        rng = config.rng()
     params = config.operator_params()
     m0 = random_field(grid, rng, l2=0.3 * config.amplitude)
     f_raw = random_trajectory(grid, config.t_end, config.nt, rng, l2=config.amplitude)

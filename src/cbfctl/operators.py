@@ -35,6 +35,7 @@ instead of transforming again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,9 @@ class OperatorParams:
     beta: float
 
     def __post_init__(self) -> None:
+        for name in ("mu", "alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.mu <= 0:
             raise ValueError("mu must be > 0")
         if self.alpha < 1e-12:

@@ -41,7 +41,7 @@ from .fields import (
     time_l2_norm,
 )
 from .operators import OperatorParams
-from .state_solver import StateRun, solve_state
+from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, solve_state
 from .adjoint_solver import AdjointRun, solve_adjoint, solve_adjoint_noc
 
 
@@ -59,10 +59,13 @@ class ControlProblem:
     target: Trajectory
     radius: float
     kappa: float  # the stability split every optimality adjoint's energy margin uses
-    picard_tol: float = 1e-11
-    picard_max_iters: int = 200
+    picard_tol: float = PICARD_TOL
+    picard_max_iters: int = PICARD_MAX_ITERS
 
     def __post_init__(self) -> None:
+        for name in ("lam", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lam <= 0:
             raise ValueError("lambda must be > 0")
         if self.radius <= 0:
@@ -125,7 +128,6 @@ class TraceRow(NamedTuple):
 @dataclass(frozen=True)
 class OptimizeTrace:
     rows: list[TraceRow]
-    converged: bool
     iterations: int
 
 
@@ -169,7 +171,7 @@ def optimize(
         vi_probe = time_l2_inner(probe - f, g)
         if pg <= tol or it == max_iters:
             rows.append(TraceRow(it, J, pg, 0.0, vi_probe))
-            return OptimizeResult(f, run, adj, OptimizeTrace(rows, converged=pg <= tol, iterations=it))
+            return OptimizeResult(f, run, adj, OptimizeTrace(rows, iterations=it))
 
         s = s_ref if it == 0 else min(s_ref, 2.0 * s_prev)
         for _ in range(max_backtracks):
@@ -242,8 +244,7 @@ def gradient_scale(problem: ControlProblem) -> float:
     the candidate point, so VI/IOC tolerances do not collapse at an optimum.
     """
     T = problem.t_end
-    dt, nt = problem.target.dt, problem.target.nt
-    int_md = dt * sum(inner_product_series(problem.target, problem.target)[:nt].tolist())
+    int_md = time_l2_inner(problem.target, problem.target)
     # sup_t ||m||^2 <= (||m0||^2 + int ||f||^2) e^T <= (||m0||^2 + R^2) e^T
     k_state = (inner_product(problem.m0, problem.m0) + problem.radius**2) * math.exp(T)
     int_h = 2.0 * T * k_state + 2.0 * int_md

@@ -50,12 +50,16 @@ from .fields import (
 from .operators import OperatorParams, PairStencil, StateStencil
 
 CFL_WARN = 2.0
+# The default Picard control of every solve: increment tolerance relative to
+# the right-hand side, and the sweep budget per step.
+PICARD_TOL = 1e-11
+PICARD_MAX_ITERS = 200
 
 
 class NonConvergenceError(RuntimeError):
     """Picard iteration failed to reach tolerance; dt is likely too large."""
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
 
@@ -74,12 +78,8 @@ def _l2c(c: np.ndarray, volume: float) -> float:
     return math.sqrt(max(float(np.real(np.sum(c * np.conj(c))) * volume), 0.0))
 
 
-def _l2(u: SpectralField) -> float:
-    return _l2c(u.coeffs, u.grid.volume)
-
-
 def _l2_series(traj: Trajectory) -> np.ndarray:
-    """_l2(traj[n]) for every sample n."""
+    """_l2c(traj[n].coeffs, volume) for every sample n."""
     return np.sqrt(np.maximum(inner_product_series(traj, traj), 0.0))
 
 
@@ -91,7 +91,7 @@ def picard_solve(
     dt: float,
     tol: float,
     max_iters: int,
-    step: int | None = None,
+    step: int,
 ) -> tuple[SpectralField, int]:
     """Solve (D + dt N) x = rhs with D diagonal per mode and N linear.
 
@@ -109,10 +109,8 @@ def picard_solve(
         if delta <= tol * scale:
             return SpectralField(grid, x), it + 1
     raise NonConvergenceError(
-        f"Picard iteration did not reach {tol:g} within {max_iters} sweeps"
-        + (f" at step {step}" if step is not None else "")
-        + "; reduce dt or amplitudes",
-        step=step,
+        f"Picard iteration did not reach {tol:g} within {max_iters} sweeps at step {step}; reduce dt or amplitudes",
+        step,
     )
 
 
@@ -153,8 +151,8 @@ def step_state(
     dt: float,
     params: OperatorParams,
     *,
-    picard_tol: float = 1e-11,
-    max_iters: int = 200,
+    picard_tol: float = PICARD_TOL,
+    max_iters: int = PICARD_MAX_ITERS,
 ) -> SpectralField:
     """One linearly-implicit state step (the one-step march); output is
     divergence-free and mean-zero."""
@@ -184,15 +182,11 @@ class SolveReport:
     l2: np.ndarray
     v: np.ndarray
     l4: np.ndarray
-    f_l2: np.ndarray
-    f_pairing: np.ndarray
     picard_sweeps: np.ndarray
     energy_equality_residual: float
     energy_bound_margin: float
     energy_bound_margin_t_pos: float
-    energy_pointwise_margin: float
     energy_bound_K: float
-    dissipative: bool | None
 
 
 @dataclass
@@ -219,8 +213,8 @@ def solve_state(
     f: Trajectory,
     params: OperatorParams,
     *,
-    picard_tol: float = 1e-11,
-    max_iters: int = 200,
+    picard_tol: float = PICARD_TOL,
+    max_iters: int = PICARD_MAX_ITERS,
 ) -> StateRun:
     """Integrate the state system on the forcing's time grid.
 
@@ -253,25 +247,16 @@ def solve_state(
     l4 = np.array(l4s)
     f_l2 = spectral_norm_series(f)[0]
     f_pairing = inner_product_series(f, solution)
-    dissipative = None
-    if not np.any(f.coeffs):
-        # unforced: the energy must not grow from one sample to the next
-        l2u = _l2_series(solution)
-        dissipative = not np.any(l2u[1:] > l2u[:-1] * (1.0 + 1e-12))
-    residual, K, margin, margin_t_pos, pw_margin = _energy(params, solution, l2, v, l4, f_l2, f_pairing)
+    residual, K, margin, margin_t_pos = _energy(params, solution, l2, v, l4, f_l2, f_pairing)
     report = SolveReport(
         l2=l2,
         v=v,
         l4=l4,
-        f_l2=f_l2,
-        f_pairing=f_pairing,
         picard_sweeps=sweeps,
         energy_equality_residual=residual,
         energy_bound_margin=margin,
         energy_bound_margin_t_pos=margin_t_pos,
-        energy_pointwise_margin=pw_margin,
         energy_bound_K=K,
-        dissipative=dissipative,
     )
     return StateRun(params=params, initial=m0, forcing=f, solution=solution, report=report)
 
@@ -284,10 +269,10 @@ def _energy(
     l4: np.ndarray,
     f_l2: np.ndarray,
     f_pairing: np.ndarray,
-) -> tuple[float, float, float, float, float]:
+) -> tuple[float, float, float, float]:
     """(energy equality residual, K_T, sup-form margin, its minimum over t > 0
-    alone, pointwise margin) of the solution m from its sampled norms, all
-    with left-endpoint rectangle integrals over [0, t_i).
+    alone) of the solution m from its sampled norms, all with left-endpoint
+    rectangle integrals over [0, t_i).
 
     The residual is the worst-over-time defect of the energy balance
 
@@ -305,9 +290,7 @@ def _energy(
     dissipation history at constant 1 is only attainable when the supremum
     sits at (or near) the current time, i.e. for forced spin-up; a decaying
     transient pays its dissipation out of energy the supremum still counts,
-    and already the continuous inequality fails at small t.  The pointwise
-    margin uses ||m(t)||^2 in place of the supremum, the form the Gronwall
-    argument actually yields for every regime.
+    and already the continuous inequality fails at small t.
     """
     dt = m.dt
     dissip = 2.0 * dt * (p.mu * v**2 + p.alpha * l2**2 + p.beta * l4**4)
@@ -318,8 +301,7 @@ def _energy(
     cum_f = np.concatenate(([0.0], np.cumsum(dt * f_l2[:-1] ** 2)))
     K = (l2[0] ** 2 + cum_f) * np.exp(m.times)
     sup_margin = K - (np.maximum.accumulate(l2**2) + cum_d)
-    pw_margin = float(np.min(K - (l2**2 + cum_d)))
-    return residual, float(K[-1]), float(np.min(sup_margin)), float(np.min(sup_margin[1:])), pw_margin
+    return residual, float(K[-1]), float(np.min(sup_margin)), float(np.min(sup_margin[1:]))
 
 
 class DifferenceSolve(NamedTuple):
@@ -331,8 +313,9 @@ def _require_shared_setup(run1: StateRun, run2: StateRun) -> None:
     if run1.grid != run2.grid:
         raise ValueError("runs live on different grids")
     check_aligned(run1.solution, run2.solution)
-    d0 = _l2(run1.initial - run2.initial)
-    scale = max(_l2(run1.initial), _l2(run2.initial), 1.0)
+    vol = run1.grid.volume
+    d0 = _l2c(run1.initial.coeffs - run2.initial.coeffs, vol)
+    scale = max(_l2c(run1.initial.coeffs, vol), _l2c(run2.initial.coeffs, vol), 1.0)
     if d0 > 1e-12 * scale:
         raise ValueError("runs must share the initial condition")
     if run1.params != run2.params:
@@ -343,8 +326,8 @@ def solve_difference(
     run1: StateRun,
     run2: StateRun,
     *,
-    picard_tol: float = 1e-11,
-    max_iters: int = 200,
+    picard_tol: float = PICARD_TOL,
+    max_iters: int = PICARD_MAX_ITERS,
 ) -> DifferenceSolve:
     """Integrate the linear difference system for v ~ m1 - m2.
 

@@ -10,10 +10,10 @@ _W, _H = 640, 400
 _ML, _MR, _MT, _MB = 70, 20, 36, 48
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def write_line_chart(
@@ -21,9 +21,9 @@ def write_line_chart(
     x: Sequence[float],
     series: Mapping[str, Sequence[float]],
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
     log_y: bool = False,
 ) -> None:
     xs = [float(v) for v in x]

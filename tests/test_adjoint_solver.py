@@ -53,20 +53,20 @@ def test_time_reverse_involution(grid2d, rng):
 def test_zero_source_gives_zero_adjoint(grid2d, params, rng):
     run1, run2, _ = _pair(grid2d, params, rng, nt=8)
     h = Trajectory.zero(grid2d, 1.0, 8)
-    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
     assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in adj.solution)
 
 
 def test_terminal_condition_exact(grid2d, params, rng):
     run1, run2, h = _pair(grid2d, params, rng, nt=16)
-    adj = solve_adjoint((run1.solution, run2.solution), h, 0.1, params)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.1, params, kappa=params.kappa_star())
     assert float(np.max(np.abs(adj.solution[16].coeffs))) == 0.0
 
 
 def test_duality_exact_at_delta_zero(grid2d, params, rng):
     run1, run2, h = _pair(grid2d, params, rng, nt=32)
     diff = solve_difference(run1, run2)
-    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
     rep = duality_residual(adj, run1, run2, difference=diff.trajectory)
     assert rep.delta_form <= 1e-10 * rep.scale
     # limit form replaces v by m1 - m2: only O(dt)
@@ -76,7 +76,7 @@ def test_duality_exact_at_delta_zero(grid2d, params, rng):
 def test_duality_provenance_check(grid2d, params, rng):
     run1, run2, h = _pair(grid2d, params, rng, nt=8)
     other1, other2, _ = _pair(grid2d, params, rng, nt=8)
-    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
     with pytest.raises(ValueError, match="coefficient trajectories"):
         duality_residual(adj, other1, other2, difference=solve_difference(other1, other2).trajectory)
 
@@ -95,7 +95,7 @@ def test_duality_delta_positive_first_order(params, rng):
         run1 = solve_state(m0, f1, params)
         run2 = solve_state(m0, f2, params)
         diff = solve_difference(run1, run2)
-        adj = solve_adjoint((run1.solution, run2.solution), h, 1e-1, params)
+        adj = solve_adjoint((run1.solution, run2.solution), h, 1e-1, params, kappa=params.kappa_star())
         rep = duality_residual(adj, run1, run2, difference=diff.trajectory)
         residuals.append(rep.delta_form)
         dts.append(0.5 / nt)
@@ -105,16 +105,16 @@ def test_duality_delta_positive_first_order(params, rng):
 def test_adjoint_energy_bound(grid2d, params, rng):
     for _ in range(3):
         run1, run2, h = _pair(grid2d, params, rng)
-        adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+        adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
         assert adj.report.energy_margin >= -1e-8 * adj.report.energy_K
-        adj1 = solve_adjoint((run1.solution, run2.solution), h, 0.5, params)
+        adj1 = solve_adjoint((run1.solution, run2.solution), h, 0.5, params, kappa=params.kappa_star())
         assert adj1.report.energy_margin >= -1e-8 * adj1.report.energy_K
 
 
 def test_delta_ladder_monotone(grid2d, params, rng):
     run1, run2, h = _pair(grid2d, params, rng, nt=24)
     _, ladder = delta_sweep(
-        (run1.solution, run2.solution), h, (1e-1, 1e-2, 1e-3, 1e-4), params
+        (run1.solution, run2.solution), h, (1e-1, 1e-2, 1e-3, 1e-4), params, kappa=params.kappa_star()
     )
     dists = [d for _, d in ladder]
     assert all(dists[i] > dists[i + 1] > 0.0 for i in range(len(dists) - 1))
@@ -135,7 +135,7 @@ def test_step_adjoint_scalar_cubic_oracle(params):
 
     zero_traj = Trajectory.zero(g, dt * nt, nt)
     h = Trajectory.from_fields(g, dt * nt, [unit(amp0)] * (nt + 1))
-    adj = solve_adjoint((zero_traj, zero_traj), h, delta, params)
+    adj = solve_adjoint((zero_traj, zero_traj), h, delta, params, kappa=params.kappa_star())
 
     # reversed-time scalar reference; physical amplitude of mode (a cos form)
     # C(field) = 3 a^2 * field in the retained space for this mode
@@ -147,7 +147,7 @@ def test_step_adjoint_scalar_cubic_oracle(params):
         ael.append(a)
     # adjoint solution at original index n corresponds to reversed index nt - n
     for j in (1, nt // 2, nt):
-        coeff = adj.solution[nt - j].coeffs[(slice(None),) + g.mode_positions[k]]
+        coeff = adj.solution[nt - j].coeffs[(slice(None),) + g.position(k)]
         assert coeff[1].imag == pytest.approx(0.0, abs=1e-12)
         assert coeff[1].real == pytest.approx(ael[j - 1], rel=1e-9)
 
@@ -160,7 +160,7 @@ def test_step_adjoint_matches_solver(grid2d, params, rng):
     m2r = time_reverse(run2.solution)
     hr = time_reverse(h)
     for delta in (0.0, 0.3):
-        adj = solve_adjoint((run1.solution, run2.solution), h, delta, params)
+        adj = solve_adjoint((run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star())
         p1 = step_adjoint(p0, m1r[1], m2r[1], hr[0], run1.dt, delta, params)
         assert np.array_equal(p1.coeffs, adj.solution[7].coeffs), delta
 
@@ -170,7 +170,9 @@ def test_derivative_bound(grid2d, params, rng):
     state_K = (run1.report.energy_bound_K, run2.report.energy_bound_K)
     margins = {}
     for delta in (0.2, 0.1):
-        adj = solve_adjoint((run1.solution, run2.solution), h, delta, params, state_K=state_K)
+        adj = solve_adjoint(
+            (run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star(), state_K=state_K
+        )
         rep = derivative_bound_check(adj)
         assert rep.margin >= 0.0
         margins[delta] = rep
@@ -179,7 +181,7 @@ def test_derivative_bound(grid2d, params, rng):
     assert ratio == pytest.approx(2.0 ** (-0.25), rel=1e-12)
     # h = 0: both sides vanish
     hz = Trajectory.zero(grid2d, 1.0, 24)
-    adjz = solve_adjoint((run1.solution, run2.solution), hz, 0.0, params, state_K=state_K)
+    adjz = solve_adjoint((run1.solution, run2.solution), hz, 0.0, params, kappa=params.kappa_star(), state_K=state_K)
     repz = derivative_bound_check(adjz)
     assert repz.sampled_norm == 0.0
     assert repz.k_hat == 0.0
@@ -209,7 +211,7 @@ def test_full_pipeline_3d(grid3d, params, rng):
     # state pair -> difference -> backward adjoint, exact duality in 3D
     run1, run2, h = _pair(grid3d, params, rng, t_end=0.5, nt=16, amp=0.5)
     diff = solve_difference(run1, run2)
-    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
     rep = duality_residual(adj, run1, run2, difference=diff.trajectory)
     assert rep.delta_form <= 1e-10 * rep.scale
     assert adj.report.energy_margin >= -1e-8 * adj.report.energy_K
@@ -222,7 +224,7 @@ def test_exact_discrete_transposition_bilinear_identity(grid2d, params, rng):
     for _ in range(3):
         run1, run2, h = _pair(grid2d, params, rng, nt=16)
         diff = solve_difference(run1, run2)
-        adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+        adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
         dt, nt = run1.dt, 16
         lhs = sum(
             dt * inner_product(run1.forcing[n] - run2.forcing[n], adj.solution[n])
@@ -238,6 +240,22 @@ def test_reports_are_frozen(grid2d, params, rng):
     run1, run2, h = _pair(grid2d, params, rng, nt=4)
     with pytest.raises(FrozenInstanceError):
         run1.report.energy_bound_K = 0.0
-    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
     with pytest.raises(FrozenInstanceError):
         adj.report.energy_margin = 0.0
+
+
+def test_kappa_is_required(grid2d, params, rng):
+    # the energy margin's kappa is always the caller's; no solver picks one
+    run1, run2, h = _pair(grid2d, params, rng, nt=4)
+    with pytest.raises(TypeError, match="kappa"):
+        solve_adjoint((run1.solution, run2.solution), h, 0.0, params)
+    with pytest.raises(TypeError, match="kappa"):
+        delta_sweep((run1.solution, run2.solution), h, (1e-1,), params)
+
+
+def test_derivative_bound_needs_state_K(grid2d, params, rng):
+    run1, run2, h = _pair(grid2d, params, rng, nt=4)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
+    with pytest.raises(ValueError, match="state_K"):
+        derivative_bound_check(adj)

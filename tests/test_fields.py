@@ -24,6 +24,20 @@ from cbfctl.adjoint_solver import time_reverse
 from cbfctl.fields import TAU, CBFTFormatError
 
 
+@pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 4), (3, 8)])
+def test_position_and_retained_modes_match_mask(d, n):
+    # brute force: every slot of the dealias mask, with its wavenumber from Grid.k
+    grid = Grid(d=d, n=n)
+    kk = grid.k.astype(np.int64)
+    slots = {}
+    for idx in np.ndindex(*grid.shape):
+        if grid.dealias_mask[idx]:
+            slots[tuple(int(kk[j][idx]) for j in range(d))] = idx
+    assert grid.retained_modes() == sorted(slots)
+    for k, idx in slots.items():
+        assert grid.position(k) == idx
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(d=1, n=16)
@@ -50,7 +64,7 @@ def test_make_field_shear_mode():
     g = Grid(d=2, n=16)
     u = make_field(g, [((1, 0), (0.0, 1.0))])
     for k in ((1, 0), (-1, 0)):
-        assert np.allclose(u.coeffs[(slice(None),) + g.mode_positions[k]], [0.0, 1.0])
+        assert np.allclose(u.coeffs[(slice(None),) + g.position(k)], [0.0, 1.0])
     u.validate()
     # field is (0, 2 cos x): l2^2 = 2 (2 pi)^2
     assert norms(u).l2 == pytest.approx(math.sqrt(2.0) * TAU, rel=1e-13)
@@ -353,14 +367,14 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
 def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message):
     traj = random_trajectory(grid2d, 1.0, 2, rng)
     c = traj[1].coeffs.copy()
-    pos = grid2d.mode_positions[(1, 2)]
+    pos = grid2d.position((1, 2))
     if defect == "outside":
         c[(0, grid2d.kmax + 1, 0)] = 1.0
     elif defect == "hermitian":
         c[(0,) + pos] += 1e-3j
     elif defect == "divergence":
         c[(slice(None),) + pos] += 1e-3 * np.array([1.0, 2.0])
-        c[(slice(None),) + grid2d.mode_positions[(-1, -2)]] += 1e-3 * np.array([1.0, 2.0])
+        c[(slice(None),) + grid2d.position((-1, -2))] += 1e-3 * np.array([1.0, 2.0])
     else:
         c[(0,) + pos] = np.nan
     bad = Trajectory.from_fields(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))

@@ -6,6 +6,7 @@ import pytest
 
 from cbfctl import (
     ConfigError,
+    ControlProblem,
     Grid,
     OperatorParams,
     Trajectory,
@@ -15,6 +16,7 @@ from cbfctl import (
     random_field,
     random_trajectory,
     solve_state,
+    zero_field,
 )
 from cbfctl.checks import MarginLedger, duality, observed_order, verify_profile
 from cbfctl.cli import main
@@ -92,6 +94,32 @@ def test_config_rejects_non_finite(tmp_path, field, literal):
     with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
         parse_config(path)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+
+def _control_problem(lam=0.1, radius=1.0):
+    grid = Grid(d=2, n=4)
+    return ControlProblem(
+        params=OperatorParams(mu=1.0, alpha=0.1, beta=1.0), lam=lam, m0=zero_field(grid),
+        target=Trajectory.zero(grid, 1.0, 2), radius=radius, kappa=0.75,
+    )
+
+
+_LIBRARY_NUMBERS = {
+    "mu": lambda x: OperatorParams(mu=x, alpha=0.1, beta=1.0),
+    "alpha": lambda x: OperatorParams(mu=1.0, alpha=x, beta=1.0),
+    "beta": lambda x: OperatorParams(mu=1.0, alpha=0.1, beta=x),
+    "t_end": lambda x: Trajectory.zero(Grid(d=2, n=4), x, 2),
+    "lam": lambda x: _control_problem(lam=x),
+    "radius": lambda x: _control_problem(radius=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", sorted(_LIBRARY_NUMBERS))
+def test_library_rejects_non_finite(field, value):
+    # the library path names the field, as config files do
+    with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
+        _LIBRARY_NUMBERS[field](value)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +256,8 @@ def test_difference_and_adjoint_match_dense(tiny_system, rng):
         assert np.allclose(got, x, atol=1e-10)
 
     adj = c.solve_adjoint(
-        (run1.solution, run2.solution), h, 0.0, s.params, picard_tol=1e-13, max_iters=400
+        (run1.solution, run2.solution), h, 0.0, s.params,
+        kappa=s.params.kappa_star(), picard_tol=1e-13, max_iters=400,
     )
     q = np.zeros(s.dim)
     for n in reversed(range(nt)):
@@ -248,7 +277,7 @@ def test_duality_trivial_zero_case(tiny_system, rng):
     run2 = solve_state(m0, f, s.params)
     h = Trajectory.zero(s.grid, 0.5, 8)
     diff = c.solve_difference(run1, run2)
-    adj = c.solve_adjoint((run1.solution, run2.solution), h, 0.0, s.params)
+    adj = c.solve_adjoint((run1.solution, run2.solution), h, 0.0, s.params, kappa=s.params.kappa_star())
     rep = c.duality_residual(adj, run1, run2, difference=diff.trajectory)
     assert rep.delta_form == 0.0
     assert rep.limit_form == 0.0
@@ -276,7 +305,9 @@ def test_same_dt_dense_matches_spectral(tiny_system, rng):
 
 def test_build_tracking_problem_interior(rng):
     cfg = config_from_dict({"n": 8, "nt": 16, "t_end": 0.5, "radius": 10.0})
-    problem, f_sharp, hidden = build_tracking_problem(cfg)
+    with pytest.raises(TypeError, match="rng"):
+        build_tracking_problem(cfg)
+    problem, f_sharp, hidden = build_tracking_problem(cfg, cfg.rng())
     from cbfctl.fields import time_l2_norm
 
     assert time_l2_norm(f_sharp) <= 0.4 * cfg.radius + 1e-12

@@ -91,7 +91,6 @@ def test_solve_state_dissipative_decay(grid2d, params, rng):
     f = Trajectory.zero(grid2d, 1.0, 32)
     run = solve_state(m0, f, params)
     l2s = run.report.l2
-    assert run.report.dissipative is True
     assert all(l2s[i + 1] <= l2s[i] * (1.0 + 1e-12) for i in range(len(l2s) - 1))
     assert l2s[-1] < 0.5 * l2s[0]
 
@@ -144,7 +143,6 @@ def test_energy_estimate_spin_up_margins(params):
         run = solve_state(zero_field(grid), f, params)
         K = run.report.energy_bound_K
         assert run.report.energy_bound_margin >= -1e-8 * K
-        assert run.report.energy_pointwise_margin >= -1e-8 * K
 
 
 def test_energy_estimate_high_amplitude(params):
