@@ -38,15 +38,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fields import (
-    _row_sums,
     SpectralField,
     Trajectory,
     check_aligned,
     inner_product,
     inner_product_series,
     l4_from_speed_squared,
-    norms,
-    random_field,
     spectral_norm_series,
     time_l2_inner,
     time_l2_norm,
@@ -301,31 +298,32 @@ def duality_residual(
 
 class DerivativeBound(NamedTuple):
     margin: float
-    sampled_norm: float
-    k_hat: float
-    delta_term: float
+    norm: float
+    bound: float
 
 
 def derivative_bound_check(adj: AdjointRun) -> DerivativeBound:
-    """Sampled check of the time-derivative dual-norm estimate
+    """Certified check of the time-derivative dual-norm estimate
 
         || dq/dt ||_{V' + L^{4/3}}  <=  K_hat + delta^{1/4} (K/2)^{3/4}.
 
-    The dual norm is approximated from below by a fixed bank of 64 random
-    test fields from default_rng(0) with smooth time profiles, so a
-    nonnegative margin is expected but the check is approximate by
-    construction (warning, not failure).  K_hat uses the a-priori constants
-    of the coefficient runs, so the adjoint must carry state_K.
+    The left side is bounded above by the discrete L2(0,T;V') norm of the
+    difference quotient, which has the closed form
+
+        sqrt( sum_n sum_k |q_{n+1,k} - q_{n,k}|^2 / |k|^2 * vol / dt ),
+
+    attained by the Riesz probe A^{-1} (q_{n+1} - q_n) / dt.  So a nonnegative
+    margin bound - norm certifies the estimate.  K_hat uses the a-priori
+    constants of the coefficient runs, so the adjoint must carry state_K.
     """
     if adj.state_K is None:
         raise ValueError("derivative_bound_check needs state_K: the a-priori constants of the coefficient runs")
     params, q, h = adj.params, adj.solution, adj.rhs
     kappa = adj.report.kappa
-    dt, nt, T = q.dt, q.nt, q.t_end
     K = adj.report.energy_K
     if not params.hypothesis_holds(kappa):
         warnings.warn("coefficient hypothesis fails; derivative bound undefined", RuntimeWarning)
-        return DerivativeBound(math.nan, math.nan, math.nan, math.nan)
+        return DerivativeBound(math.nan, math.nan, math.nan)
 
     coeff4 = params.beta - 1.0 / (2.0 * params.mu * kappa)
     int_h2 = time_l2_inner(h, h)
@@ -337,28 +335,12 @@ def derivative_bound_check(adj: AdjointRun) -> DerivativeBound:
         + math.sqrt(int_h2)
         + 1.5 * params.beta * math.sqrt(K / coeff4) * (amps[0] + amps[1])
     )
-    delta_term = adj.delta ** 0.25 * (K / 2.0) ** 0.75
-    bound = k_hat + delta_term
+    bound = k_hat + adj.delta ** 0.25 * (K / 2.0) ** 0.75
 
-    rng = np.random.default_rng(0)
     grid = q.grid
-    dq = np.diff(q.coeffs, axis=0)  # row n is q[n + 1] - q[n]
-    sampled = 0.0
-    for _ in range(64):
-        phi = random_field(grid, rng, l2=1.0)
-        freq = rng.uniform(0.5, 3.0) * math.pi / T
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        prof = np.cos(freq * q.times + phase)
-        # inner_product(q[n + 1] - q[n], phi) for every n, as one reduction
-        dq_phi = np.real(_row_sums(dq * np.conj(phi.coeffs))) * grid.volume
-        pairing = sum(p * x for p, x in zip(prof[:nt].tolist(), dq_phi.tolist()))
-        nm = norms(phi)
-        l2v = math.sqrt(dt * float(np.sum(prof[:-1] ** 2))) * nm.v
-        l4l4 = (dt * float(np.sum(np.abs(prof[:-1]) ** 4))) ** 0.25 * nm.l4
-        denom = max(l2v, l4l4)
-        if denom > 0:
-            sampled = max(sampled, abs(pairing) / denom)
-    return DerivativeBound(bound - sampled, sampled, k_hat, delta_term)
+    dq_sq = np.sum(np.abs(np.diff(q.coeffs, axis=0)) ** 2, axis=1)  # row n: |q[n + 1] - q[n]|^2 per mode
+    norm = math.sqrt(float(np.sum(dq_sq / grid.k_sq_safe)) * grid.volume / q.dt)
+    return DerivativeBound(bound - norm, norm, bound)
 
 
 def solve_adjoint_noc(
@@ -376,17 +358,14 @@ def solve_adjoint_noc(
     passes kappa; the default stays only because the benchmark's gradcheck2d
     workload calls this without it.
     """
-    h = state.solution - m_d
-    K = state.report.energy_bound_K
     return solve_adjoint(
         (state.solution, state.solution),
-        h,
+        state.solution - m_d,
         0.0,
         state.params,
         kappa=state.params.kappa_star() if kappa is None else kappa,
         picard_tol=picard_tol,
         max_iters=max_iters,
-        state_K=(K, K),
     )
 
 

@@ -108,7 +108,7 @@ def run_simulate(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> N
     K = run.report.energy_bound_K
     scale = max(K, 1e-30)
     ledger.residual("energy_equality_residual", run.report.energy_equality_residual, 10.0 * run.dt * scale)
-    ledger.margin("energy_bound_margin", run.report.energy_bound_margin, 1e-8 * scale)
+    ledger.margin("energy_bound_margin_t_pos", run.report.energy_bound_margin_t_pos, 1e-8 * scale)
     ledger.note("energy_bound_K", K)
 
 
@@ -156,8 +156,8 @@ def run_adjoint(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> No
     ledger.margin("adjoint_energy_margin", adj.report.energy_margin, 1e-8 * max(adj.report.energy_K, 1e-30))
     ledger.residual("difference_defect", diff.defect, 20.0 * dt * max(time_l2_norm(run1.solution - run2.solution), 1e-30))
     bound = derivative_bound_check(adj)
-    ledger.note("derivative_bound_margin", bound.margin)
-    ledger.note("derivative_bound_sampled", bound.sampled_norm)
+    ledger.margin("derivative_bound_margin", bound.margin, 1e-8 * bound.bound)
+    ledger.note("derivative_bound_slack", bound.bound / max(bound.norm, 1e-30))
 
 
 def run_delta_sweep(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:

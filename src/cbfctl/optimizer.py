@@ -309,7 +309,6 @@ def ioc_ladder(
             kappa=problem.kappa,
             picard_tol=problem.picard_tol,
             max_iters=problem.picard_max_iters,
-            state_K=(base_run.report.energy_bound_K, run_rho.report.energy_bound_K),
         )
         term1 = 0.0
         for x in inner_product_series(du, q_rho.solution + lam_f)[:-1].tolist():

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -6,12 +8,14 @@ import pytest
 from cbfctl import (
     Grid,
     OperatorParams,
+    SpectralField,
     Trajectory,
     delta_sweep,
     derivative_bound_check,
     duality_residual,
     inner_product,
     make_field,
+    norms,
     random_field,
     random_trajectory,
     solve_adjoint,
@@ -165,26 +169,63 @@ def test_step_adjoint_matches_solver(grid2d, params, rng):
         assert np.array_equal(p1.coeffs, adj.solution[7].coeffs), delta
 
 
+def _bound_adjoint(run1, run2, h, delta, params):
+    return solve_adjoint(
+        (run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star(),
+        state_K=(run1.report.energy_bound_K, run2.report.energy_bound_K),
+    )
+
+
 def test_derivative_bound(grid2d, params, rng):
     run1, run2, h = _pair(grid2d, params, rng, nt=24)
-    state_K = (run1.report.energy_bound_K, run2.report.energy_bound_K)
-    margins = {}
-    for delta in (0.2, 0.1):
-        adj = solve_adjoint(
-            (run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star(), state_K=state_K
-        )
-        rep = derivative_bound_check(adj)
+    reps = {}
+    for delta in (0.2, 0.1, 0.0):
+        rep = derivative_bound_check(_bound_adjoint(run1, run2, h, delta, params))
+        assert rep.margin == rep.bound - rep.norm
         assert rep.margin >= 0.0
-        margins[delta] = rep
-    # the bound's delta term scales by 2^(-1/4) under delta halving
-    ratio = margins[0.1].delta_term / margins[0.2].delta_term
-    assert ratio == pytest.approx(2.0 ** (-0.25), rel=1e-12)
-    # h = 0: both sides vanish
-    hz = Trajectory.zero(grid2d, 1.0, 24)
-    adjz = solve_adjoint((run1.solution, run2.solution), hz, 0.0, params, kappa=params.kappa_star(), state_K=state_K)
-    repz = derivative_bound_check(adjz)
-    assert repz.sampled_norm == 0.0
-    assert repz.k_hat == 0.0
+        reps[delta] = rep
+    # only the bound's delta term depends on delta; it scales by 2^(-1/4) under delta halving
+    ratio = (reps[0.1].bound - reps[0.0].bound) / (reps[0.2].bound - reps[0.0].bound)
+    assert ratio == pytest.approx(2.0 ** (-0.25), rel=1e-9)
+    # h = 0: q = 0, so the norm vanishes, and K = 0 makes the bound vanish too
+    repz = derivative_bound_check(_bound_adjoint(run1, run2, Trajectory.zero(grid2d, 1.0, 24), 0.0, params))
+    assert repz.norm == 0.0 and repz.bound == 0.0 and repz.margin == 0.0
+
+
+def _time_l2v_pairing(q, psi):
+    """(int (dq/dt, psi) dt, ||psi||_{L2(0,T;V)}) with the difference quotient
+    of q on each step and psi[n] the probe on step n."""
+    dt = q.dt
+    pairing = sum(inner_product(q[n + 1] - q[n], psi[n]) for n in range(q.nt))
+    return pairing, math.sqrt(dt * sum(norms(p).v ** 2 for p in psi))
+
+
+def _trajectories(grid, params, rng, t_end, nt):
+    # an adjoint, a trajectory smooth in time and one with independent samples
+    run1, run2, h = _pair(grid, params, rng, t_end=t_end, nt=nt, amp=0.5)
+    yield run1, run2, h, _bound_adjoint(run1, run2, h, 0.0, params).solution
+    yield run1, run2, h, random_trajectory(grid, t_end, nt, rng)
+    yield run1, run2, h, Trajectory.from_fields(grid, t_end, [random_field(grid, rng) for _ in range(nt + 1)])
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+def test_derivative_norm_is_the_probe_supremum(params, rng, d, n):
+    # no smooth time profile times a random field exceeds the closed form, and
+    # the Riesz probe psi_n = A^{-1} (q_{n+1} - q_n) / dt attains it, so the
+    # norm is exact, not only an upper bound (dropping its 1/dt fails here)
+    grid, t_end, nt = Grid(d=d, n=n), 0.5, 8
+    for run1, run2, h, q in _trajectories(grid, params, rng, t_end, nt):
+        adj = dataclasses.replace(_bound_adjoint(run1, run2, h, 0.0, params), solution=q)
+        norm = derivative_bound_check(adj).norm
+        assert norm > 0.0
+        for _ in range(16):
+            phi = random_field(grid, rng)
+            freq, phase = rng.uniform(0.5, 3.0) * math.pi / t_end, rng.uniform(0.0, 2.0 * math.pi)
+            pairing, size = _time_l2v_pairing(q, [phi * math.cos(freq * t + phase) for t in q.times[:-1].tolist()])
+            assert abs(pairing) / size <= norm * (1.0 + 1e-12)
+        riesz = [SpectralField(grid, (q[n + 1] - q[n]).coeffs / grid.k_sq_safe) * (1.0 / q.dt) for n in range(nt)]
+        pairing, size = _time_l2v_pairing(q, riesz)
+        assert pairing / size == pytest.approx(norm, rel=1e-12)
 
 
 def test_solve_adjoint_noc_zero_at_target(grid2d, params, rng):

@@ -328,6 +328,9 @@ def test_cli_simulate_and_artifacts(tmp_path):
     assert summary["experiment"] == "simulate"
     assert summary["all_pass"] is True
     assert "energy_equality_residual" in summary["checks"]
+    # the gated a-priori margin is the one over t > 0; at t = 0 both sides are ||m0||^2
+    margin = summary["checks"]["energy_bound_margin_t_pos"]
+    assert margin["kind"] == "margin" and margin["value"] > 0.0
 
 
 def test_cli_config_error_exit_3(tmp_path):
@@ -469,6 +472,9 @@ def test_cli_adjoint_experiment(tmp_path):
         assert summary["checks"]["duality_delta_form"]["pass"] is True
         # the running column ends at the certified residual, digit for digit
         assert float(lines[-1].split(",")[-1]) == summary["checks"]["duality_delta_form"]["value"]
+        derivative = summary["checks"]["derivative_bound_margin"]
+        assert derivative["kind"] == "margin" and derivative["pass"] is True
+        assert summary["checks"]["derivative_bound_slack"]["value"] > 1.0
 
 
 def test_cli_oracle_experiment(tmp_path):
@@ -502,7 +508,7 @@ def test_cli_delta_sweep_experiment(tmp_path):
 VERIFY_ROWS = """trilinear_bqq_rel trilinear_alternation_rel forchheimer_identity_rel monotonicity_gap_min
     energy_equality_order energy_bound_margin_rel_min energy_bound_margin_rel_min_t_pos
     lipschitz_margin_rel_min lipschitz_rho_ratio_4 duality_delta0_rel_max duality_delta_0.1_order
-    adjoint_energy_margin_rel_min gradient_fd_rel_max vi_residual_rel
+    adjoint_energy_margin_rel_min derivative_bound_margin_rel_min gradient_fd_rel_max vi_residual_rel
     ioc_residual_rel_min oracle_transpose_defect""".split()
 
 
@@ -528,6 +534,13 @@ def test_verify_duality_order_at_seed_2():
     # fitted over (nt, 2nt, 4nt); over (nt/4, nt/2, nt) this read 0.774
     ledger = MarginLedger()
     duality(verify_profile(config_from_dict({"seed": 2})), ledger)
+    assert ledger.records["duality_delta_0.1_order"]["value"] >= 0.9
+
+
+def test_verify_duality_order_at_small_nt():
+    # the delta > 0 ladder starts at 32 steps; from nt = 8, (8, 16, 32) read 0.802
+    ledger = MarginLedger()
+    duality(verify_profile(config_from_dict({"d": 2, "n": 8, "nt": 8, "t_end": 0.5, "seed": 7})), ledger)
     assert ledger.records["duality_delta_0.1_order"]["value"] >= 0.9
 
 
