@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .adjoint_solver import delta_sweep, derivative_bound_check, duality_residual, solve_adjoint
+from .adjoint_solver import derivative_bound_check
 from .checks import (
     CHECKS,
     Draw,
@@ -28,10 +28,12 @@ from .checks import (
     certify_optimum,
     decreasing,
     delta_ladder_converges,
+    dense_agreement,
     observed_order,
-    operator_match,
     optimize_certificate,
+    pair_duality,
     pair_instance,
+    pair_sweep,
     reference_errors,
     verify_profile,
 )
@@ -39,13 +41,13 @@ from .fields import (
     random_field,
     random_forcing,
     random_trajectory,
+    spectral_norms,
     time_l2_norm,
     write_trajectory,
     zero_field,
 )
 from .harness import DenseSystem, ProblemConfig, config_to_dict
-from .operators import PairStencil, norms
-from .state_solver import solve_difference, solve_state
+from .state_solver import solve_state
 from .svg import write_line_chart
 
 DELTA_LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
@@ -120,19 +122,8 @@ def _adjoint_instance(config: ProblemConfig):
 
 
 def run_adjoint(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
-    params = config.operator_params()
     run1, run2, h = _adjoint_instance(config)
-    diff = solve_difference(run1, run2, **config.picard)
-    adj = solve_adjoint(
-        (run1.solution, run2.solution),
-        h,
-        config.delta,
-        params,
-        kappa=config.kappa_effective,
-        **config.picard,
-        state_K=(run1.report.energy_bound_K, run2.report.energy_bound_K),
-    )
-    dual = duality_residual(adj, run1, run2, difference=diff.trajectory)
+    diff, adj, dual = pair_duality(config, run1, run2, h, config.delta)
 
     q, dt = adj.solution, adj.dt
     write_csv(
@@ -161,16 +152,7 @@ def run_adjoint(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> No
 
 
 def run_delta_sweep(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
-    params = config.operator_params()
-    run1, run2, h = _adjoint_instance(config)
-    base, ladder = delta_sweep(
-        (run1.solution, run2.solution),
-        h,
-        DELTA_LADDER,
-        params,
-        kappa=config.kappa_effective,
-        **config.picard,
-    )
+    base, ladder = pair_sweep(config, *_adjoint_instance(config), DELTA_LADDER)
     write_csv(os.path.join(out_dir, "delta_sweep.csv"), ["delta", "q_dist"], ladder)
     write_line_chart(
         os.path.join(out_dir, "delta_sweep.svg"),
@@ -229,28 +211,23 @@ def run_optimize(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> N
 
 def run_oracle(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
     grid = config.grid()
-    params = config.operator_params()
     rng = config.rng()
-    system = DenseSystem(grid, params)
+    system = DenseSystem(grid, config.operator_params())
     D = system.dim
     ledger.note("dense_dimension", D)
 
     # A is diagonal in the eigenbasis with |k|^2 entries, symmetric PD
     A = system.a_matrix
-    eigs = np.array([norms(e).v ** 2 for e in system.basis])
+    eigs = np.array([spectral_norms(e)[1] ** 2 for e in system.basis])
     ledger.residual("a_matrix_diag_defect", float(np.max(np.abs(A - np.diag(eigs)))), 1e-12 * float(np.max(eigs)))
     ledger.flag("a_matrix_spd", bool(np.all(np.diag(A) > 0)))
 
     m1 = random_field(grid, rng, l2=config.amplitude)
     m2 = random_field(grid, rng, l2=config.amplitude)
-    dt = config.t_end / config.nt
-    M_diff = system.difference_step_matrix(m1, m2, dt)
-    M_adj = system.adjoint_step_matrix(m1, m2, dt)
-    ledger.residual("adjoint_matrix_transpose_defect", float(np.max(np.abs(M_adj - M_diff.T))), 1e-12)
-
     fields = [random_field(grid, rng, l2=1.0) for _ in range(5)]
-    rel = operator_match(system, M_diff, PairStencil(m1, m2, params), dt, fields)
-    ledger.residual("dense_vs_spectral_operator", rel, 1e-12)
+    defect, gap = dense_agreement(system, m1, m2, config.t_end / config.nt, fields)
+    ledger.residual("adjoint_matrix_transpose_defect", defect, 1e-12)
+    ledger.residual("dense_vs_spectral_operator", gap, 1e-12)
 
     # fine-step reference vs spectral state solve, O(dt) with order >= 0.9
     m0 = random_field(grid, rng, l2=config.amplitude)

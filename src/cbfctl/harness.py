@@ -44,50 +44,29 @@ class ConfigError(ValueError):
     """Schema violation; the message names the offending field."""
 
 
-_DEFAULTS = {
-    "experiment": "verify",
-    "d": 2,
-    "n": 16,
-    "nt": 64,
-    "t_end": 1.0,
-    "mu": 1.0,
-    "alpha": 0.1,
-    "beta": 1.0,
-    "kappa": None,
-    "lambda": 0.1,
-    "delta": 0.0,
-    "radius": 10.0,
-    "amplitude": 1.0,
-    "seed": 20260808,
-    "picard_tol": PICARD_TOL,
-    "picard_max_iters": PICARD_MAX_ITERS,
-    "tol_vi": 1e-6,
-    "tol_duality": 1e-10,
-}
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Validated flat configuration; kappa defaults to the midpoint choice."""
+    """Validated flat configuration, each field with its schema default;
+    kappa None is the midpoint choice."""
 
-    experiment: str
-    d: int
-    n: int
-    nt: int
-    t_end: float
-    mu: float
-    alpha: float
-    beta: float
-    kappa: float | None
-    lam: float
-    delta: float
-    radius: float
-    amplitude: float
-    seed: int
-    picard_tol: float
-    picard_max_iters: int
-    tol_vi: float
-    tol_duality: float
+    experiment: str = "verify"
+    d: int = 2
+    n: int = 16
+    nt: int = 64
+    t_end: float = 1.0
+    mu: float = 1.0
+    alpha: float = 0.1
+    beta: float = 1.0
+    kappa: float | None = None
+    lam: float = 0.1
+    delta: float = 0.0
+    radius: float = 10.0
+    amplitude: float = 1.0
+    seed: int = 20260808
+    picard_tol: float = PICARD_TOL
+    picard_max_iters: int = PICARD_MAX_ITERS
+    tol_vi: float = 1e-6
+    tol_duality: float = 1e-10
 
     def operator_params(self) -> OperatorParams:
         return OperatorParams(mu=self.mu, alpha=self.alpha, beta=self.beta)
@@ -131,10 +110,16 @@ def _expect(cond: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
+def _json_name(field: str) -> str:
+    """The JSON key of a ProblemConfig field: lam is "lambda"."""
+    return "lambda" if field == "lam" else field
+
+
 def config_from_dict(raw: dict) -> ProblemConfig:
-    unknown = set(raw) - set(_DEFAULTS)
+    defaults = {_json_name(f.name): f.default for f in fields(ProblemConfig)}
+    unknown = set(raw) - set(defaults)
     _expect(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
-    merged = {**_DEFAULTS, **raw}
+    merged = {**defaults, **raw}
 
     def num(fieldname, lo=None, strict=True, allow_none=False):
         val = merged[fieldname]
@@ -202,7 +187,7 @@ def parse_config(path) -> ProblemConfig:
 
 def config_to_dict(cfg: ProblemConfig) -> dict:
     """The config in the JSON schema: every field by its name, lam as "lambda"."""
-    return {"lambda" if f.name == "lam" else f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return {_json_name(f.name): getattr(cfg, f.name) for f in fields(cfg)}
 
 
 # ----------------------------------------------------------------------

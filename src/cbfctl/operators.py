@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpectralField, _check_same_grid, inner_product, l4_from_speed_squared, norms
+from .fields import SpectralField, _check_same_grid, l4_from_speed_squared
 
 
 @dataclass(frozen=True)
@@ -213,19 +213,3 @@ def l4_norm4(u: SpectralField) -> float:
     uv = g.to_physical(u.coeffs)
     return float(np.sum(np.sum(uv**2, axis=0) ** 2) * g.quad_weight)
 
-
-__all__ = [
-    "OperatorParams",
-    "apply_A",
-    "trilinear_b",
-    "apply_C",
-    "monotonicity_gap",
-    "PairStencil",
-    "StateStencil",
-    "speed_squared",
-    "l4_norm4",
-    "inner_product",
-    "norms",
-    "Grid",
-    "SpectralField",
-]

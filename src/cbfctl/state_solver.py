@@ -184,7 +184,6 @@ class SolveReport:
     l4: np.ndarray
     picard_sweeps: np.ndarray
     energy_equality_residual: float
-    energy_bound_margin: float
     energy_bound_margin_t_pos: float
     energy_bound_K: float
 
@@ -247,14 +246,13 @@ def solve_state(
     l4 = np.array(l4s)
     f_l2 = spectral_norm_series(f)[0]
     f_pairing = inner_product_series(f, solution)
-    residual, K, margin, margin_t_pos = _energy(params, solution, l2, v, l4, f_l2, f_pairing)
+    residual, K, margin_t_pos = _energy(params, solution, l2, v, l4, f_l2, f_pairing)
     report = SolveReport(
         l2=l2,
         v=v,
         l4=l4,
         picard_sweeps=sweeps,
         energy_equality_residual=residual,
-        energy_bound_margin=margin,
         energy_bound_margin_t_pos=margin_t_pos,
         energy_bound_K=K,
     )
@@ -269,9 +267,9 @@ def _energy(
     l4: np.ndarray,
     f_l2: np.ndarray,
     f_pairing: np.ndarray,
-) -> tuple[float, float, float, float]:
-    """(energy equality residual, K_T, sup-form margin, its minimum over t > 0
-    alone) of the solution m from its sampled norms, all with left-endpoint
+) -> tuple[float, float, float]:
+    """(energy equality residual, K_T, the sup-form margin's minimum over
+    t > 0) of the solution m from its sampled norms, all with left-endpoint
     rectangle integrals over [0, t_i).
 
     The residual is the worst-over-time defect of the energy balance
@@ -281,8 +279,8 @@ def _energy(
 
     O(dt) for a converged run.
 
-    The margins are those of the a-priori bound; at t = 0 the sup-form margin
-    is 0 by construction.  The bound with the running supremum on the left,
+    The margin is the a-priori bound's over t > 0; at t = 0 it is 0 by
+    construction.  The bound with the running supremum on the left,
 
         sup_{s<=t} ||m(s)||^2 + dissipation integrals  <=  K_t,
 
@@ -301,7 +299,7 @@ def _energy(
     cum_f = np.concatenate(([0.0], np.cumsum(dt * f_l2[:-1] ** 2)))
     K = (l2[0] ** 2 + cum_f) * np.exp(m.times)
     sup_margin = K - (np.maximum.accumulate(l2**2) + cum_d)
-    return residual, float(K[-1]), float(np.min(sup_margin)), float(np.min(sup_margin[1:]))
+    return residual, float(K[-1]), float(np.min(sup_margin[1:]))
 
 
 class DifferenceSolve(NamedTuple):

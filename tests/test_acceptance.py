@@ -64,7 +64,7 @@ def test_criterion_2_forchheimer_identities():
 def test_criterion_3_energy_equality_and_bound():
     """Energy equality O(dt) with order >= 0.9; a-priori margin on 100 forced runs."""
     ledger, v = _check(3)
-    detail = f"energy order {v['energy_equality_order']:.2f} >= 0.9, worst margin/K {v['energy_bound_margin_rel_min']:.3e} >= -1e-8"
+    detail = f"energy order {v['energy_equality_order']:.2f} >= 0.9, worst margin/K {v['energy_bound_margin_rel_min_t_pos']:.3e} >= -1e-8"
     _report(3, ledger, detail)
 
 

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from cbfctl import (
 from cbfctl.checks import MarginLedger, duality, observed_order, verify_profile
 from cbfctl.cli import main
 from cbfctl.fields import random_forcing
-from cbfctl.harness import DenseSystem, build_tracking_problem, config_from_dict
+from cbfctl.harness import DenseSystem, ProblemConfig, build_tracking_problem, config_from_dict, config_to_dict
 from cbfctl.operators import PairStencil, StateStencil, trilinear_b
 from oracles import b_tensor
 
@@ -46,6 +49,17 @@ def test_parse_config_defaults(tmp_path):
     assert cfg.delta == 0.0
     assert cfg.kappa_effective == pytest.approx(0.75)
     assert cfg.experiment == "verify"
+
+
+def test_config_schema_has_one_source():
+    # the JSON defaults are the dataclass defaults, keyed by JSON name, and
+    # the README's schema table lists exactly those keys
+    schema = {("lambda" if f.name == "lam" else f.name): f.default for f in dataclasses.fields(ProblemConfig)}
+    assert config_to_dict(config_from_dict({})) == schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config schema", 1)[1].split("\n\n###", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    assert sorted(key for row in rows for key in re.findall(r"`([^`]+)`", row)) == sorted(schema)
 
 
 def test_parse_config_hypothesis_flag(tmp_path):
@@ -506,7 +520,7 @@ def test_cli_delta_sweep_experiment(tmp_path):
 
 
 VERIFY_ROWS = """trilinear_bqq_rel trilinear_alternation_rel forchheimer_identity_rel monotonicity_gap_min
-    energy_equality_order energy_bound_margin_rel_min energy_bound_margin_rel_min_t_pos
+    energy_equality_order energy_bound_margin_rel_min_t_pos
     lipschitz_margin_rel_min lipschitz_rho_ratio_4 duality_delta0_rel_max duality_delta_0.1_order
     adjoint_energy_margin_rel_min derivative_bound_margin_rel_min gradient_fd_rel_max vi_residual_rel
     ioc_residual_rel_min oracle_transpose_defect""".split()

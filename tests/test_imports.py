@@ -1,0 +1,39 @@
+"""One import route per name.
+
+Inside the package a name is imported from the module that defines it, never
+through another module's re-export, so each name has one spelling and
+``grep "from .fields import norms"`` finds every user of ``fields.norms``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cbfctl"
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Top-level def, class and assignment targets of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_relative_imports_name_the_defining_module():
+    defined = {p.stem: _defined(ast.parse(p.read_text())) for p in SRC.glob("*.py")}
+    routed = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                routed += [
+                    f"{path.name}: {a.name} from .{node.module}"
+                    for a in node.names if a.name not in defined[node.module]
+                ]
+    assert not routed, routed

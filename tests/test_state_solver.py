@@ -83,7 +83,7 @@ def test_solve_state_zero_everything(grid2d, params):
     run = solve_state(zero_field(grid2d), f, params)
     assert all(float(np.max(np.abs(s.coeffs))) == 0.0 for s in run.solution)
     assert run.report.energy_equality_residual == 0.0
-    assert run.report.energy_bound_margin == 0.0
+    assert run.report.energy_bound_margin_t_pos == 0.0
 
 
 def test_solve_state_dissipative_decay(grid2d, params, rng):
@@ -142,14 +142,14 @@ def test_energy_estimate_spin_up_margins(params):
         f = random_trajectory(grid, 1.0, 64, np.random.default_rng(seed))
         run = solve_state(zero_field(grid), f, params)
         K = run.report.energy_bound_K
-        assert run.report.energy_bound_margin >= -1e-8 * K
+        assert run.report.energy_bound_margin_t_pos >= -1e-8 * K
 
 
 def test_energy_estimate_high_amplitude(params):
     grid = Grid(d=2, n=16)
     f = random_trajectory(grid, 1.0, 64, np.random.default_rng(20260808), l2=6.0)
     run = solve_state(zero_field(grid), f, params)
-    assert run.report.energy_bound_margin >= -1e-8 * run.report.energy_bound_K
+    assert run.report.energy_bound_margin_t_pos >= -1e-8 * run.report.energy_bound_K
 
 
 def test_solve_difference_equal_forcings(grid2d, params, rng):
