@@ -289,9 +289,9 @@ def dense_agreement(
     M_adj - M_diff^T, and the worst relative gap between the dense
     difference-step matrix and the spectral step applied to each field."""
     params = system.params
-    M_diff = system.difference_step_matrix(m1, m2, dt)
-    transpose = float(np.max(np.abs(system.adjoint_step_matrix(m1, m2, dt) - M_diff.T)))
     stencil, worst = PairStencil(m1, m2, params), 0.0
+    M_diff = system.difference_step_matrix(stencil, dt)
+    transpose = float(np.max(np.abs(system.adjoint_step_matrix(stencil, dt) - M_diff.T)))
     for u in fields:
         x = system.field_to_vec(u)
         dense = M_diff @ x

@@ -174,8 +174,8 @@ def run_optimize(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> N
 
     write_csv(
         os.path.join(out_dir, "trace.csv"),
-        ["iter", "J", "grad_norm", "step", "vi_residual"],
-        [(r.iteration, r.cost, r.grad_norm, r.step, r.vi_residual) for r in trace.rows],
+        ["iter", "J", "grad_norm", "step", "backtracks", "vi_residual"],
+        [(r.iteration, r.cost, r.grad_norm, r.step, r.backtracks, r.vi_residual) for r in trace.rows],
     )
     write_trajectory(os.path.join(out_dir, "control.cbft"), f_star)
     write_trajectory(os.path.join(out_dir, "state.cbft"), run_star.solution)
@@ -195,6 +195,7 @@ def run_optimize(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> N
         {"J0": opt.J0, f"J_{window}": opt.J_window},
     )
     ledger.note("J_final", trace.rows[-1].cost)
+    ledger.note("optimizer_stop", trace.stop)
     tol = config.tol_vi * opt.scale
     ledger.margin("vi_residual", opt.vi, tol)
     for pt in opt.points:

@@ -259,14 +259,15 @@ class DenseSystem:
         L = self.assemble(op)
         return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + L)
 
-    def difference_step_matrix(self, m1: SpectralField, m2: SpectralField, dt: float) -> np.ndarray:
-        """Dense implicit matrix of one difference-system slab."""
-        return self._step_matrix(PairStencil(m1, m2, self.params).apply, dt)
+    def difference_step_matrix(self, stencil: PairStencil, dt: float) -> np.ndarray:
+        """Dense implicit matrix of one difference-system slab with the
+        stencil's coefficient pair."""
+        return self._step_matrix(stencil.apply, dt)
 
-    def adjoint_step_matrix(self, m1: SpectralField, m2: SpectralField, dt: float) -> np.ndarray:
+    def adjoint_step_matrix(self, stencil: PairStencil, dt: float) -> np.ndarray:
         """Dense implicit matrix of the matching backward slab; equals the
         transpose of difference_step_matrix to round-off."""
-        return self._step_matrix(PairStencil(m1, m2, self.params).apply_transpose, dt)
+        return self._step_matrix(stencil.apply_transpose, dt)
 
     def state_step_matrix(self, m_ref: SpectralField, dt: float) -> np.ndarray:
         return self._step_matrix(StateStencil(m_ref, self.params).apply, dt)

@@ -117,11 +117,19 @@ def project_admissible(f: Trajectory, radius: float) -> Trajectory:
     return f * (radius / nrm)
 
 
+# An accepted step that lowers J by no more than this share of J changed it by
+# round-off alone.  The adjoint gradient is off the nonlinear map's by O(dt), so
+# its projected-gradient norm has a floor; at that floor accepted steps move J
+# by 0 or 1 ulp, while real descent lowers it by about 1e-12 J or more.
+ROUNDOFF_DECREASE = 8.0 * float(np.finfo(float).eps)
+
+
 class TraceRow(NamedTuple):
     iteration: int
     cost: float
     grad_norm: float
     step: float
+    backtracks: int  # halvings of the trial step before Armijo held
     vi_residual: float
 
 
@@ -129,6 +137,7 @@ class TraceRow(NamedTuple):
 class OptimizeTrace:
     rows: list[TraceRow]
     iterations: int
+    stop: str  # "tol", "stalled" or "max_iters"
 
 
 class OptimizeResult(NamedTuple):
@@ -146,35 +155,49 @@ def optimize(
     tol: float = 1e-8,
     max_backtracks: int = 60,
 ) -> OptimizeResult:
-    """Projected gradient descent with Armijo backtracking on the true cost
-    (sufficient-decrease constant 1e-4, step halved per backtrack).
+    """Spectral projected gradient (Birgin, Martinez & Raydan 2000) with a
+    monotone Armijo search on the true cost (sufficient-decrease constant
+    1e-4, step halved per backtrack); accepted steps never increase J.
 
-    The trial step starts at 1/lambda (warm-started from twice the previous
-    accepted step on later iterations); accepted steps never increase J.
-    Terminates when the projected-gradient norm
-    ||f - P(f - (1/lambda) g)|| * lambda falls below tol, or at max_iters.
+    The trial step is the Barzilai-Borwein step <df, df> / <df, dg>, with df
+    and dg the changes of the iterate and of its gradient over the last
+    accepted step, clipped to at most 1/lambda.  It is 1/lambda on the first
+    iteration and whenever <df, dg> <= 0.
+
+    Stops with trace.stop "tol" when the projected-gradient norm
+    ||f - P(f - (1/lambda) g)|| * lambda falls below tol; "stalled" when the
+    last accepted step lowered J by no more than round-off (ROUNDOFF_DECREASE
+    J), the gradient's accuracy floor; "max_iters" at max_iters.  Every stop
+    returns the final iterate with its state and optimality adjoint.
     """
     f = project_admissible(f_init, problem.radius)
     run = problem.solve(f)
     J = cost(f, run.solution, problem.target, problem.lam)
-    s_ref = 1.0 / problem.lam
-    s_prev = s_ref
+    s_max = 1.0 / problem.lam
     rows: list[TraceRow] = []
+    stalled = False
+    f_prev = g_prev = None
 
     for it in range(max_iters + 1):
         adj = solve_adjoint_noc(
             run, problem.target, kappa=problem.kappa, picard_tol=problem.picard_tol, max_iters=problem.picard_max_iters
         )
         g = gradient(adj.solution, f, problem.lam)
-        probe = project_admissible(f - s_ref * g, problem.radius)
-        pg = time_l2_norm(f - probe) / s_ref
+        probe = project_admissible(f - s_max * g, problem.radius)
+        pg = time_l2_norm(f - probe) / s_max
         vi_probe = time_l2_inner(probe - f, g)
-        if pg <= tol or it == max_iters:
-            rows.append(TraceRow(it, J, pg, 0.0, vi_probe))
-            return OptimizeResult(f, run, adj, OptimizeTrace(rows, iterations=it))
+        stop = "tol" if pg <= tol else "stalled" if stalled else "max_iters" if it == max_iters else None
+        if stop is not None:
+            rows.append(TraceRow(it, J, pg, 0.0, 0, vi_probe))
+            return OptimizeResult(f, run, adj, OptimizeTrace(rows, it, stop))
 
-        s = s_ref if it == 0 else min(s_ref, 2.0 * s_prev)
-        for _ in range(max_backtracks):
+        s = s_max
+        if f_prev is not None:
+            df, dg = f - f_prev, g - g_prev
+            curvature = time_l2_inner(df, dg)
+            if curvature > 0.0:
+                s = min(s_max, time_l2_inner(df, df) / curvature)
+        for backtracks in range(max_backtracks):
             cand = project_admissible(f - s * g, problem.radius)
             run_c = problem.solve(cand)
             J_c = cost(cand, run_c.solution, problem.target, problem.lam)
@@ -186,8 +209,10 @@ def optimize(
             raise LineSearchFailure(
                 f"no sufficient decrease after {max_backtracks} backtracks at iteration {it}"
             )
-        rows.append(TraceRow(it, J, pg, s, vi_probe))
-        f, run, J, s_prev = cand, run_c, J_c, s
+        rows.append(TraceRow(it, J, pg, s, backtracks, vi_probe))
+        stalled = J - J_c <= ROUNDOFF_DECREASE * J
+        f_prev, g_prev = f, g
+        f, run, J = cand, run_c, J_c
 
     raise AssertionError("unreachable")
 

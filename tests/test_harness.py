@@ -194,8 +194,9 @@ def test_trilinear_matches_dense_contraction(tiny_system, rng):
 def test_dense_adjoint_is_transpose(tiny_system, rng):
     m1 = random_field(tiny_system.grid, rng)
     m2 = random_field(tiny_system.grid, rng)
-    M_diff = tiny_system.difference_step_matrix(m1, m2, 0.05)
-    M_adj = tiny_system.adjoint_step_matrix(m1, m2, 0.05)
+    pair = PairStencil(m1, m2, tiny_system.params)
+    M_diff = tiny_system.difference_step_matrix(pair, 0.05)
+    M_adj = tiny_system.adjoint_step_matrix(pair, 0.05)
     assert float(np.max(np.abs(M_adj - M_diff.T))) <= 1e-12
 
 
@@ -263,7 +264,7 @@ def test_difference_and_adjoint_match_dense(tiny_system, rng):
     diff = c.solve_difference(run1, run2, picard_tol=1e-13, max_iters=400)
     x = np.zeros(s.dim)
     for n in range(nt):
-        M = s.difference_step_matrix(run1.solution[n], run2.solution[n], dt)
+        M = s.difference_step_matrix(PairStencil(run1.solution[n], run2.solution[n], s.params), dt)
         g = s.field_to_vec(f1[n] - f2[n])
         x = np.linalg.solve(M, x + dt * g)
         got = s.field_to_vec(diff.trajectory[n + 1])
@@ -275,7 +276,7 @@ def test_difference_and_adjoint_match_dense(tiny_system, rng):
     )
     q = np.zeros(s.dim)
     for n in reversed(range(nt)):
-        M = s.adjoint_step_matrix(run1.solution[n], run2.solution[n], dt)
+        M = s.adjoint_step_matrix(PairStencil(run1.solution[n], run2.solution[n], s.params), dt)
         q = np.linalg.solve(M, q + dt * s.field_to_vec(h[n + 1]))
         got = s.field_to_vec(adj.solution[n])
         assert np.allclose(got, q, atol=1e-10)
@@ -567,10 +568,11 @@ def test_cli_optimize_experiment(tmp_path):
     out = tmp_path / "outopt"
     assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "trace.csv").read_text().strip().splitlines()
-    assert rows[0] == "iter,J,grad_norm,step,vi_residual"
+    assert rows[0] == "iter,J,grad_norm,step,backtracks,vi_residual"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["vi_residual"]["pass"] is True
     assert summary["checks"]["ioc_q_distance_decreasing"]["pass"] is True
+    assert summary["checks"]["optimizer_stop"]["value"] in ("tol", "stalled", "max_iters")
     assert (out / "control.cbft").exists() and (out / "cost.svg").exists()
 
 

@@ -206,11 +206,30 @@ def test_line_search_failure(params, rng):
         optimize(problem, f0, max_iters=3, tol=1e-16, max_backtracks=0)
 
 
-def test_vi_residual_interior_optimum(params, rng):
+def _count_state_solves(monkeypatch) -> list:
+    calls = []
+    solve = cbfctl.optimizer.solve_state
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cbfctl.optimizer, "solve_state", counted)
+    return calls
+
+
+def test_vi_residual_interior_optimum(params, rng, monkeypatch):
     g = Grid(d=2, n=8)
     problem, _ = _problem(g, params, rng, nt=16, lam=0.2, radius=50.0)
     f0 = Trajectory.zero(g, 0.5, 16)
+    solves = _count_state_solves(monkeypatch)
     result = optimize(problem, f0, max_iters=60, tol=1e-10)
+    # tol lies below the adjoint gradient's O(dt) accuracy floor, so the
+    # round-off stop ends the run; without it each Barzilai-Borwein restart
+    # halves about 30 times per iteration until max_iters (1,758 solves here)
+    assert result.trace.stop == "stalled"
+    assert len(solves) <= 145  # the halving search's 60 iterations
+    assert all(r.step <= 1.0 / problem.lam for r in result.trace.rows)
     adj = solve_adjoint_noc(result.state, problem.target)
     gstar = gradient(adj.solution, result.control, problem.lam)
     probes = make_probe_bank(result.control, problem.radius, 16, rng, grad=gstar, step=1.0 / problem.lam)
@@ -251,11 +270,14 @@ def test_ioc_rho_validation(params, rng):
         ioc_ladder(2.0 * f, (1.5,), problem, base_run=run, base_adjoint=solve_adjoint_noc(run, problem.target))
 
 
-def test_ioc_ladder_at_optimum(params, rng):
+def test_ioc_ladder_at_optimum(params, rng, monkeypatch):
     g = Grid(d=2, n=8)
     problem, _ = _problem(g, params, rng, nt=16, lam=0.1, radius=20.0)
     f0 = Trajectory.zero(g, 0.5, 16)
+    solves = _count_state_solves(monkeypatch)
     result = optimize(problem, f0, max_iters=60, tol=1e-10)
+    assert result.trace.stop == "stalled"
+    assert all(r.step <= 1.0 / problem.lam for r in result.trace.rows)
     probes = make_probe_bank(result.control, problem.radius, 2, rng)
     scale = vi_scale(result.control, probes, problem)
     points = ioc_ladder(
@@ -266,3 +288,4 @@ def test_ioc_ladder_at_optimum(params, rng):
         assert pt.adjoint_margin >= -1e-8 * max(abs(pt.adjoint_margin), 1.0)
     dists = [pt.q_distance for pt in points]
     assert all(dists[i] > dists[i + 1] for i in range(len(dists) - 1))
+    assert len(solves) <= 132  # the halving search's 60 iterations and the ladder's 4
