@@ -25,6 +25,7 @@ intermediate adjoint built from the coefficient pair (m[f], m[f_rho]).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -117,11 +118,20 @@ def project_admissible(f: Trajectory, radius: float) -> Trajectory:
     return f * (radius / nrm)
 
 
-# An accepted step that lowers J by no more than this share of J changed it by
+# An accepted step that changes J by no more than this share of J changed it by
 # round-off alone.  The adjoint gradient is off the nonlinear map's by O(dt), so
 # its projected-gradient norm has a floor; at that floor accepted steps move J
 # by 0 or 1 ulp, while real descent lowers it by about 1e-12 J or more.
 ROUNDOFF_DECREASE = 8.0 * float(np.finfo(float).eps)
+
+# The nonmonotone search of Grippo, Lampariello & Lucidi (1986) as spectral
+# projected gradient uses it (Birgin, Martinez & Raydan 2000): a trial is tested
+# against the largest of the last NONMONOTONE_MEMORY accepted costs, and a
+# rejected step s is cut to the minimizer of the quadratic through J, the slope
+# and J_c, kept within [BACKTRACK_MIN s, BACKTRACK_MAX s].
+NONMONOTONE_MEMORY = 10
+BACKTRACK_MIN = 0.1
+BACKTRACK_MAX = 0.5
 
 
 class TraceRow(NamedTuple):
@@ -129,7 +139,7 @@ class TraceRow(NamedTuple):
     cost: float
     grad_norm: float
     step: float
-    backtracks: int  # halvings of the trial step before Armijo held
+    backtracks: int  # step reductions of the trial step before the search accepted it
     vi_residual: float
 
 
@@ -155,9 +165,14 @@ def optimize(
     tol: float = 1e-8,
     max_backtracks: int = 60,
 ) -> OptimizeResult:
-    """Spectral projected gradient (Birgin, Martinez & Raydan 2000) with a
-    monotone Armijo search on the true cost (sufficient-decrease constant
-    1e-4, step halved per backtrack); accepted steps never increase J.
+    """Spectral projected gradient (Birgin, Martinez & Raydan 2000) with the
+    nonmonotone Armijo search of Grippo, Lampariello & Lucidi (1986) on the
+    true cost: a trial f_c = P(f - s g) is accepted when
+    J(f_c) <= max(last NONMONOTONE_MEMORY accepted J) - 1e-4 <g, f - f_c>,
+    so an accepted step may raise J, but that running maximum never rises.
+    A rejected step is cut by safeguarded quadratic interpolation, to within
+    [BACKTRACK_MIN s, BACKTRACK_MAX s], or halved when the quadratic has no
+    minimum.
 
     The trial step is the Barzilai-Borwein step <df, df> / <df, dg>, with df
     and dg the changes of the iterate and of its gradient over the last
@@ -166,7 +181,7 @@ def optimize(
 
     Stops with trace.stop "tol" when the projected-gradient norm
     ||f - P(f - (1/lambda) g)|| * lambda falls below tol; "stalled" when the
-    last accepted step lowered J by no more than round-off (ROUNDOFF_DECREASE
+    last accepted step changed J by no more than round-off (ROUNDOFF_DECREASE
     J), the gradient's accuracy floor; "max_iters" at max_iters.  Every stop
     returns the final iterate with its state and optimality adjoint.
     """
@@ -175,6 +190,7 @@ def optimize(
     J = cost(f, run.solution, problem.target, problem.lam)
     s_max = 1.0 / problem.lam
     rows: list[TraceRow] = []
+    accepted = deque([J], maxlen=NONMONOTONE_MEMORY)
     stalled = False
     f_prev = g_prev = None
 
@@ -197,22 +213,29 @@ def optimize(
             curvature = time_l2_inner(df, dg)
             if curvature > 0.0:
                 s = min(s_max, time_l2_inner(df, df) / curvature)
+        J_ref = max(accepted)
         for backtracks in range(max_backtracks):
             cand = project_admissible(f - s * g, problem.radius)
             run_c = problem.solve(cand)
             J_c = cost(cand, run_c.solution, problem.target, problem.lam)
             decrease = time_l2_inner(g, f - cand)
-            if J_c <= J - 1e-4 * decrease:
+            if J_c <= J_ref - 1e-4 * decrease:
                 break
-            s *= 0.5
+            excess = J_c - J + decrease  # J_c over the linear model J - decrease
+            if excess > 0.0:
+                s_star = decrease * s / (2.0 * excess)
+                s = min(max(s_star, BACKTRACK_MIN * s), BACKTRACK_MAX * s)
+            else:
+                s *= 0.5
         else:
             raise LineSearchFailure(
                 f"no sufficient decrease after {max_backtracks} backtracks at iteration {it}"
             )
         rows.append(TraceRow(it, J, pg, s, backtracks, vi_probe))
-        stalled = J - J_c <= ROUNDOFF_DECREASE * J
+        stalled = abs(J - J_c) <= ROUNDOFF_DECREASE * J
         f_prev, g_prev = f, g
         f, run, J = cand, run_c, J_c
+        accepted.append(J)
 
     raise AssertionError("unreachable")
 

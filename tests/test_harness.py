@@ -403,6 +403,15 @@ def test_cli_seed_override_and_determinism(tmp_path):
     assert (out1 / "norms.csv").read_bytes() != (out3 / "norms.csv").read_bytes()
 
 
+def test_cli_optimize_byte_for_byte(tmp_path):
+    cfg = _write_config(tmp_path, nt=8, **{"lambda": 1e-3})
+    out1, out2 = tmp_path / "out1", tmp_path / "out2"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["optimize", "--config", str(cfg), "--out", str(out2)]) == 0
+    for name in ("trace.csv", "ioc.csv", "control.cbft"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_cli_seed_not_an_integer_exit_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, nt=8)
     with pytest.raises(SystemExit) as exc:
