@@ -17,9 +17,11 @@ Nonlinear products are never formed on the n-grid: physical-space work happens
 on a zero-padded grid of M = 3n/2 points per axis.  Any M > 4*kmax leaves
 quadratic *and* cubic products of retained modes alias-free and makes the
 quadrature of their (up to quartic) integrals exact (Orszag's padding rule
-applied to cubic terms).  Fields are real, so the transforms are real FFTs
-over the half spectrum k_last >= 0.  Every Grid transform accepts leading
-batch axes.
+applied to cubic terms).  The transforms sum over the retained modes only,
+as tensor-product matrix products (sum factorization): a precomputed M x r
+matrix per full axis, r = 2*kmax + 1, and, fields being real, a real matrix
+on the last axis's half spectrum k_last >= 0.  Every Grid transform accepts
+leading batch axes.
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d, n, ..., n); ``traj[n]`` is a SpectralField over row n, without a
@@ -59,15 +61,6 @@ class CBFTFormatError(ValueError):
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _block_pairs(axis_runs: Sequence[Sequence[tuple[slice, slice]]]) -> tuple[tuple[tuple, tuple], ...]:
-    """Ellipsis-led basic-slice index pairs (src, dst), one per choice of a
-    (src run, dst run) on every axis; leading batch axes pass through."""
-    return tuple(
-        ((Ellipsis,) + tuple(src for src, _ in combo), (Ellipsis,) + tuple(dst for _, dst in combo))
-        for combo in itertools.product(*axis_runs)
-    )
 
 
 @dataclass(frozen=True)
@@ -142,42 +135,47 @@ class Grid:
         return _frozen(keep)
 
     @cached_property
-    def _half_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
-        """Basic-slice pairs (n-lattice index, stored half-spectrum index)
-        covering the retained modes with k_last >= 0.
-
-        On each full axis the retained slots are two contiguous runs (k >= 0
-        and k < 0), on the last axis one run (0 <= k <= kmax), so 2^(d-1)
-        block copies move every retained coefficient without fancy indexing.
-        """
-        n, m, kx = self.n, self.pad_n, self.kmax
-        runs = ((slice(0, kx + 1), slice(0, kx + 1)), (slice(n - kx, n), slice(m - kx, m)))
-        last = slice(0, kx + 1)
-        return _block_pairs([runs] * (self.d - 1) + [((last, last),)])
-
-    def _cube_runs(self, size: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-        """(axis slots, cube slots) of k = 0..kmax and of k = -kmax..-1 on an
-        FFT-ordered axis of ``size`` points; the cube of side 2*kmax + 1 holds
-        k = -kmax..kmax in ascending order, so k -> -k reverses its axes."""
-        kx = self.kmax
-        return (slice(0, kx + 1), slice(kx, 2 * kx + 1)), (slice(size - kx, size), slice(0, kx))
-
-    @cached_property
     def _cube_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
-        """Basic-slice pairs (n-lattice index, cube index) of the retained modes."""
-        return _block_pairs([self._cube_runs(self.n)] * self.d)
+        """Basic-slice index pairs (n-lattice index, cube index) of the retained
+        modes, one per choice of the k >= 0 or the k < 0 run on every axis; the
+        cube of side 2*kmax + 1 holds k = -kmax..kmax in ascending order, so
+        k -> -k reverses its axes.  Leading batch axes pass through."""
+        n, kx = self.n, self.kmax
+        runs = ((slice(0, kx + 1), slice(kx, 2 * kx + 1)), (slice(n - kx, n), slice(0, kx)))
+        return tuple(
+            ((Ellipsis,) + tuple(s for s, _ in combo), (Ellipsis,) + tuple(c for _, c in combo))
+            for combo in itertools.product(runs, repeat=self.d)
+        )
 
     @cached_property
-    def _spec_cube_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
-        """Basic-slice pairs (stored half-spectrum index, cube index) filling
-        the cube's k_last >= 0 half from the transform grid's spectrum."""
-        runs = self._cube_runs(self.pad_n)
-        return _block_pairs([runs] * (self.d - 1) + [runs[:1]])
+    def _half_ix(self) -> tuple:
+        """Index of the cube's k_last >= 0 half in an n-lattice array: every
+        full axis gathered in cube order, the last one cut to k = 0..kmax."""
+        pos = np.arange(-self.kmax, self.kmax + 1) % self.n
+        return (Ellipsis,) + np.ix_(*([pos] * (self.d - 1))) + (slice(0, self.kmax + 1),)
+
+    @cached_property
+    def _matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (E, R, F, Rf) of the retained-mode transforms.
+
+        E (M x r) = exp(2 pi i j k / M) takes a full axis from k = -kmax..kmax
+        to the nodes j.  R (2(kmax+1) x M) takes the last axis from the
+        (re, im) pairs of k = 0..kmax to real values, with weight 2 for k > 0:
+        the Hermitian k_last < 0 half adds the complex conjugate.  F = E^H / M
+        and Rf = R^T / M are the analysis pair; Rf's weight 2 is the doubling
+        that lets the conjugate reflection in _hermitian_lattice fill the
+        cube's k_last < 0 half.  Phases come from the integer (j k) mod M.
+        """
+        m, kx = self.pad_n, self.kmax
+        e = np.exp(1j * (TAU * (np.outer(np.arange(m), np.arange(-kx, kx + 1)) % m) / m))
+        rf = np.conj(e[:, kx:] * np.where(np.arange(kx + 1) > 0, 2.0, 1.0)).view(np.float64)
+        mats = (e, np.ascontiguousarray(rf.T), np.ascontiguousarray(np.conj(e).T) / m, rf / m)
+        return tuple(_frozen(a) for a in mats)
 
     @cached_property
     def _ik_half(self) -> np.ndarray:
-        """1j * k restricted to k_last in [0, kmax], shape (d, n, ..., kmax+1)."""
-        return _frozen(1j * self.k[..., : self.kmax + 1])
+        """1j * k over the cube's k_last >= 0 half, shape (d, r, ..., r, kmax+1)."""
+        return _frozen(1j * self.k[self._half_ix])
 
     @cached_property
     def _jet_slots(self) -> tuple[tuple, tuple, tuple]:
@@ -236,44 +234,44 @@ class Grid:
         dot = np.sum(self.k * coeffs, axis=0)
         return coeffs - self.k * (dot / self.k_sq_safe)
 
-    def _irfft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Real M-grid samples of the retained modes of ``coeffs`` (last d axes
-        an n-lattice, or only its first kmax+1 columns).
+    @staticmethod
+    def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+        """mat applied to ``axis`` (negative) of x: one matmul per index of the
+        axes before it, so each batch member gets the matmuls of its
+        unbatched transform, and bitwise its result."""
+        head, tail = x.shape[:axis], x.shape[axis + 1 :]
+        return (mat @ x.reshape(head + (x.shape[axis], -1))).reshape(head + (mat.shape[0],) + tail)
 
-        Only the k_last in [0, kmax] part of the half spectrum is stored: the
-        complex passes skip the zero columns beyond it, the final irfft
-        zero-pads the last axis to M//2 + 1 and Hermitian symmetry supplies
-        k_last < 0.  These are irfftn's passes, called one axis at a time to
-        spare its per-call overhead on small grids.
-        """
-        m, d = self.pad_n, self.d
-        half = np.zeros(coeffs.shape[:-d] + (m,) * (d - 1) + (self.kmax + 1,), dtype=np.complex128)
-        for src, dst in self._half_blocks:
-            half[dst] = coeffs[src]
-        for axis in range(-d, -1):
-            half = np.fft.ifft(half, axis=axis, norm="forward")
-        return np.fft.irfft(half, n=m, axis=-1, norm="forward")
+    def _synthesize(self, half: np.ndarray) -> np.ndarray:
+        """Real M-grid samples of the cube's k_last >= 0 half (last d axes;
+        the rest are batch axes): E on every full axis, innermost first so
+        the matmuls stack over retained rows, then R on the last."""
+        e, r, _, _ = self._matrices
+        m, d, lead = self.pad_n, self.d, half.shape[: -self.d]
+        for axis in range(-2, -d - 1, -1):
+            half = self._along(e, half, axis)
+        return (half.view(np.float64).reshape(lead + (m ** (d - 1), -1)) @ r).reshape(lead + (m,) * d)
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M)."""
-        return self._irfft(coeffs)
+        return self._synthesize(coeffs[self._half_ix])
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of M-grid samples (exact, no aliasing
         for products of total degree <= 3 of retained modes); any leading
-        axes are batch axes."""
-        d, kx = self.d, self.kmax
-        spec = np.fft.rfft(values, axis=-1, norm="forward")[..., : kx + 1]
+        axes are batch axes.  Rf on the last axis, then F on every full
+        axis, outermost first so the matmuls stack over retained rows."""
+        _, _, f, rf = self._matrices
+        m, d, kx, lead = self.pad_n, self.d, self.kmax, values.shape[: -self.d]
+        x = (values.reshape(lead + (m ** (d - 1), m)) @ rf).view(np.complex128)
+        x = x.reshape(lead + (m,) * (d - 1) + (kx + 1,))
         for axis in range(-d, -1):
-            spec = np.fft.fft(spec, axis=axis, norm="forward")
-        cube = np.empty(values.shape[:-d] + (2 * kx + 1,) * d, dtype=np.complex128)
-        for src, dst in self._spec_cube_blocks:
-            cube[dst] = spec[src]
-        # Doubling the k_last > 0 half and zeroing the k_last < 0 half lets the
-        # conjugate reflection fill the latter: the Hermitian part is c(k) on
-        # k_last > 0 and conj(c(-k)) on k_last < 0, both exactly.
-        cube[..., :kx] = 0.0
-        cube[..., kx + 1 :] *= 2.0
+            x = self._along(f, x, axis)
+        # Rf has doubled the k_last > 0 half; zeroing the k_last < 0 half lets
+        # the conjugate reflection fill the latter: the Hermitian part is c(k)
+        # on k_last > 0 and conj(c(-k)) on k_last < 0, both exactly.
+        cube = np.zeros(lead + (2 * kx + 1,) * d, dtype=np.complex128)
+        cube[..., kx:] = x
         return self._hermitian_lattice(cube)
 
     def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
@@ -282,15 +280,15 @@ class Grid:
         Leading batch axes come first: a (B, d, n, ..., n) input gives
         (B, 1 + d, d, M, ..., M).
 
-        out[0] is bitwise equal to to_physical(coeffs): every line of the
-        stacked transform is the same transform of the same data.
+        out[0] is bitwise equal to to_physical(coeffs): every component is
+        the same matmuls of the same data.
         """
         value, derivs, insert = self._jet_slots
-        half = coeffs[..., : self.kmax + 1]
+        half = coeffs[self._half_ix]
         jet = np.empty(half.shape[: -self.d - 1] + (1 + self.d,) + half.shape[-self.d - 1 :], dtype=np.complex128)
         jet[value] = half
         np.multiply(self._ik_half[:, None], half[insert], out=jet[derivs])
-        return self._irfft(jet)
+        return self._synthesize(jet)
 
 
 class FieldNorms(NamedTuple):

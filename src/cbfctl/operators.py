@@ -1,9 +1,10 @@
 """Spatial operators of the damped Navier-Stokes system and their transposes.
 
 All nonlinear terms are evaluated pseudo-spectrally on the padded transform
-grid of M > 4*kmax points per axis (real FFTs, see fields.Grid), which makes
-cubic products alias-free and quartic integrals exact, so the classical
-identities hold to round-off rather than to discretization accuracy:
+grid of M > 4*kmax points per axis (retained-mode tensor-product matrix
+transforms, see fields.Grid), which makes cubic products alias-free and
+quartic integrals exact, so the classical identities hold to round-off rather
+than to discretization accuracy:
 
 * b(p, q, q) = 0 and b(p, q, r) = -b(p, r, q)  for retained, projected fields,
 * <A u, u> = ||grad u||_2^2,

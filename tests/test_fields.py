@@ -276,7 +276,7 @@ def test_reduce_coeffs_bitwise_reference(d, n):
     assert np.array_equal(_bits(g.reduce_coeffs(c)), _bits(ref))
 
 
-@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (2, 16), (3, 16)])
 def test_batched_from_physical_matches_per_sample(d, n):
     g = Grid(d=d, n=n)
     rng = np.random.default_rng(12)
@@ -289,7 +289,7 @@ def test_batched_from_physical_matches_per_sample(d, n):
             assert np.array_equal(_bits(got[i, j]), _bits(g.from_physical(values[i, j])))
 
 
-@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (2, 16), (3, 16)])
 def test_batched_grad_physical_matches_per_member(d, n):
     # the jet axis follows the batch axes; each member is its unbatched jet
     g = Grid(d=d, n=n)
@@ -300,6 +300,26 @@ def test_batched_grad_physical_matches_per_member(d, n):
     for i in range(2):
         for j in range(2):
             assert np.array_equal(_bits(got[i, j]), _bits(g.grad_physical(coeffs[i, j])))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (2, 16), (3, 16)])
+def test_from_physical_exactly_hermitian_with_positive_zeros(d, n):
+    # samples of no retained field: the symmetrization alone must make c(-k) = conj(c(k))
+    g = Grid(d=d, n=n)
+    c = g.from_physical(np.random.default_rng(14).standard_normal((d,) + (g.pad_n,) * d))
+    assert SpectralField(g, c).hermitian_defect() == 0.0
+    off = c[:, ~g.dealias_mask]  # k = 0 and every dealiased mode
+    assert off.size == d * (n**d - len(g.retained_modes()))
+    for part in (off.real, off.imag):
+        assert np.all(part == 0.0) and not np.any(np.signbit(part))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_transform_matrices_read_only(d):
+    g = Grid(d=d, n=8)
+    for mat in g._matrices + (g._ik_half,):
+        with pytest.raises(ValueError):
+            mat[(0,) * mat.ndim] = 1.0
 
 
 def test_trajectory_is_one_read_only_array(grid2d, rng):
