@@ -2,11 +2,13 @@
 
 The computational domain is the d-torus [0, 2*pi)^d (d = 2 or 3).  A velocity
 field is stored as a complex coefficient array ``c[j, k1, ..., kd]`` over the
-n^d FFT wavenumber lattice, with three invariants enforced everywhere:
+retained cube: r = 2*kmax + 1 slots per axis, kmax = n//3 (2/3-rule
+dealiasing), holding k = -kmax..kmax in ascending order, so k sits at index
+k + kmax and k -> -k reverses the d axes.  No mode outside the dealiased
+range has a slot.  Two invariants are enforced everywhere:
 
 * Hermitian symmetry  c(-k) = conj(c(k))   (the field is real valued),
 * c(0) = 0                                  (zero spatial mean),
-* c(k) = 0 whenever any |k_i| > n//3        (2/3-rule dealiasing),
 
 plus discrete incompressibility  k . c(k) = 0  for every retained mode.  With
 the mean removed the smallest Laplacian eigenvalue on the torus is 1, so the
@@ -19,16 +21,19 @@ quadratic *and* cubic products of retained modes alias-free and makes the
 quadrature of their (up to quartic) integrals exact (Orszag's padding rule
 applied to cubic terms).  The transforms sum over the retained modes only,
 as tensor-product matrix products (sum factorization): a precomputed M x r
-matrix per full axis, r = 2*kmax + 1, and, fields being real, a real matrix
-on the last axis's half spectrum k_last >= 0.  Every Grid transform accepts
-leading batch axes.
+matrix per full axis and, fields being real, a real matrix on the last
+axis's half spectrum k_last >= 0, the basic slice [..., kmax:] of the cube.
+Every Grid transform accepts leading batch axes.
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
-(nt+1, d, n, ..., n); ``traj[n]`` is a SpectralField over row n, without a
+(nt+1, d, r, ..., r); ``traj[n]`` is a SpectralField over row n, without a
 copy.  Trajectory arithmetic is one array operation, and the per-sample
 series (inner_product_series, spectral_norm_series, norm_series) reduce all
 rows in one call: each entry is bitwise the per-sample function's value, and
 time integrals keep the sequential accumulation of a plain loop.
+
+CBFT files keep the n^d lattice in lexicographic k-order, in which the cube
+is the centred block n/2 - kmax .. n/2 + kmax of every axis.
 """
 
 from __future__ import annotations
@@ -68,7 +73,8 @@ class Grid:
     """Spectral grid: ``d`` spatial dimensions, ``n`` wavenumbers per axis.
 
     The box length is fixed at 2*pi per axis.  Retained (dealiased) modes
-    satisfy |k_i| <= n//3; everything else is identically zero.
+    satisfy |k_i| <= kmax = n//3, and coefficient arrays hold exactly those:
+    the cube of side r = 2*kmax + 1, k ascending on every axis.
     """
 
     d: int
@@ -86,7 +92,8 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.n,) * self.d
+        """The retained cube, (r,) * d with r = 2*kmax + 1."""
+        return (2 * self.kmax + 1,) * self.d
 
     @property
     def pad_n(self) -> int:
@@ -107,14 +114,9 @@ class Grid:
         return (TAU / self.pad_n) ** self.d
 
     @cached_property
-    def wavenumbers_1d(self) -> np.ndarray:
-        """Integer wavenumbers along one axis in FFT storage order."""
-        return _frozen(np.fft.fftfreq(self.n, 1.0 / self.n).astype(np.int64))
-
-    @cached_property
     def k(self) -> np.ndarray:
-        """Wavenumber vectors, shape (d, n, ..., n), float64."""
-        axes = np.meshgrid(*([self.wavenumbers_1d] * self.d), indexing="ij")
+        """Wavenumber vectors over the cube, shape (d, r, ..., r), float64."""
+        axes = np.meshgrid(*([np.arange(-self.kmax, self.kmax + 1)] * self.d), indexing="ij")
         return _frozen(np.stack(axes).astype(np.float64))
 
     @cached_property
@@ -128,33 +130,6 @@ class Grid:
         return _frozen(ksq)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask of retained modes (k = 0 excluded: mean is pinned to 0)."""
-        keep = np.all(np.abs(self.k) <= self.kmax, axis=0)
-        keep[(0,) * self.d] = False
-        return _frozen(keep)
-
-    @cached_property
-    def _cube_blocks(self) -> tuple[tuple[tuple, tuple], ...]:
-        """Basic-slice index pairs (n-lattice index, cube index) of the retained
-        modes, one per choice of the k >= 0 or the k < 0 run on every axis; the
-        cube of side 2*kmax + 1 holds k = -kmax..kmax in ascending order, so
-        k -> -k reverses its axes.  Leading batch axes pass through."""
-        n, kx = self.n, self.kmax
-        runs = ((slice(0, kx + 1), slice(kx, 2 * kx + 1)), (slice(n - kx, n), slice(0, kx)))
-        return tuple(
-            ((Ellipsis,) + tuple(s for s, _ in combo), (Ellipsis,) + tuple(c for _, c in combo))
-            for combo in itertools.product(runs, repeat=self.d)
-        )
-
-    @cached_property
-    def _half_ix(self) -> tuple:
-        """Index of the cube's k_last >= 0 half in an n-lattice array: every
-        full axis gathered in cube order, the last one cut to k = 0..kmax."""
-        pos = np.arange(-self.kmax, self.kmax + 1) % self.n
-        return (Ellipsis,) + np.ix_(*([pos] * (self.d - 1))) + (slice(0, self.kmax + 1),)
-
-    @cached_property
     def _matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (E, R, F, Rf) of the retained-mode transforms.
 
@@ -162,20 +137,21 @@ class Grid:
         to the nodes j.  R (2(kmax+1) x M) takes the last axis from the
         (re, im) pairs of k = 0..kmax to real values, with weight 2 for k > 0:
         the Hermitian k_last < 0 half adds the complex conjugate.  F = E^H / M
-        and Rf = R^T / M are the analysis pair; Rf's weight 2 is the doubling
-        that lets the conjugate reflection in _hermitian_lattice fill the
-        cube's k_last < 0 half.  Phases come from the integer (j k) mod M.
+        and Rf (M x 2(kmax+1)), the (re, im) columns of conj(E) / M over
+        k = 0..kmax, are the analysis pair; they give the cube's k_last >= 0
+        half.  Phases come from the integer (j k) mod M.
         """
         m, kx = self.pad_n, self.kmax
         e = np.exp(1j * (TAU * (np.outer(np.arange(m), np.arange(-kx, kx + 1)) % m) / m))
-        rf = np.conj(e[:, kx:] * np.where(np.arange(kx + 1) > 0, 2.0, 1.0)).view(np.float64)
-        mats = (e, np.ascontiguousarray(rf.T), np.ascontiguousarray(np.conj(e).T) / m, rf / m)
+        r = np.conj(e[:, kx:] * np.where(np.arange(kx + 1) > 0, 2.0, 1.0)).view(np.float64).T
+        rf = np.conj(e[:, kx:]).view(np.float64) / m
+        mats = (e, np.ascontiguousarray(r), np.ascontiguousarray(np.conj(e).T) / m, rf)
         return tuple(_frozen(a) for a in mats)
 
     @cached_property
     def _ik_half(self) -> np.ndarray:
         """1j * k over the cube's k_last >= 0 half, shape (d, r, ..., r, kmax+1)."""
-        return _frozen(1j * self.k[self._half_ix])
+        return _frozen(1j * self.k[..., self.kmax :])
 
     @cached_property
     def _jet_slots(self) -> tuple[tuple, tuple, tuple]:
@@ -185,15 +161,9 @@ class Grid:
         tail = (slice(None),) * (self.d + 1)
         return (Ellipsis, 0) + tail, (Ellipsis, slice(1, None)) + tail, (Ellipsis, None) + tail
 
-    @cached_property
-    def _reflect_ix(self) -> tuple[np.ndarray, ...]:
-        """Open-mesh index mapping slot of k to slot of -k on the n-lattice."""
-        pos = (-self.wavenumbers_1d) % self.n
-        return np.ix_(*([pos] * self.d))
-
     def position(self, k: Sequence[int]) -> tuple[int, ...]:
-        """Array index of the wavenumber k in FFT storage order."""
-        return tuple(ki % self.n for ki in k)
+        """Array index of the wavenumber k in the cube."""
+        return tuple(ki + self.kmax for ki in k)
 
     def retained_modes(self) -> list[tuple[int, ...]]:
         """All retained wavenumber tuples (k = 0 excluded), lexicographically sorted."""
@@ -205,31 +175,15 @@ class Grid:
     # ------------------------------------------------------------------
 
     def reduce_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Dealias + hermitianize a raw coefficient array (returns a copy);
-        any leading axes are batch axes."""
-        cube = np.empty(coeffs.shape[: -self.d] + (2 * self.kmax + 1,) * self.d, dtype=np.complex128)
-        for src, dst in self._cube_blocks:
-            cube[dst] = coeffs[src]
-        return self._hermitian_lattice(cube)
-
-    def _hermitian_lattice(self, cube: np.ndarray) -> np.ndarray:
-        """The n-lattice array of 0.5 * (c(k) + conj(c(-k))) over the retained
-        modes of ``cube`` (laid out as in _cube_blocks, overwritten at k = 0),
-        +0 everywhere else."""
-        d = self.d
-        cube[(Ellipsis,) + (self.kmax,) * d] = 0.0
-        herm = 0.5 * (cube + np.conj(cube[(Ellipsis,) + (slice(None, None, -1),) * d]))
-        out = np.zeros(cube.shape[:-d] + self.shape, dtype=np.complex128)
-        for src, dst in self._cube_blocks:
-            out[src] = herm[dst]
-        return out
+        """Hermitian part 0.5 * (c(k) + conj(c(-k))) of a raw cube array, with
+        c(0) = 0 (returns a copy); any leading axes are batch axes."""
+        return _hermitian_part(np.array(coeffs, dtype=np.complex128), self.d)
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Per-mode Helmholtz projection c <- (I - k k^T / |k|^2) c.
 
         ``coeffs`` must already be reduced (output of reduce_coeffs, or of
-        from_physical, which ends with it): its k = 0 and dealiased-out
-        modes are +0, and the projection leaves them +0.
+        from_physical): its k = 0 mode is +0, and the projection leaves it +0.
         """
         dot = np.sum(self.k * coeffs, axis=0)
         return coeffs - self.k * (dot / self.k_sq_safe)
@@ -254,7 +208,7 @@ class Grid:
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M)."""
-        return self._synthesize(coeffs[self._half_ix])
+        return self._synthesize(coeffs[..., self.kmax :])
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
         """Retained-mode coefficients of M-grid samples (exact, no aliasing
@@ -267,28 +221,37 @@ class Grid:
         x = x.reshape(lead + (m,) * (d - 1) + (kx + 1,))
         for axis in range(-d, -1):
             x = self._along(f, x, axis)
-        # Rf has doubled the k_last > 0 half; zeroing the k_last < 0 half lets
-        # the conjugate reflection fill the latter: the Hermitian part is c(k)
-        # on k_last > 0 and conj(c(-k)) on k_last < 0, both exactly.
-        cube = np.zeros(lead + (2 * kx + 1,) * d, dtype=np.complex128)
-        cube[..., kx:] = x
-        return self._hermitian_lattice(cube)
+        # The Hermitian part is 0.5 * (c(k) + conj(c(-k))) on the k_last = 0
+        # plane, c(k) on k_last > 0 and conj(c(-k)) on k_last < 0; the + 0.0
+        # makes the zero imaginary parts that conj negates +0 again.
+        cube = np.empty(lead + (2 * kx + 1,) * d, dtype=np.complex128)
+        cube[..., kx] = _hermitian_part(x[..., 0], d - 1)
+        cube[..., kx + 1 :] = x[..., 1:]
+        cube[..., :kx] = np.conj(cube[(Ellipsis,) + (slice(None, None, -1),) * d][..., :kx]) + 0.0
+        return cube
 
     def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """The 1-jet of u on the M-grid from one stacked inverse transform:
         out[0] = u and out[1 + i, j] = d u_j / d x_i, shape (1 + d, d, M, ..., M).
-        Leading batch axes come first: a (B, d, n, ..., n) input gives
+        Leading batch axes come first: a (B, d, r, ..., r) input gives
         (B, 1 + d, d, M, ..., M).
 
         out[0] is bitwise equal to to_physical(coeffs): every component is
         the same matmuls of the same data.
         """
         value, derivs, insert = self._jet_slots
-        half = coeffs[self._half_ix]
+        half = coeffs[..., self.kmax :]
         jet = np.empty(half.shape[: -self.d - 1] + (1 + self.d,) + half.shape[-self.d - 1 :], dtype=np.complex128)
         jet[value] = half
         np.multiply(self._ik_half[:, None], half[insert], out=jet[derivs])
         return self._synthesize(jet)
+
+
+def _hermitian_part(c: np.ndarray, ndim: int) -> np.ndarray:
+    """0.5 * (c(k) + conj(c(-k))) over the last ``ndim`` axes of a centred
+    cube, after setting c(0) = 0 in place."""
+    c[(Ellipsis,) + (c.shape[-1] // 2,) * ndim] = 0.0
+    return 0.5 * (c + np.conj(c[(Ellipsis,) + (slice(None, None, -1),) * ndim]))
 
 
 class FieldNorms(NamedTuple):
@@ -338,8 +301,7 @@ class SpectralField:
         return float(np.max(rel))
 
     def hermitian_defect(self) -> float:
-        g = self.grid
-        refl = np.conj(self.coeffs[(slice(None),) + g._reflect_ix])
+        refl = np.conj(self.coeffs[(slice(None),) + (slice(None, None, -1),) * self.grid.d])
         scale = float(np.max(np.abs(self.coeffs)))
         if scale == 0.0:
             return 0.0
@@ -351,8 +313,8 @@ class SpectralField:
         g = self.grid
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
-        if np.any(self.coeffs[:, ~g.dealias_mask] != 0):
-            raise ValueError("nonzero coefficient outside the dealiased range")
+        if np.any(self.coeffs[(slice(None),) + (g.kmax,) * g.d] != 0):
+            raise ValueError("nonzero mean coefficient c(0)")
         if self.hermitian_defect() > 1e-12:
             raise ValueError("Hermitian symmetry violated")
         if self.divergence_defect() > 1e-12:
@@ -442,10 +404,11 @@ def random_field(
 ) -> SpectralField:
     """Seeded random divergence-free field with e^{-decay |k|} spectral envelope,
     rescaled to the requested L2 norm (zero field if l2 == 0)."""
-    shape = (grid.d,) + grid.shape
+    shape = (grid.d,) + (grid.n,) * grid.d
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    slots = np.arange(-grid.kmax, grid.kmax + 1) % grid.n  # the retained modes in the draws' FFT order
     envelope = np.exp(-decay * np.sqrt(grid.k_sq))
-    u = leray_project(grid, raw * envelope)
+    u = leray_project(grid, raw[(slice(None),) + np.ix_(*([slots] * grid.d))] * envelope)
     amp, _ = spectral_norms(u)
     if amp == 0.0 or l2 == 0.0:
         return zero_field(grid)
@@ -455,7 +418,7 @@ def random_field(
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly time-sampled fields on [0, t_end]: one read-only complex
-    array of shape (nt+1, d, n, ..., n) whose row n is the sample at n * dt.
+    array of shape (nt+1, d, r, ..., r) whose row n is the sample at n * dt.
 
     traj[n] is a SpectralField over the row (a view, no copy); arithmetic
     and the per-sample series below are single array operations.
@@ -614,10 +577,11 @@ def random_trajectory(
 # persistence
 # ----------------------------------------------------------------------
 
-def _lex_order_axes(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Index permutation taking FFT storage order to ascending-k order."""
-    order = np.argsort(grid.wavenumbers_1d, kind="stable")
-    return np.ix_(*([order] * grid.d))
+def _lex_block(grid: Grid) -> tuple:
+    """Index of the cube in a lex-ordered n-lattice: the centred block
+    n/2 - kmax .. n/2 + kmax of each of the last d axes."""
+    lo = grid.n // 2 - grid.kmax
+    return (Ellipsis,) + (slice(lo, lo + 2 * grid.kmax + 1),) * grid.d
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
@@ -625,21 +589,23 @@ def write_trajectory(path, traj: Trajectory) -> None:
 
     Layout: magic "CBFT", u32 version=1, u32 d, u32 n, u32 nt, f64 t_end, then
     (nt+1) * d * n^d little-endian f64 (re, im) pairs in lexicographic k-order
-    (k_1 ascending fastest-last, i.e. C order over the sorted wavenumber axes).
+    (k_1 ascending fastest-last, i.e. C order over the sorted wavenumber axes
+    -n/2..n/2-1); every mode outside the retained cube is written as +0.
     """
     g = traj.grid
-    lex = (slice(None), slice(None)) + _lex_order_axes(g)
+    lattice = np.zeros((traj.nt + 1, g.d) + (g.n,) * g.d, dtype="<c16")
+    lattice[_lex_block(g)] = traj.coeffs
     with open(path, "wb") as fh:
         fh.write(_CBFT_HEADER.pack(_CBFT_MAGIC, _CBFT_VERSION, g.d, g.n, traj.nt, traj.t_end))
-        fh.write(traj.coeffs[lex].astype("<c16").tobytes())
+        fh.write(lattice.tobytes())
 
 
 def read_trajectory(path) -> Trajectory:
     """Read a CBFT file written by write_trajectory.
 
     The header's sizes are checked against the file length before anything
-    is allocated, and every sample must pass SpectralField.validate; any
-    defect raises CBFTFormatError naming it.
+    is allocated.  Every sample must be zero outside the retained cube and
+    pass SpectralField.validate; any defect raises CBFTFormatError naming it.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CBFT_HEADER.size)
@@ -663,10 +629,12 @@ def read_trajectory(path) -> Trajectory:
         if size > expected:
             raise CBFTFormatError(f"CBFT file has {size - expected} trailing bytes after its {nt + 1} samples")
         data = np.frombuffer(fh.read(expected - _CBFT_HEADER.size), dtype="<c16")
-    coeffs = np.empty((nt + 1, d) + grid.shape, dtype=np.complex128)
-    coeffs[(slice(None), slice(None)) + _lex_order_axes(grid)] = data.reshape(coeffs.shape)
+    lattice = data.reshape((nt + 1, d) + (n,) * d)
+    coeffs = lattice[_lex_block(grid)]
     for i, c in enumerate(coeffs):
         try:
+            if np.count_nonzero(lattice[i]) > np.count_nonzero(c):
+                raise ValueError("nonzero coefficient outside the dealiased range")
             SpectralField(grid, c).validate()
         except ValueError as exc:
             raise CBFTFormatError(f"CBFT sample {i}: {exc}") from None

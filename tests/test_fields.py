@@ -26,13 +26,18 @@ from cbfctl.fields import TAU, CBFTFormatError
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 4), (3, 8)])
 def test_position_and_retained_modes_match_mask(d, n):
-    # brute force: every slot of the dealias mask, with its wavenumber from Grid.k
+    # brute force: every slot of the retained cube but its centre, with its wavenumber from Grid.k
     grid = Grid(d=d, n=n)
+    r = 2 * grid.kmax + 1
+    assert grid.shape == (r,) * d and grid.k.shape == (d,) + grid.shape
     kk = grid.k.astype(np.int64)
     slots = {}
     for idx in np.ndindex(*grid.shape):
-        if grid.dealias_mask[idx]:
-            slots[tuple(int(kk[j][idx]) for j in range(d))] = idx
+        k = tuple(int(kk[j][idx]) for j in range(d))
+        assert k == tuple(i - grid.kmax for i in idx)
+        if any(k):
+            slots[k] = idx
+    assert grid.position((0,) * d) == (grid.kmax,) * d
     assert grid.retained_modes() == sorted(slots)
     for k, idx in slots.items():
         assert grid.position(k) == idx
@@ -135,8 +140,8 @@ def test_l4_matches_fine_grid_quadrature(grid2d, rng):
 
 def _embed(src: Grid, dst: Grid, coeffs):
     out = np.zeros((src.d,) + dst.shape, dtype=np.complex128)
-    pos = src.wavenumbers_1d % dst.n
-    out[(slice(None),) + np.ix_(*([pos] * src.d))] = coeffs
+    lo = dst.kmax - src.kmax
+    out[(slice(None),) + (slice(lo, lo + 2 * src.kmax + 1),) * src.d] = coeffs
     return out
 
 
@@ -225,6 +230,9 @@ def test_trajectory_io_header(tmp_path, grid2d, rng):
         read_trajectory(__file__)
 
 
+CBFT_HEADER = 4 + 16 + 8  # magic, version, d, n, nt, t_end
+
+
 def _cbft_bytes(tmp_path, traj) -> bytes:
     path = tmp_path / "src.cbft"
     write_trajectory(path, traj)
@@ -265,15 +273,19 @@ def _signed_zeros(rng, c):
 
 @pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (3, 16)])
 def test_reduce_coeffs_bitwise_reference(d, n):
-    # the fancy-index form it replaces: mask everything, reflect the lattice
+    # the Hermitian average by an index table: the slot of -k from position(), k = 0 masked out
     g = Grid(d=d, n=n)
     rng = np.random.default_rng(11)
     shape = (2, d) + g.shape
     c = _signed_zeros(rng, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    masked = np.where(g.dealias_mask, c, 0.0)
-    pos = (-g.wavenumbers_1d) % n
-    ref = 0.5 * (masked + np.conj(masked[(slice(None), slice(None)) + np.ix_(*([pos] * d))]))
+    masked = np.where(g.k_sq > 0, c, 0.0)
+    mirror = np.empty(g.shape + (d,), dtype=np.int64)
+    for idx in np.ndindex(*g.shape):
+        mirror[idx] = g.position([g.kmax - i for i in idx])
+    ref = 0.5 * (masked + np.conj(masked[(slice(None), slice(None)) + tuple(np.moveaxis(mirror, -1, 0))]))
+    before = c.copy()
     assert np.array_equal(_bits(g.reduce_coeffs(c)), _bits(ref))
+    assert np.array_equal(_bits(c), _bits(before))  # a copy: the input keeps its k = 0 mode
 
 
 @pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (2, 16), (3, 16)])
@@ -308,10 +320,13 @@ def test_from_physical_exactly_hermitian_with_positive_zeros(d, n):
     g = Grid(d=d, n=n)
     c = g.from_physical(np.random.default_rng(14).standard_normal((d,) + (g.pad_n,) * d))
     assert SpectralField(g, c).hermitian_defect() == 0.0
-    off = c[:, ~g.dealias_mask]  # k = 0 and every dealiased mode
-    assert off.size == d * (n**d - len(g.retained_modes()))
+    off = c[(slice(None),) + (g.kmax,) * d]  # k = 0, the cube's one slot outside the retained modes
+    assert off.size == d * (len(c[0].ravel()) - len(g.retained_modes()))
     for part in (off.real, off.imag):
         assert np.all(part == 0.0) and not np.any(np.signbit(part))
+    # samples of the zero field give +0 on every mode, the conjugate-reflected half included
+    z = g.from_physical(np.zeros((d,) + (g.pad_n,) * d))
+    assert not np.any(np.signbit(z.real)) and not np.any(np.signbit(z.imag))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -379,6 +394,7 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
     "defect,message",
     [
         ("outside", "nonzero coefficient outside the dealiased range"),
+        ("mean", "nonzero mean coefficient"),
         ("hermitian", "Hermitian symmetry"),
         ("divergence", "divergence-free"),
         ("nan", "non-finite"),
@@ -388,18 +404,43 @@ def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message)
     traj = random_trajectory(grid2d, 1.0, 2, rng)
     c = traj[1].coeffs.copy()
     pos = grid2d.position((1, 2))
-    if defect == "outside":
-        c[(0, grid2d.kmax + 1, 0)] = 1.0
+    if defect == "mean":
+        c[(0,) + grid2d.position((0, 0))] = 1.0
     elif defect == "hermitian":
         c[(0,) + pos] += 1e-3j
     elif defect == "divergence":
         c[(slice(None),) + pos] += 1e-3 * np.array([1.0, 2.0])
         c[(slice(None),) + grid2d.position((-1, -2))] += 1e-3 * np.array([1.0, 2.0])
-    else:
+    elif defect == "nan":
         c[(0,) + pos] = np.nan
     bad = Trajectory.from_fields(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
     path = tmp_path / "bad.cbft"
     write_trajectory(path, bad)
+    if defect == "outside":
+        # no field holds k = (kmax + 1, 0): patch component 0 of sample 1 at its lex-order lattice slot
+        n = grid2d.n
+        slot = (1 * 2 + 0) * n**2 + (grid2d.kmax + 1 + n // 2) * n + n // 2
+        raw = bytearray(path.read_bytes())
+        offset = CBFT_HEADER + 16 * slot
+        raw[offset : offset + 16] = struct.pack("<dd", 1.0, 0.0)
+        path.write_bytes(bytes(raw))
     with pytest.raises(CBFTFormatError, match=f"sample 1: {message}"):
         read_trajectory(path)
 
+
+@pytest.mark.parametrize(
+    "d,n,k,amp",
+    [(2, 8, (1, 2), (1.0 + 0.5j, -0.5 - 0.25j)), (3, 6, (1, -2, 0), (2.0 + 1.0j, 1.0 + 0.5j, 0.5 - 0.25j))],
+)
+def test_trajectory_io_payload_layout(tmp_path, d, n, k, amp):
+    # one mode with exactly representable amplitudes orthogonal to k: the payload is the n-lattice in
+    # lex order (k_i at index k_i + n/2, components outermost), nonzero only at k and its mirror
+    g = Grid(d=d, n=n)
+    u = make_field(g, [(k, amp)])
+    path = tmp_path / "one.cbft"
+    write_trajectory(path, Trajectory.from_fields(g, 0.5, [u, zero_field(g)]))
+    lattice = np.zeros((2, d) + (n,) * d, dtype="<c16")
+    lattice[(0, slice(None)) + tuple(ki + n // 2 for ki in k)] = amp
+    lattice[(0, slice(None)) + tuple(n // 2 - ki for ki in k)] = np.conj(amp)
+    assert path.read_bytes()[CBFT_HEADER:] == lattice.tobytes()
+    assert np.array_equal(read_trajectory(path)[0].coeffs, u.coeffs)

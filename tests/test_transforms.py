@@ -1,7 +1,7 @@
 """The real transforms on the M = 3n/2 grid against the complex 2n-grid reference.
 
 The reference below is the straightforward form of the transform pair: the
-whole n-lattice zero-padded into a 2n-lattice, complex FFTs both ways.  Both
+retained cube zero-padded into a 2n-lattice, complex FFTs both ways.  Both
 grids integrate products of up to four retained modes exactly, so every
 quantity built from them agrees to round-off.
 """
@@ -17,7 +17,8 @@ REL = 1e-12
 
 
 def _ref_index(g: Grid):
-    pos = g.wavenumbers_1d % (2 * g.n)
+    """Index of the cube's k = -kmax..kmax in FFT order on the 2n-lattice."""
+    pos = np.arange(-g.kmax, g.kmax + 1) % (2 * g.n)
     return (Ellipsis,) + np.ix_(*([pos] * g.d))
 
 
