@@ -44,6 +44,7 @@ from .fields import (
     inner_product,
     inner_product_series,
     l4_from_speed_squared,
+    running_integral,
     spectral_norm_series,
     time_l2_inner,
     time_l2_norm,
@@ -54,7 +55,7 @@ from .operators import (
     apply_C,
     speed_squared,
 )
-from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, _l2_series, march
+from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, march
 
 
 def time_reverse(traj: Trajectory) -> Trajectory:
@@ -196,15 +197,12 @@ def solve_adjoint(
     solution = Trajectory(grid, m1.t_end, qc)
     q_l2, q_v = spectral_norm_series(solution)
     q_l4 = np.array(rev_l4[::-1])
-    dt, nt, T = solution.dt, solution.nt, solution.t_end
-    K = math.exp(T) * dt * sum(inner_product_series(h, h)[:nt].tolist())
+    K = math.exp(solution.t_end) * time_l2_inner(h, h)
     margin = math.nan
     if params.hypothesis_holds(kappa):
-        int_w = 0.0
-        for w in weighted[::-1]:
-            int_w += dt * w
-        int_qv = dt * float(np.sum(q_v[:-1] ** 2))
-        int_q4 = dt * float(np.sum(q_l4[:-1] ** 4))
+        int_w, int_qv, int_q4 = (
+            float(running_integral(x, solution.dt)[-1]) for x in (weighted[::-1], q_v[:-1] ** 2, q_l4[:-1] ** 4)
+        )
         coeff = params.beta - 1.0 / (2.0 * params.mu * kappa)
         lhs = float(np.max(q_l2**2)) + 2.0 * params.mu * (1.0 - kappa) * int_qv + 2.0 * delta * int_q4 + coeff * int_w
         margin = K - lhs
@@ -264,35 +262,22 @@ def duality_residual(
     v = difference
     check_aligned(v, adj.solution)
     q, h = adj.solution, adj.rhs
-    dt, nt = q.dt, q.nt
+    dt = q.dt
     g = run1.forcing - run2.forcing
-    gq = inner_product_series(g, q).tolist()
-    g_l2, q_l2 = _l2_series(g).tolist(), _l2_series(q).tolist()
-    hv = inner_product_series(h, v).tolist()
-    hm = inner_product_series(h, run1.solution - run2.solution).tolist()
-    h_l2, v_l2 = _l2_series(h).tolist(), _l2_series(v).tolist()
-
-    lhs = rhs = cubic = 0.0
-    scale = 0.0
-    left = []  # left[n] = lhs + cubic after step n
-    for n in range(nt):
-        lhs += dt * gq[n]
-        scale += dt * g_l2[n] * q_l2[n]
-        if adj.delta > 0:
-            cubic += adj.delta * dt * inner_product(apply_C(q[n]), v[n])
-        left.append(lhs + cubic)
-    limit = lhs
-    running = [0.0]
-    for n in range(1, nt + 1):
-        rhs += dt * hv[n]
-        limit -= dt * hm[n]
-        scale += dt * h_l2[n] * v_l2[n]
-        running.append(abs(left[n - 1] - rhs))
+    g_l2, q_l2, h_l2, v_l2 = (spectral_norm_series(x)[0] for x in (g, q, h, v))
+    lhs = running_integral(inner_product_series(g, q)[:-1], dt)
+    rhs = running_integral(inner_product_series(h, v)[1:], dt)
+    cubic = np.zeros(q.nt + 1)
+    if adj.delta > 0:
+        cubic = running_integral([inner_product(apply_C(q[n]), v[n]) for n in range(q.nt)], adj.delta * dt)
+    limit = lhs[-1] - running_integral(inner_product_series(h, run1.solution - run2.solution)[1:], dt)[-1]
+    scale = running_integral(np.concatenate(((g_l2 * q_l2)[:-1], (h_l2 * v_l2)[1:])), dt)[-1]
+    running = np.abs(lhs + cubic - rhs)
     return DualityReport(
-        delta_form=running[-1],
-        limit_form=abs(limit),
-        scale=max(scale + abs(cubic), 1e-300),
-        running=tuple(running),
+        delta_form=float(running[-1]),
+        limit_form=float(abs(limit)),
+        scale=max(float(scale + abs(cubic[-1])), 1e-300),
+        running=tuple(running.tolist()),
     )
 
 

@@ -29,8 +29,8 @@ A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d, r, ..., r); ``traj[n]`` is a SpectralField over row n, without a
 copy.  Trajectory arithmetic is one array operation, and the per-sample
 series (inner_product_series, spectral_norm_series, norm_series) reduce all
-rows in one call: each entry is bitwise the per-sample function's value, and
-time integrals keep the sequential accumulation of a plain loop.
+rows in one call: each entry is bitwise the per-sample function's value.
+Every time integral goes through running_integral, the one rectangle rule.
 
 CBFT files keep the n^d lattice in lexicographic k-order, in which the cube
 is the centred block n/2 - kmax .. n/2 + kmax of every axis.
@@ -526,9 +526,22 @@ def norm_series(traj: Trajectory) -> FieldNorms:
     return FieldNorms(l2=l2, v=v, l4=np.array(l4))
 
 
+def running_integral(values: np.ndarray | Sequence[float], dt: float) -> np.ndarray:
+    """The rectangle rule's running sums [0, dt v0, dt v0 + dt v1, ...].
+
+    The one time quadrature: callers choose the endpoint by the samples they
+    pass, values[:-1] of a sampled series for the left rule over [0, t_i),
+    values[1:] for the right rule over (0, t_i].  np.add.accumulate adds in
+    order from 0.0, so every entry is bitwise the plain loop acc += dt * v.
+    """
+    out = np.zeros(len(values) + 1)
+    np.multiply(values, dt, out=out[1:])
+    return np.add.accumulate(out, out=out)
+
+
 def time_l2_inner(a: Trajectory, b: Trajectory) -> float:
     """Discrete L2(0,T;H) pairing, left-endpoint rectangle rule."""
-    return a.dt * sum(inner_product_series(a, b)[:-1].tolist())
+    return float(running_integral(inner_product_series(a, b)[:-1], a.dt)[-1])
 
 
 def time_l2_norm(a: Trajectory) -> float:

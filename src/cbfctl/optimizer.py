@@ -38,6 +38,7 @@ from .fields import (
     inner_product,
     inner_product_series,
     random_trajectory,
+    running_integral,
     time_l2_inner,
     time_l2_norm,
 )
@@ -89,15 +90,9 @@ def cost(f: Trajectory, m: Trajectory, target: Trajectory, lam: float) -> float:
     """Discrete tracking cost; tracking right-endpoint, control left-endpoint."""
     check_aligned(f, m)
     check_aligned(m, target)
-    dt = m.dt
     e = m - target
-    track = 0.0
-    for x in inner_product_series(e, e)[1:].tolist():
-        track += dt * x
-    ctrl = 0.0
-    for x in inner_product_series(f, f)[:-1].tolist():
-        ctrl += dt * x
-    return 0.5 * track + 0.5 * lam * ctrl
+    track = float(running_integral(inner_product_series(e, e)[1:], m.dt)[-1])
+    return 0.5 * track + 0.5 * lam * time_l2_inner(f, f)
 
 
 def gradient(q_noc: Trajectory, f: Trajectory, lam: float) -> Trajectory:
@@ -128,8 +123,10 @@ ROUNDOFF_DECREASE = 8.0 * float(np.finfo(float).eps)
 # projected gradient uses it (Birgin, Martinez & Raydan 2000): a trial is tested
 # against the largest of the last NONMONOTONE_MEMORY accepted costs, and a
 # rejected step s is cut to the minimizer of the quadratic through J, the slope
-# and J_c, kept within [BACKTRACK_MIN s, BACKTRACK_MAX s].
+# and J_c, kept within [BACKTRACK_MIN s, BACKTRACK_MAX s], at most MAX_BACKTRACKS
+# times per iteration.
 NONMONOTONE_MEMORY = 10
+MAX_BACKTRACKS = 60
 BACKTRACK_MIN = 0.1
 BACKTRACK_MAX = 0.5
 
@@ -163,7 +160,6 @@ def optimize(
     *,
     max_iters: int = 100,
     tol: float = 1e-8,
-    max_backtracks: int = 60,
 ) -> OptimizeResult:
     """Spectral projected gradient (Birgin, Martinez & Raydan 2000) with the
     nonmonotone Armijo search of Grippo, Lampariello & Lucidi (1986) on the
@@ -214,7 +210,7 @@ def optimize(
             if curvature > 0.0:
                 s = min(s_max, time_l2_inner(df, df) / curvature)
         J_ref = max(accepted)
-        for backtracks in range(max_backtracks):
+        for backtracks in range(MAX_BACKTRACKS):
             cand = project_admissible(f - s * g, problem.radius)
             run_c = problem.solve(cand)
             J_c = cost(cand, run_c.solution, problem.target, problem.lam)
@@ -229,7 +225,7 @@ def optimize(
                 s *= 0.5
         else:
             raise LineSearchFailure(
-                f"no sufficient decrease after {max_backtracks} backtracks at iteration {it}"
+                f"no sufficient decrease after {MAX_BACKTRACKS} backtracks at iteration {it}"
             )
         rows.append(TraceRow(it, J, pg, s, backtracks, vi_probe))
         stalled = abs(J - J_c) <= ROUNDOFF_DECREASE * J
@@ -344,8 +340,7 @@ def ioc_ladder(
     du = u_probe - f
     h = m - problem.target
     lam_f = problem.lam * f
-    dt = f.dt
-    du_sq = sum((dt * inner_product_series(du, du)[:-1]).tolist())
+    du_sq = time_l2_inner(du, du)
     points = []
     for rho in rhos:
         run_rho = problem.solve(f + rho * du)
@@ -358,14 +353,9 @@ def ioc_ladder(
             picard_tol=problem.picard_tol,
             max_iters=problem.picard_max_iters,
         )
-        term1 = 0.0
-        for x in inner_product_series(du, q_rho.solution + lam_f)[:-1].tolist():
-            term1 += dt * x
+        term1 = time_l2_inner(du, q_rho.solution + lam_f)
         z = (run_rho.solution - m) * (1.0 / rho)
-        term2 = 0.0
-        for x in inner_product_series(z, z)[1:].tolist():
-            term2 += dt * x
-        term2 *= 0.5 * rho
+        term2 = 0.5 * rho * float(running_integral(inner_product_series(z, z)[1:], f.dt)[-1])
         residual = term1 + term2 + 0.5 * rho * problem.lam * du_sq
         q_dist = time_l2_norm(q_rho.solution - base_adjoint.solution)
         points.append(IOCPoint(rho, residual, q_dist, q_rho.report.energy_margin))

@@ -24,8 +24,11 @@ Every step of the state, difference and adjoint systems is taken by march;
 the solvers only supply each step's frozen operator (StateStencil, PairStencil
 or its transpose) and keep their own bookkeeping.
 
-All time integrals in the estimate checks use the left-endpoint rectangle
-rule, the bookkeeping consistent with the scheme's first-order accuracy.
+Every time integral is the one rectangle rule, fields.running_integral, the
+bookkeeping consistent with the scheme's first-order accuracy.  The estimate
+checks sum at left endpoints; right-endpoint sums are the cost's tracking
+term, the duality residual's h pairings and the IOC residual's z term,
+whose t = 0 samples the control does not reach.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ from .fields import (
     check_aligned,
     inner_product_series,
     norm_series,
+    running_integral,
     spectral_norm_series,
     spectral_norms,
+    time_l2_inner,
 )
 from .operators import OperatorParams, PairStencil, StateStencil
 
@@ -76,11 +81,6 @@ def _l2c(c: np.ndarray, volume: float) -> float:
     """||c||_2 of a raw coefficient array: the square root of its
     inner_product with itself, as the same expression."""
     return math.sqrt(max(float(np.real(np.sum(c * np.conj(c))) * volume), 0.0))
-
-
-def _l2_series(traj: Trajectory) -> np.ndarray:
-    """_l2c(traj[n].coeffs, volume) for every sample n."""
-    return np.sqrt(np.maximum(inner_product_series(traj, traj), 0.0))
 
 
 def picard_solve(
@@ -291,13 +291,11 @@ def _energy(
     and already the continuous inequality fails at small t.
     """
     dt = m.dt
-    dissip = 2.0 * dt * (p.mu * v**2 + p.alpha * l2**2 + p.beta * l4**4)
-    work = 2.0 * dt * f_pairing
-    cum_d = np.concatenate(([0.0], np.cumsum(dissip[:-1])))
-    cum_w = np.concatenate(([0.0], np.cumsum(work[:-1])))
+    dissip = p.mu * v**2 + p.alpha * l2**2 + p.beta * l4**4
+    cum_d = running_integral(dissip[:-1], 2.0 * dt)
+    cum_w = running_integral(f_pairing[:-1], 2.0 * dt)
     residual = float(np.max(np.abs(l2**2 + cum_d - l2[0] ** 2 - cum_w)))
-    cum_f = np.concatenate(([0.0], np.cumsum(dt * f_l2[:-1] ** 2)))
-    K = (l2[0] ** 2 + cum_f) * np.exp(m.times)
+    K = (l2[0] ** 2 + running_integral(f_l2[:-1] ** 2, dt)) * np.exp(m.times)
     sup_margin = K - (np.maximum.accumulate(l2**2) + cum_d)
     return residual, float(K[-1]), float(np.min(sup_margin[1:]))
 
@@ -344,7 +342,7 @@ def solve_difference(
         picard_tol=picard_tol, max_iters=max_iters,
     )
     v = Trajectory(grid, m1.t_end, coeffs)
-    defect = max([0.0] + _l2_series(v - (m1 - m2))[1:].tolist())
+    defect = max([0.0] + spectral_norm_series(v - (m1 - m2))[0][1:].tolist())
     return DifferenceSolve(v, defect)
 
 
@@ -365,24 +363,16 @@ def lipschitz_check(run1: StateRun, run2: StateRun, kappa: float) -> float:
             f"kappa={kappa:g} needs 0 < kappa < 1 and 2*beta*mu > 1/kappa "
             f"(2*beta*mu = {2 * params.beta * params.mu:g})"
         )
-    dt, nt, T = run1.dt, run1.solution.nt, run1.solution.t_end
     nm = norm_series(run1.solution - run2.solution)
     df = run1.forcing - run2.forcing
-    df2 = inner_product_series(df, df).tolist()
-    sup_v2 = 0.0
-    int_v_v = int_v_l2 = int_v_l4 = int_df = 0.0
-    for n, (l2, v, l4) in enumerate(zip(nm.l2.tolist(), nm.v.tolist(), nm.l4.tolist())):
-        sup_v2 = max(sup_v2, l2**2)
-        if n < nt:
-            int_v_v += dt * v**2
-            int_v_l2 += dt * l2**2
-            int_v_l4 += dt * l4**4
-            int_df += dt * df2[n]
+    int_v_v, int_v_l2, int_v_l4 = (
+        float(running_integral(x[:-1], run1.dt)[-1]) for x in (nm.v**2, nm.l2**2, nm.l4**4)
+    )
     coeff4 = params.beta - 1.0 / (2.0 * params.mu * kappa)
     lhs = (
-        sup_v2
+        float(np.max(nm.l2**2))
         + 2.0 * params.mu * (1.0 - kappa) * int_v_v
         + 2.0 * params.alpha * int_v_l2
         + 0.5 * coeff4 * int_v_l4
     )
-    return math.exp(T) * int_df - lhs
+    return math.exp(run1.solution.t_end) * time_l2_inner(df, df) - lhs

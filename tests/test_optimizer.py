@@ -206,12 +206,13 @@ def test_certify_optimum_solves_each_adjoint_once(monkeypatch):
     assert set(calls) == {0.9}
 
 
-def test_line_search_failure(params, rng):
+def test_line_search_failure(params, rng, monkeypatch):
     g = Grid(d=2, n=8)
     problem, _ = _problem(g, params, rng, nt=8)
     f0 = Trajectory.zero(g, 0.5, 8)
-    with pytest.raises(LineSearchFailure):
-        optimize(problem, f0, max_iters=3, tol=1e-16, max_backtracks=0)
+    monkeypatch.setattr(cbfctl.optimizer, "MAX_BACKTRACKS", 0)
+    with pytest.raises(LineSearchFailure, match="no sufficient decrease after 0 backtracks at iteration 0"):
+        optimize(problem, f0, max_iters=3, tol=1e-16)
 
 
 def _count_state_solves(monkeypatch) -> list:

@@ -28,11 +28,11 @@ from cbfctl import (
     solve_state,
     time_l2_inner,
 )
-from cbfctl.fields import inner_product_series, norm_series, spectral_norm_series, spectral_norms
+from cbfctl.fields import inner_product_series, norm_series, running_integral, spectral_norm_series, spectral_norms
 
 
 def _l2(u):
-    return math.sqrt(max(inner_product(u, u), 0.0))
+    return spectral_norms(u)[0]
 
 
 @pytest.fixture(params=[(2, 8, 12), (3, 6, 3)], ids=["2d", "3d"])
@@ -78,8 +78,10 @@ def test_adjoint_report_series(case):
         q, r = adj.solution, adj.report
         for n in range(q.nt + 1):
             assert (r.q_l2[n], r.q_v[n]) == spectral_norms(q[n])
-        K = math.exp(q.t_end) * q.dt * sum(inner_product(adj.rhs[n], adj.rhs[n]) for n in range(q.nt))
-        assert r.energy_K == K
+        int_h2 = 0.0
+        for n in range(q.nt):
+            int_h2 += q.dt * inner_product(adj.rhs[n], adj.rhs[n])
+        assert r.energy_K == math.exp(q.t_end) * int_h2
 
 
 def test_cost_and_time_inner_keep_loop_accumulation():
@@ -97,7 +99,14 @@ def test_cost_and_time_inner_keep_loop_accumulation():
     for n in range(nt):
         ctrl += dt * inner_product(f[n], f[n])
     assert cost(f, m, target, lam) == 0.5 * track + 0.5 * lam * ctrl
-    assert time_l2_inner(f, target) == f.dt * sum(inner_product(f[n], target[n]) for n in range(nt))
+    values = [inner_product(f[n], target[n]) for n in range(nt)]
+    acc, loop = 0.0, [0.0]
+    for x in values:
+        acc += dt * x
+        loop.append(acc)
+    assert time_l2_inner(f, target) == acc
+    # the quadrature itself: every running sum, not only the last
+    assert running_integral(values, dt).tolist() == loop
 
 
 def test_gradient_series(case):
@@ -117,21 +126,20 @@ def test_duality_running(case, delta):
     adj = solve_adjoint((run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star())
     rep = duality_residual(adj, run1, run2, difference=v)
     q, dt, nt = adj.solution, adj.dt, adj.solution.nt
-    lhs = rhs = cubic = scale = 0.0
+    lhs = rhs = cubic = scale = int_hm = 0.0
     left = []
     for n in range(nt):
         gn = run1.forcing[n] - run2.forcing[n]
         lhs += dt * inner_product(gn, q[n])
-        scale += dt * _l2(gn) * _l2(q[n])
+        scale += dt * (_l2(gn) * _l2(q[n]))
         if delta > 0:
             cubic += delta * dt * inner_product(apply_C(q[n]), v[n])
         left.append(lhs + cubic)
-    limit = lhs
     running = [0.0]
     for n in range(1, nt + 1):
         rhs += dt * inner_product(h[n], v[n])
-        limit -= dt * inner_product(h[n], run1.solution[n] - run2.solution[n])
-        scale += dt * _l2(h[n]) * _l2(v[n])
+        int_hm += dt * inner_product(h[n], run1.solution[n] - run2.solution[n])
+        scale += dt * (_l2(h[n]) * _l2(v[n]))
         running.append(abs(left[n - 1] - rhs))
     assert rep.running == tuple(running)
-    assert (rep.delta_form, rep.limit_form, rep.scale) == (running[-1], abs(limit), max(scale + abs(cubic), 1e-300))
+    assert (rep.delta_form, rep.limit_form, rep.scale) == (running[-1], abs(lhs - int_hm), max(scale + abs(cubic), 1e-300))

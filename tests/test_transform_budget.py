@@ -94,17 +94,21 @@ def _check_adjoint_report(adj):
     # the adjoint energy margin, recomputed sample by sample
     dt, nt, kappa, g = q.dt, q.nt, r.kappa, q.grid
     h, (m1, m2) = adj.rhs, adj.coeffs
-    K = math.exp(q.t_end) * dt * sum(inner_product(h[n], h[n]) for n in range(nt))
-    int_w = 0.0
+    qv2, q4 = r.q_v**2, np.array(l4) ** 4
+    int_h2 = int_w = int_qv = int_q4 = 0.0
     for n in range(nt):
+        int_h2 += dt * inner_product(h[n], h[n])
         q2 = speed_squared(q[n])
         a = float(np.sum(speed_squared(m1[n]) * q2) * g.quad_weight)
         b = float(np.sum(speed_squared(m2[n]) * q2) * g.quad_weight)
         int_w += dt * (a + b)
+        int_qv += dt * qv2[n]
+        int_q4 += dt * q4[n]
+    K = math.exp(q.t_end) * int_h2
     lhs = (
         float(np.max(r.q_l2**2))
-        + 2.0 * p.mu * (1.0 - kappa) * dt * float(np.sum(r.q_v[:-1] ** 2))
-        + 2.0 * adj.delta * dt * float(np.sum(np.array(l4[:-1]) ** 4))
+        + 2.0 * p.mu * (1.0 - kappa) * int_qv
+        + 2.0 * adj.delta * int_q4
         + (p.beta - 1.0 / (2.0 * p.mu * kappa)) * int_w
     )
     assert type(r.energy_margin) is float and type(r.energy_K) is float
