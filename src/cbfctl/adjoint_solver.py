@@ -43,6 +43,7 @@ from .fields import (
     check_aligned,
     inner_product,
     inner_product_series,
+    l2_series,
     l4_from_speed_squared,
     running_integral,
     spectral_norm_series,
@@ -181,7 +182,7 @@ def solve_adjoint(
             )
         return p2
 
-    def operator(j: int, p: SpectralField) -> Callable[[SpectralField], SpectralField]:
+    def operator(j: int, p: SpectralField) -> Callable[[np.ndarray], np.ndarray]:
         nonlocal stencil
         p2 = record(p)
         a = m1r[j + 1]
@@ -264,7 +265,7 @@ def duality_residual(
     q, h = adj.solution, adj.rhs
     dt = q.dt
     g = run1.forcing - run2.forcing
-    g_l2, q_l2, h_l2, v_l2 = (spectral_norm_series(x)[0] for x in (g, q, h, v))
+    g_l2, q_l2, h_l2, v_l2 = (l2_series(x) for x in (g, q, h, v))
     lhs = running_integral(inner_product_series(g, q)[:-1], dt)
     rhs = running_integral(inner_product_series(h, v)[1:], dt)
     cubic = np.zeros(q.nt + 1)

@@ -295,7 +295,8 @@ def dense_agreement(
     for u in fields:
         x = system.field_to_vec(u)
         dense = M_diff @ x
-        spectral = x + dt * system.field_to_vec(params.mu * apply_A(u) + params.alpha * u + stencil.apply(u))
+        lu = SpectralField(u.grid, stencil.apply(u.coeffs))
+        spectral = x + dt * system.field_to_vec(params.mu * apply_A(u) + params.alpha * u + lu)
         worst = max(worst, float(np.max(np.abs(dense - spectral))) / max(float(np.max(np.abs(dense))), 1e-30))
     return transpose, worst
 

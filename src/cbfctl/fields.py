@@ -28,8 +28,8 @@ Every Grid transform accepts leading batch axes.
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d, r, ..., r); ``traj[n]`` is a SpectralField over row n, without a
 copy.  Trajectory arithmetic is one array operation, and the per-sample
-series (inner_product_series, spectral_norm_series, norm_series) reduce all
-rows in one call: each entry is bitwise the per-sample function's value.
+series (inner_product_series, l2_series, spectral_norm_series, norm_series)
+reduce all rows in one call: each entry is bitwise the per-sample function's value.
 Every time integral goes through running_integral, the one rectangle rule.
 
 CBFT files keep the n^d lattice in lexicographic k-order, in which the cube
@@ -185,7 +185,7 @@ class Grid:
         ``coeffs`` must already be reduced (output of reduce_coeffs, or of
         from_physical): its k = 0 mode is +0, and the projection leaves it +0.
         """
-        dot = np.sum(self.k * coeffs, axis=0)
+        dot = np.add.reduce(self.k * coeffs, axis=0)
         return coeffs - self.k * (dot / self.k_sq_safe)
 
     @staticmethod
@@ -197,12 +197,13 @@ class Grid:
         return (mat @ x.reshape(head + (x.shape[axis], -1))).reshape(head + (mat.shape[0],) + tail)
 
     def _synthesize(self, half: np.ndarray) -> np.ndarray:
-        """Real M-grid samples of the cube's k_last >= 0 half (last d axes;
-        the rest are batch axes): E on every full axis, innermost first so
-        the matmuls stack over retained rows, then R on the last."""
+        """Real M-grid samples of the cube's k_last >= 0 half (last d axes; the
+        rest are batch axes): E on every full axis, innermost first (axis -2 by
+        e @ half) so the matmuls stack over retained rows, then R on the last."""
         e, r, _, _ = self._matrices
         m, d, lead = self.pad_n, self.d, half.shape[: -self.d]
-        for axis in range(-2, -d - 1, -1):
+        half = e @ half
+        for axis in range(-3, -d - 1, -1):
             half = self._along(e, half, axis)
         return (half.view(np.float64).reshape(lead + (m ** (d - 1), -1)) @ r).reshape(lead + (m,) * d)
 
@@ -214,13 +215,15 @@ class Grid:
         """Retained-mode coefficients of M-grid samples (exact, no aliasing
         for products of total degree <= 3 of retained modes); any leading
         axes are batch axes.  Rf on the last axis, then F on every full
-        axis, outermost first so the matmuls stack over retained rows."""
+        axis, outermost first so the matmuls stack over retained rows (axis
+        -2 last, by matmul's own contraction, f @ x)."""
         _, _, f, rf = self._matrices
         m, d, kx, lead = self.pad_n, self.d, self.kmax, values.shape[: -self.d]
         x = (values.reshape(lead + (m ** (d - 1), m)) @ rf).view(np.complex128)
         x = x.reshape(lead + (m,) * (d - 1) + (kx + 1,))
-        for axis in range(-d, -1):
+        for axis in range(-3, -d - 1, -1):
             x = self._along(f, x, axis)
+        x = f @ x
         # The Hermitian part is 0.5 * (c(k) + conj(c(-k))) on the k_last = 0
         # plane, c(k) on k_last > 0 and conj(c(-k)) on k_last < 0; the + 0.0
         # makes the zero imaginary parts that conj negates +0 again.
@@ -380,7 +383,7 @@ def spectral_norms(u: SpectralField) -> tuple[float, float]:
 
 def l4_from_speed_squared(grid: Grid, mag2: np.ndarray) -> float:
     """||u||_4 from |u|^2 on the M-grid, by exact quadrature."""
-    return (float(np.sum(mag2**2)) * grid.quad_weight) ** 0.25
+    return (float(np.add.reduce(mag2**2, axis=None)) * grid.quad_weight) ** 0.25
 
 
 def norms(u: SpectralField) -> FieldNorms:
@@ -509,11 +512,21 @@ def inner_product_series(a: Trajectory, b: Trajectory) -> np.ndarray:
     return np.real(_row_sums(a.coeffs * np.conj(b.coeffs))) * a.grid.volume
 
 
+def _l2_and_mode_sq(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    sq = np.sum(np.abs(traj.coeffs) ** 2, axis=1)  # |c(k)|^2 per sample and mode
+    return np.sqrt(_row_sums(sq) * traj.grid.volume), sq
+
+
+def l2_series(traj: Trajectory) -> np.ndarray:
+    """spectral_norms(traj[n])[0] for every sample n, without the V series."""
+    return _l2_and_mode_sq(traj)[0]
+
+
 def spectral_norm_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """spectral_norms(traj[n]) for every sample n, as (l2, v) arrays."""
     g = traj.grid
-    sq = np.sum(np.abs(traj.coeffs) ** 2, axis=1)
-    return np.sqrt(_row_sums(sq) * g.volume), np.sqrt(_row_sums(g.k_sq * sq) * g.volume)
+    l2, sq = _l2_and_mode_sq(traj)
+    return l2, np.sqrt(_row_sums(g.k_sq * sq) * g.volume)
 
 
 def norm_series(traj: Trajectory) -> FieldNorms:

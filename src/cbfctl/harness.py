@@ -254,9 +254,9 @@ class DenseSystem:
     def a_matrix(self) -> np.ndarray:
         return self.assemble(apply_A)
 
-    def _step_matrix(self, op: Callable[[SpectralField], SpectralField], dt: float) -> np.ndarray:
-        """Dense implicit matrix I + dt (mu A + alpha I + L) of one slab, L = op."""
-        L = self.assemble(op)
+    def _step_matrix(self, op: Callable[[np.ndarray], np.ndarray], dt: float) -> np.ndarray:
+        """Dense implicit matrix I + dt (mu A + alpha I + L) of one slab, L = op on arrays."""
+        L = self.assemble(lambda e: SpectralField(self.grid, op(e.coeffs)))
         return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + L)
 
     def difference_step_matrix(self, stencil: PairStencil, dt: float) -> np.ndarray:

@@ -26,12 +26,12 @@ from one set of frozen coefficient transforms; it is the inner kernel of the
 time steppers, and the exactness of apply/apply_transpose as mutual
 transposes is what the discrete duality identity rests on.
 
-Every field goes through the M-grid once per use: an apply takes the values
-and the gradient of its argument from one 1-jet transform
-(Grid.grad_physical), a stencil transforms its coefficient fields once
-(once in all when m2 holds the same coefficient bits as m1), and it keeps
-|m1|^2 and |m2|^2 so the solvers read norms and weighted integrals off it
-instead of transforming again.
+Every field goes through the M-grid once per use: an apply, raw coefficient
+array to raw coefficient array as a Picard sweep calls it, takes the values
+and the gradient of its argument from one 1-jet transform (grad_physical),
+a stencil transforms its coefficient fields once (once in all when m2 holds
+the same coefficient bits as m1), and it keeps |m1|^2 and |m2|^2 so the
+solvers read norms and weighted integrals off it instead of transforming again.
 """
 
 from __future__ import annotations
@@ -145,41 +145,41 @@ class PairStencil:
         jet2 = g.grad_physical(m2.coeffs)
         m2v, self._gm2 = jet2[0], jet2[1:]
         self._m1v = m2v if shared else g.to_physical(m1.coeffs)
-        self.w2 = np.sum(m2v**2, axis=0)
-        self.w1 = self.w2 if shared else np.sum(self._m1v**2, axis=0)
+        self.w2 = np.add.reduce(m2v**2, axis=0)
+        self.w1 = self.w2 if shared else np.add.reduce(self._m1v**2, axis=0)
         self._w = self.w1 + self.w2
         self._s = self._m1v + m2v
 
     def _forch(self, qv: np.ndarray) -> np.ndarray:
-        return 0.5 * self.beta * (self._w * qv + np.sum(self._s * qv, axis=0) * self._s)
+        return 0.5 * self.beta * (self._w * qv + np.add.reduce(self._s * qv, axis=0) * self._s)
 
-    def apply(self, v: SpectralField) -> SpectralField:
-        """B(m1, v) + B(v, m2) + Forchheimer(v)."""
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """B(m1, v) + B(v, m2) + Forchheimer(v), v a coefficient array."""
         g = self.grid
-        jv = g.grad_physical(v.coeffs)
+        jv = g.grad_physical(v)
         vv, gv = jv[0], jv[1:]
         out = np.einsum("i...,ij...->j...", self._m1v, gv)
         out += np.einsum("i...,ij...->j...", vv, self._gm2)
         out += self._forch(vv)
-        return SpectralField(g, g.project_coeffs(g.from_physical(out)))
+        return g.project_coeffs(g.from_physical(out))
 
-    def apply_transpose(self, q: SpectralField, extra_weight: np.ndarray | None = None) -> SpectralField:
+    def apply_transpose(self, q: np.ndarray, extra_weight: np.ndarray | None = None) -> np.ndarray:
         """-B(m1, q) + P{sum_j grad((m2)_j) q_j} + Forchheimer(q)
         [+ extra_weight * q pointwise, the adjoint's delta term]."""
         g = self.grid
-        jq = g.grad_physical(q.coeffs)
+        jq = g.grad_physical(q)
         qv, gq = jq[0], jq[1:]
         out = -np.einsum("i...,ij...->j...", self._m1v, gq)
         out += np.einsum("ij...,j...->i...", self._gm2, qv)
         out += self._forch(qv)
         if extra_weight is not None:
             out += extra_weight * qv
-        return SpectralField(g, g.project_coeffs(g.from_physical(out)))
+        return g.project_coeffs(g.from_physical(out))
 
 
 class StateStencil:
     """Frozen-coefficient implicit part of one state step:
-    x -> B(m_ref, x) + beta P{|m_ref|^2 x}.
+    x -> B(m_ref, x) + beta P{|m_ref|^2 x}, on raw coefficient arrays.
 
     Building it is the one transform of m_ref; its l4 is m_ref's ||.||_4,
     bitwise equal to norms(m_ref).l4.
@@ -188,29 +188,25 @@ class StateStencil:
     def __init__(self, m_ref: SpectralField, params: OperatorParams):
         g = m_ref.grid
         self.grid = g
-        self.beta = params.beta
         self._mv = g.to_physical(m_ref.coeffs)
-        self._w = np.sum(self._mv**2, axis=0)
-        self.l4 = l4_from_speed_squared(g, self._w)
+        w = np.add.reduce(self._mv**2, axis=0)
+        self._bw = params.beta * w
+        self.l4 = l4_from_speed_squared(g, w)
 
-    def apply(self, x: SpectralField) -> SpectralField:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         g = self.grid
-        jx = g.grad_physical(x.coeffs)
+        jx = g.grad_physical(x)
         xv, gx = jx[0], jx[1:]
-        out = np.einsum("i...,ij...->j...", self._mv, gx) + self.beta * self._w * xv
-        return SpectralField(g, g.project_coeffs(g.from_physical(out)))
+        out = np.einsum("i...,ij...->j...", self._mv, gx) + self._bw * xv
+        return g.project_coeffs(g.from_physical(out))
 
 
 def speed_squared(u: SpectralField) -> np.ndarray:
     """|u(x)|^2 on the padded grid."""
-    g = u.grid
-    uv = g.to_physical(u.coeffs)
-    return np.sum(uv**2, axis=0)
+    return np.sum(u.grid.to_physical(u.coeffs) ** 2, axis=0)
 
 
 def l4_norm4(u: SpectralField) -> float:
     """||u||_4^4 from one transform, without the spectral norms of norms()."""
-    g = u.grid
-    uv = g.to_physical(u.coeffs)
-    return float(np.sum(np.sum(uv**2, axis=0) ** 2) * g.quad_weight)
+    return float(np.sum(speed_squared(u) ** 2) * u.grid.quad_weight)
 

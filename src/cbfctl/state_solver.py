@@ -46,6 +46,7 @@ from .fields import (
     Trajectory,
     check_aligned,
     inner_product_series,
+    l2_series,
     norm_series,
     running_integral,
     spectral_norm_series,
@@ -80,14 +81,14 @@ def _dinv(grid: Grid, params: OperatorParams, dt: float) -> np.ndarray:
 def _l2c(c: np.ndarray, volume: float) -> float:
     """||c||_2 of a raw coefficient array: the square root of its
     inner_product with itself, as the same expression."""
-    return math.sqrt(max(float(np.real(np.sum(c * np.conj(c))) * volume), 0.0))
+    return math.sqrt(max(float(np.real(np.add.reduce(c * np.conj(c), axis=None)) * volume), 0.0))
 
 
 def picard_solve(
     grid: Grid,
     dinv: np.ndarray,
     rhs: SpectralField,
-    napply: Callable[[SpectralField], SpectralField],
+    napply: Callable[[np.ndarray], np.ndarray],
     dt: float,
     tol: float,
     max_iters: int,
@@ -97,13 +98,13 @@ def picard_solve(
 
     Fixed-point sweep x <- D^{-1}(rhs - dt N x); converged when the increment
     drops below tol * ||rhs||_2 (absolute for a zero right-hand side).  The
-    iterates are raw coefficient arrays; each sweep wraps one for napply.
+    iterates, napply's argument and value, are raw coefficient arrays.
     """
     b, vol = rhs.coeffs, grid.volume
     scale = max(_l2c(b, vol), 1e-300)
     x = dinv * b
     for it in range(max_iters):
-        x_new = dinv * (b - dt * napply(SpectralField(grid, x)).coeffs)
+        x_new = dinv * (b - dt * napply(x))
         delta = _l2c(x_new - x, vol)
         x = x_new
         if delta <= tol * scale:
@@ -119,7 +120,7 @@ def march(
     source: np.ndarray,
     dt: float,
     params: OperatorParams,
-    operator: Callable[[int, SpectralField], Callable[[SpectralField], SpectralField]],
+    operator: Callable[[int, SpectralField], Callable[[np.ndarray], np.ndarray]],
     out: np.ndarray,
     *,
     picard_tol: float,
@@ -233,7 +234,7 @@ def solve_state(
     # and gives the sample's l4.  The spectral series are taken after the march.
     l4s = []
 
-    def operator(n: int, m: SpectralField) -> Callable[[SpectralField], SpectralField]:
+    def operator(n: int, m: SpectralField) -> Callable[[np.ndarray], np.ndarray]:
         stencil = StateStencil(m, params)
         l4s.append(stencil.l4)
         return stencil.apply
@@ -244,7 +245,7 @@ def solve_state(
     l4s.append(StateStencil(solution[-1], params).l4)
     l2, v = spectral_norm_series(solution)
     l4 = np.array(l4s)
-    f_l2 = spectral_norm_series(f)[0]
+    f_l2 = l2_series(f)
     f_pairing = inner_product_series(f, solution)
     residual, K, margin_t_pos = _energy(params, solution, l2, v, l4, f_l2, f_pairing)
     report = SolveReport(
@@ -342,7 +343,7 @@ def solve_difference(
         picard_tol=picard_tol, max_iters=max_iters,
     )
     v = Trajectory(grid, m1.t_end, coeffs)
-    defect = max([0.0] + spectral_norm_series(v - (m1 - m2))[0][1:].tolist())
+    defect = max([0.0] + l2_series(v - (m1 - m2))[1:].tolist())
     return DifferenceSolve(v, defect)
 
 

@@ -12,6 +12,7 @@ from cbfctl import (
     ControlProblem,
     Grid,
     OperatorParams,
+    SpectralField,
     Trajectory,
     apply_A,
     inner_product,
@@ -204,14 +205,18 @@ def test_dense_operator_equivalence(tiny_system, rng):
     # dense matrix application == direct spectral application, for every block
     s = tiny_system
     m1, m2 = random_field(s.grid, rng), random_field(s.grid, rng)
-    pair = PairStencil(m1, m2, s.params)
-    state = StateStencil(m1, s.params)
-    L_pair = s.assemble(pair.apply)
-    L_state = s.assemble(state.apply)
+
+    def on_fields(apply):  # the stencil applies map coefficient arrays
+        return lambda u: SpectralField(s.grid, apply(u.coeffs))
+
+    pair = on_fields(PairStencil(m1, m2, s.params).apply)
+    state = on_fields(StateStencil(m1, s.params).apply)
+    L_pair = s.assemble(pair)
+    L_state = s.assemble(state)
     for _ in range(5):
         u = random_field(s.grid, rng)
         x = s.field_to_vec(u)
-        for M, op in ((s.a_matrix, apply_A), (L_pair, pair.apply), (L_state, state.apply)):
+        for M, op in ((s.a_matrix, apply_A), (L_pair, pair), (L_state, state)):
             dense = M @ x
             spectral = s.field_to_vec(op(u))
             scale = max(float(np.max(np.abs(dense))), 1e-30)

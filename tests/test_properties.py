@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbfctl import Grid, OperatorParams, inner_product, norms, random_field, random_trajectory
+from cbfctl import Grid, OperatorParams, SpectralField, inner_product, norms, random_field, random_trajectory
 from cbfctl.fields import read_trajectory, write_trajectory
 from cbfctl.operators import PairStencil, apply_C, monotonicity_gap, trilinear_b
 
@@ -63,7 +63,7 @@ def test_pair_stencil_transpose(setup):
     g, amp, rng = setup
     m1, m2, v, q = (random_field(g, rng, l2=amp) for _ in range(4))
     stencil = PairStencil(m1, m2, OperatorParams(mu=1.0, alpha=0.1, beta=1.0))
-    lv, ltq = stencil.apply(v), stencil.apply_transpose(q)
+    lv, ltq = (SpectralField(g, a) for a in (stencil.apply(v.coeffs), stencil.apply_transpose(q.coeffs)))
     scale = norms(lv).l2 * norms(q).l2 + norms(v).l2 * norms(ltq).l2
     assert abs(inner_product(lv, q) - inner_product(v, ltq)) <= TOL * scale
 

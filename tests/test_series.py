@@ -28,7 +28,14 @@ from cbfctl import (
     solve_state,
     time_l2_inner,
 )
-from cbfctl.fields import inner_product_series, norm_series, running_integral, spectral_norm_series, spectral_norms
+from cbfctl.fields import (
+    inner_product_series,
+    l2_series,
+    norm_series,
+    running_integral,
+    spectral_norm_series,
+    spectral_norms,
+)
 
 
 def _l2(u):
@@ -57,10 +64,12 @@ def test_series_match_per_sample_functions(d, n):
     a, b = (random_trajectory(grid, 1.0, 5, rng) for _ in range(2))
     ips = inner_product_series(a, b)
     l2, v = spectral_norm_series(a)
+    l2_only = l2_series(a)
     nm = norm_series(a)
     for k in range(a.nt + 1):
         assert ips[k] == inner_product(a[k], b[k])
         assert (l2[k], v[k]) == spectral_norms(a[k])
+        assert l2_only[k] == l2[k]
         assert (nm.l2[k], nm.v[k], nm.l4[k]) == norms(a[k])
 
 

@@ -8,6 +8,7 @@ from cbfctl import (
     HypothesisViolatedError,
     NonConvergenceError,
     OperatorParams,
+    SpectralField,
     Trajectory,
     inner_product,
     lipschitz_check,
@@ -22,6 +23,8 @@ from cbfctl import (
 )
 from cbfctl.fields import random_forcing
 from cbfctl.checks import observed_order
+from cbfctl.operators import PairStencil, StateStencil, speed_squared
+from cbfctl.state_solver import _dinv, picard_solve
 from oracles import apply_B
 
 
@@ -68,6 +71,47 @@ def test_step_cfl_warning(params, rng):
         with pytest.raises(NonConvergenceError):
             with np.errstate(all="ignore"):
                 step_state(u, zero_field(g), 1.0, params, max_iters=50)
+
+
+def _reference_picard(grid, dinv, rhs, napply, dt, tol, max_iters):
+    """The sweep as a loop over SpectralFields: one wrapped around every
+    iterate, the increment's norm reduced by np.sum."""
+
+    def l2(c):
+        return math.sqrt(max(float(np.real(np.sum(c * np.conj(c))) * grid.volume), 0.0))
+
+    b = rhs.coeffs
+    scale = max(l2(b), 1e-300)
+    x = dinv * b
+    for it in range(max_iters):
+        x_new = dinv * (b - dt * napply(SpectralField(grid, x).coeffs))
+        delta = l2(x_new - x)
+        x = x_new
+        if delta <= tol * scale:
+            return SpectralField(grid, x), it + 1
+    raise AssertionError("the reference sweep did not converge")
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+def test_picard_solve_matches_field_loop_bitwise(d, n, params):
+    g = Grid(d=d, n=n)
+    rng = np.random.default_rng(808)
+    m1, m2, rhs = (random_field(g, rng, l2=2.0) for _ in range(3))
+    pair = PairStencil(m1, m2, params)
+    extra = 0.3 * speed_squared(m2)
+    applies = {
+        "state": StateStencil(m1, params).apply,
+        "pair": pair.apply,
+        "transpose": pair.apply_transpose,
+        "transpose_extra": lambda q: pair.apply_transpose(q, extra_weight=extra),
+    }
+    dt = 0.05
+    dinv = _dinv(g, params, dt)
+    for name, napply in applies.items():
+        x, sweeps = picard_solve(g, dinv, rhs, napply, dt, 1e-12, 200, 0)
+        ref, ref_sweeps = _reference_picard(g, dinv, rhs, napply, dt, 1e-12, 200)
+        assert sweeps == ref_sweeps > 3, name
+        assert np.array_equal(x.coeffs.view(np.uint64), ref.coeffs.view(np.uint64)), name
 
 
 def test_picard_nonconvergence(grid2d, params, rng):

@@ -6,6 +6,8 @@ Picard sweep, an adjoint step adds the new sample's transform and the
 coefficient fields' (one transform fewer when both are the same object).
 The reports reuse those transforms, so each of their values must equal a
 recomputation from the solution samples exactly, not just to round-off.
+A Picard sweep iterates on raw arrays: the SpectralFields a solve builds do
+not depend on how many sweeps it takes.
 """
 
 import math
@@ -16,6 +18,7 @@ import pytest
 from cbfctl import (
     Grid,
     OperatorParams,
+    SpectralField,
     inner_product,
     norms,
     random_field,
@@ -152,3 +155,33 @@ def test_transform_budget_and_reused_values(d, n, nt, counts):
 
     _check_state_report(run1)
     _check_state_report(run2)
+
+
+@pytest.mark.parametrize("d,n,nt", [(2, 8, 6), (3, 6, 3)])
+def test_field_wraps_do_not_grow_with_sweeps(d, n, nt, monkeypatch):
+    grid = Grid(d=d, n=n)
+    params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)
+    rng = np.random.default_rng(4243)
+    m0 = random_field(grid, rng, l2=1.0)
+    f = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
+    h = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
+    wraps = [0]
+    post_init = SpectralField.__post_init__
+
+    def counted(self):
+        wraps[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SpectralField, "__post_init__", counted)
+    seen = {}
+    for tol in (1e-6, 1e-13):
+        wraps[0] = 0
+        run = solve_state(m0, f, params, picard_tol=tol)
+        state_wraps = wraps[0]
+        wraps[0] = 0
+        adj = solve_adjoint((run.solution, run.solution), h, 0.3, params, kappa=params.kappa_star(), picard_tol=tol)
+        sweeps = (int(run.report.picard_sweeps.sum()), int(adj.report.picard_sweeps.sum()))
+        seen[tol] = (state_wraps, wraps[0], sweeps)
+    (s1, a1, sw1), (s2, a2, sw2) = seen[1e-6], seen[1e-13]
+    assert sw1[0] < sw2[0] and sw1[1] < sw2[1]  # the tolerances take different numbers of sweeps
+    assert (s1, a1) == (s2, a2)
