@@ -58,7 +58,6 @@ from .adjoint_solver import (
     solve_adjoint,
     solve_adjoint_noc,
     step_adjoint,
-    time_reverse,
 )
 from .optimizer import (
     ControlProblem,

@@ -59,11 +59,6 @@ from .operators import (
 from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, march
 
 
-def time_reverse(traj: Trajectory) -> Trajectory:
-    """Sample i -> sample nt - i; an involution, and a view (no copy)."""
-    return Trajectory(traj.grid, traj.t_end, traj.coeffs[::-1])
-
-
 def step_adjoint(
     p_n: SpectralField,
     m1_rev: SpectralField,
@@ -87,14 +82,16 @@ def step_adjoint(
         raise ValueError("dt must be positive")
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    stencil = PairStencil(m1_rev, m2_rev, params)
-    extra = delta * speed_squared(p_n) if delta > 0 else None
+    grid = p_n.grid
+    stencil = PairStencil(grid, m1_rev.coeffs, m2_rev.coeffs, params)
+    extra = delta * speed_squared(grid, p_n.coeffs) if delta > 0 else None
     out = np.empty((2,) + p_n.coeffs.shape, dtype=np.complex128)
+    out[0] = p_n.coeffs
     march(
-        p_n, h_n.coeffs[None], dt, params, lambda n, x: partial(stencil.apply_transpose, extra_weight=extra), out,
+        grid, h_n.coeffs[None], dt, params, lambda n, x: partial(stencil.apply_transpose, extra_weight=extra), out,
         picard_tol=picard_tol, max_iters=max_iters,
     )
-    return SpectralField(p_n.grid, out[1])
+    return SpectralField(grid, out[1])
 
 
 @dataclass(frozen=True)
@@ -164,17 +161,18 @@ def solve_adjoint(
         raise ValueError("delta must be >= 0")
 
     grid = m1.grid
-    m1r, m2r, hr = time_reverse(m1), time_reverse(m2), time_reverse(h)
+    m1r, m2r = m1.coeffs[::-1], m2.coeffs[::-1]
 
     # q is written in reversed time through a reversed view of its array;
-    # q(T) = 0 is the first reversed sample.  rev_l4[j] is the l4 of reversed
-    # sample j and weighted[j] = int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2
-    # for n = nt - 1 - j, against the stencil of the step that produced q_n.
+    # q(T) = 0 is the first reversed sample, left there by the zero fill.
+    # rev_l4[j] is the l4 of reversed sample j and weighted[j] =
+    # int |m1_n|^2 |q_n|^2 + int |m2_n|^2 |q_n|^2 for n = nt - 1 - j, against
+    # the stencil of the step that produced q_n.
     rev_l4, weighted = [], []
     stencil = None
 
-    def record(p: SpectralField) -> np.ndarray:
-        p2 = speed_squared(p)
+    def record(p: np.ndarray) -> np.ndarray:
+        p2 = speed_squared(grid, p)
         rev_l4.append(l4_from_speed_squared(grid, p2))
         if stencil is not None:
             weighted.append(
@@ -182,19 +180,16 @@ def solve_adjoint(
             )
         return p2
 
-    def operator(j: int, p: SpectralField) -> Callable[[np.ndarray], np.ndarray]:
+    def operator(j: int, p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         nonlocal stencil
         p2 = record(p)
         a = m1r[j + 1]
-        stencil = PairStencil(a, a if m2 is m1 else m2r[j + 1], params)
+        stencil = PairStencil(grid, a, a if m2 is m1 else m2r[j + 1], params)
         return partial(stencil.apply_transpose, extra_weight=delta * p2 if delta > 0 else None)
 
     qc = np.zeros(m1.coeffs.shape, dtype=np.complex128)
-    sweeps = march(
-        SpectralField(grid, qc[-1]), hr.coeffs, m1.dt, params, operator, qc[::-1],
-        picard_tol=picard_tol, max_iters=max_iters,
-    )
-    record(SpectralField(grid, qc[0]))
+    sweeps = march(grid, h.coeffs[::-1], m1.dt, params, operator, qc[::-1], picard_tol=picard_tol, max_iters=max_iters)
+    record(qc[0])
     solution = Trajectory(grid, m1.t_end, qc)
     q_l2, q_v = spectral_norm_series(solution)
     q_l4 = np.array(rev_l4[::-1])

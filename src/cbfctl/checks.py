@@ -289,9 +289,9 @@ def dense_agreement(
     M_adj - M_diff^T, and the worst relative gap between the dense
     difference-step matrix and the spectral step applied to each field."""
     params = system.params
-    stencil, worst = PairStencil(m1, m2, params), 0.0
-    M_diff = system.difference_step_matrix(stencil, dt)
-    transpose = float(np.max(np.abs(system.adjoint_step_matrix(stencil, dt) - M_diff.T)))
+    stencil, worst = PairStencil(system.grid, m1.coeffs, m2.coeffs, params), 0.0
+    M_diff = system.step_matrix(stencil.apply, dt)
+    transpose = float(np.max(np.abs(system.step_matrix(stencil.apply_transpose, dt) - M_diff.T)))
     for u in fields:
         x = system.field_to_vec(u)
         dense = M_diff @ x

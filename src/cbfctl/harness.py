@@ -33,7 +33,7 @@ from .fields import (
     random_trajectory,
     time_l2_norm,
 )
-from .operators import OperatorParams, PairStencil, StateStencil, apply_A
+from .operators import OperatorParams, StateStencil, apply_A
 from .optimizer import ControlProblem
 from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, solve_state
 
@@ -254,23 +254,13 @@ class DenseSystem:
     def a_matrix(self) -> np.ndarray:
         return self.assemble(apply_A)
 
-    def _step_matrix(self, op: Callable[[np.ndarray], np.ndarray], dt: float) -> np.ndarray:
-        """Dense implicit matrix I + dt (mu A + alpha I + L) of one slab, L = op on arrays."""
+    def step_matrix(self, op: Callable[[np.ndarray], np.ndarray], dt: float) -> np.ndarray:
+        """Dense implicit matrix I + dt (mu A + alpha I + L) of one slab, L the
+        coefficient-array apply op: a PairStencil's apply (difference step) or
+        apply_transpose (adjoint step, the transpose to round-off), or a
+        StateStencil's apply (state step)."""
         L = self.assemble(lambda e: SpectralField(self.grid, op(e.coeffs)))
         return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + L)
-
-    def difference_step_matrix(self, stencil: PairStencil, dt: float) -> np.ndarray:
-        """Dense implicit matrix of one difference-system slab with the
-        stencil's coefficient pair."""
-        return self._step_matrix(stencil.apply, dt)
-
-    def adjoint_step_matrix(self, stencil: PairStencil, dt: float) -> np.ndarray:
-        """Dense implicit matrix of the matching backward slab; equals the
-        transpose of difference_step_matrix to round-off."""
-        return self._step_matrix(stencil.apply_transpose, dt)
-
-    def state_step_matrix(self, m_ref: SpectralField, dt: float) -> np.ndarray:
-        return self._step_matrix(StateStencil(m_ref, self.params).apply, dt)
 
     def state_reference(
         self,
@@ -290,8 +280,7 @@ class DenseSystem:
         for n in range(nt):
             for r in range(refine):
                 t = n * dt + r * dt_ref
-                m_cur = self.vec_to_field(x)
-                M = self.state_step_matrix(m_cur, dt_ref)
+                M = self.step_matrix(StateStencil(self.grid, self.vec_to_field(x).coeffs, self.params).apply, dt_ref)
                 rhs = x + dt_ref * self.field_to_vec(forcing_fn(t))
                 x = np.linalg.solve(M, rhs)
             samples.append(self.vec_to_field(x))

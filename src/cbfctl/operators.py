@@ -26,12 +26,14 @@ from one set of frozen coefficient transforms; it is the inner kernel of the
 time steppers, and the exactness of apply/apply_transpose as mutual
 transposes is what the discrete duality identity rests on.
 
-Every field goes through the M-grid once per use: an apply, raw coefficient
-array to raw coefficient array as a Picard sweep calls it, takes the values
-and the gradient of its argument from one 1-jet transform (grad_physical),
-a stencil transforms its coefficient fields once (once in all when m2 holds
-the same coefficient bits as m1), and it keeps |m1|^2 and |m2|^2 so the
-solvers read norms and weighted integrals off it instead of transforming again.
+The stencils work on raw coefficient arrays of shape (d,) + grid.shape: they
+are built from the coefficient arrays of the frozen fields, and an apply maps
+an array to an array as a Picard sweep calls it.  Every field goes through
+the M-grid once per use: an apply takes the values and the gradient of its
+argument from one 1-jet transform (grad_physical), a stencil transforms its
+coefficient arrays once (once in all when m2 holds the same coefficient bits
+as m1), and it keeps |m1|^2 and |m2|^2 so the solvers read norms and
+weighted integrals off it instead of transforming again.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, _check_same_grid, l4_from_speed_squared
+from .fields import Grid, SpectralField, _check_same_grid, l4_from_speed_squared
 
 
 @dataclass(frozen=True)
@@ -130,21 +132,20 @@ class PairStencil:
     on the retained divergence-free space (the quadrature pairing of each term
     is symmetric/alternating by construction).
 
-    Building it costs one 1-jet transform of m2 and one value transform of
-    m1, or the jet alone when m2 holds the same coefficient bits as m1 (then
-    m1's transform is m2's, bit for bit).  It keeps w1 = |m1|^2 and
-    w2 = |m2|^2 on the M-grid (the adjoint energy weights) beside their sum.
+    It is built from the coefficient arrays m1 and m2 on grid.  Building it
+    costs one 1-jet transform of m2 and one value transform of m1, or the jet
+    alone when m2 is m1 or holds the same coefficient bits (then m1's
+    transform is m2's, bit for bit).  It keeps w1 = |m1|^2 and w2 = |m2|^2 on
+    the M-grid (the adjoint energy weights) beside their sum.
     """
 
-    def __init__(self, m1: SpectralField, m2: SpectralField, params: OperatorParams):
-        _check_same_grid(m1, m2)
-        g = m1.grid
-        self.grid = g
+    def __init__(self, grid: Grid, m1: np.ndarray, m2: np.ndarray, params: OperatorParams):
+        self.grid = grid
         self.beta = params.beta
-        shared = m2 is m1 or np.array_equal(_bits(m1.coeffs), _bits(m2.coeffs))
-        jet2 = g.grad_physical(m2.coeffs)
+        shared = m2 is m1 or np.array_equal(_bits(m1), _bits(m2))
+        jet2 = grid.grad_physical(m2)
         m2v, self._gm2 = jet2[0], jet2[1:]
-        self._m1v = m2v if shared else g.to_physical(m1.coeffs)
+        self._m1v = m2v if shared else grid.to_physical(m1)
         self.w2 = np.add.reduce(m2v**2, axis=0)
         self.w1 = self.w2 if shared else np.add.reduce(self._m1v**2, axis=0)
         self._w = self.w1 + self.w2
@@ -181,17 +182,17 @@ class StateStencil:
     """Frozen-coefficient implicit part of one state step:
     x -> B(m_ref, x) + beta P{|m_ref|^2 x}, on raw coefficient arrays.
 
-    Building it is the one transform of m_ref; its l4 is m_ref's ||.||_4,
-    bitwise equal to norms(m_ref).l4.
+    It is built from m_ref's coefficient array on grid.  Building it is the
+    one transform of m_ref; its l4 is m_ref's ||.||_4, bitwise equal to
+    norms(m_ref).l4.
     """
 
-    def __init__(self, m_ref: SpectralField, params: OperatorParams):
-        g = m_ref.grid
-        self.grid = g
-        self._mv = g.to_physical(m_ref.coeffs)
+    def __init__(self, grid: Grid, m_ref: np.ndarray, params: OperatorParams):
+        self.grid = grid
+        self._mv = grid.to_physical(m_ref)
         w = np.add.reduce(self._mv**2, axis=0)
         self._bw = params.beta * w
-        self.l4 = l4_from_speed_squared(g, w)
+        self.l4 = l4_from_speed_squared(grid, w)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -201,12 +202,12 @@ class StateStencil:
         return g.project_coeffs(g.from_physical(out))
 
 
-def speed_squared(u: SpectralField) -> np.ndarray:
-    """|u(x)|^2 on the padded grid."""
-    return np.sum(u.grid.to_physical(u.coeffs) ** 2, axis=0)
+def speed_squared(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """|u(x)|^2 on the padded grid of the field with coefficient array c."""
+    return np.sum(grid.to_physical(c) ** 2, axis=0)
 
 
 def l4_norm4(u: SpectralField) -> float:
     """||u||_4^4 from one transform, without the spectral norms of norms()."""
-    return float(np.sum(speed_squared(u) ** 2) * u.grid.quad_weight)
+    return float(np.sum(speed_squared(u.grid, u.coeffs) ** 2) * u.grid.quad_weight)
 

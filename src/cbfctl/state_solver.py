@@ -22,7 +22,9 @@ is why v is solved this way instead of taking m1 - m2 directly; the defect
 
 Every step of the state, difference and adjoint systems is taken by march;
 the solvers only supply each step's frozen operator (StateStencil, PairStencil
-or its transpose) and keep their own bookkeeping.
+or its transpose) and keep their own bookkeeping.  march, picard_solve and the
+stencils work on raw coefficient arrays; fields appear only at the solvers'
+inputs and results and at the one-step wrappers step_state and step_adjoint.
 
 Every time integral is the one rectangle rule, fields.running_integral, the
 bookkeeping consistent with the scheme's first-order accuracy.  The estimate
@@ -87,28 +89,30 @@ def _l2c(c: np.ndarray, volume: float) -> float:
 def picard_solve(
     grid: Grid,
     dinv: np.ndarray,
-    rhs: SpectralField,
+    rhs: np.ndarray,
     napply: Callable[[np.ndarray], np.ndarray],
     dt: float,
     tol: float,
     max_iters: int,
     step: int,
-) -> tuple[SpectralField, int]:
-    """Solve (D + dt N) x = rhs with D diagonal per mode and N linear.
+) -> tuple[np.ndarray, int]:
+    """Solve (D + dt N) x = rhs with D diagonal per mode and N linear, and
+    return (x, sweeps).
 
     Fixed-point sweep x <- D^{-1}(rhs - dt N x); converged when the increment
     drops below tol * ||rhs||_2 (absolute for a zero right-hand side).  The
-    iterates, napply's argument and value, are raw coefficient arrays.
+    right-hand side, the iterates, napply's argument and value and x are raw
+    coefficient arrays of shape (d,) + grid.shape.
     """
-    b, vol = rhs.coeffs, grid.volume
-    scale = max(_l2c(b, vol), 1e-300)
-    x = dinv * b
+    vol = grid.volume
+    scale = max(_l2c(rhs, vol), 1e-300)
+    x = dinv * rhs
     for it in range(max_iters):
-        x_new = dinv * (b - dt * napply(x))
+        x_new = dinv * (rhs - dt * napply(x))
         delta = _l2c(x_new - x, vol)
         x = x_new
         if delta <= tol * scale:
-            return SpectralField(grid, x), it + 1
+            return x, it + 1
     raise NonConvergenceError(
         f"Picard iteration did not reach {tol:g} within {max_iters} sweeps at step {step}; reduce dt or amplitudes",
         step,
@@ -116,33 +120,31 @@ def picard_solve(
 
 
 def march(
-    x0: SpectralField,
+    grid: Grid,
     source: np.ndarray,
     dt: float,
     params: OperatorParams,
-    operator: Callable[[int, SpectralField], Callable[[np.ndarray], np.ndarray]],
+    operator: Callable[[int, np.ndarray], Callable[[np.ndarray], np.ndarray]],
     out: np.ndarray,
     *,
     picard_tol: float,
     max_iters: int,
 ) -> np.ndarray:
-    """Take len(out) - 1 linearly-implicit steps from x0 and return each
-    step's Picard sweeps.  Step n solves
+    """Take len(out) - 1 linearly-implicit steps from out[0], which the caller
+    writes, and return each step's Picard sweeps.  Step n solves
 
         (I + dt (mu A + alpha) + dt N_n) x_{n+1} = x_n + dt source[n],
 
-    with N_n = operator(n, x_n), the operator frozen at step n, and writes
-    x_{n+1} to out[n + 1]; out[0] = x0.
+    with N_n = operator(n, out[n]), the operator frozen at step n, and writes
+    x_{n+1} to out[n + 1].  Every x_n and source[n] is a raw coefficient array.
     """
-    grid = x0.grid
     dinv = _dinv(grid, params, dt)
     sweeps = np.zeros(len(out) - 1, dtype=int)
-    out[0] = x0.coeffs
-    x = x0
     for n in range(len(sweeps)):
-        rhs = SpectralField(grid, x.coeffs + dt * source[n])
-        x, sweeps[n] = picard_solve(grid, dinv, rhs, operator(n, x), dt, picard_tol, max_iters, step=n)
-        out[n + 1] = x.coeffs
+        x = out[n]
+        out[n + 1], sweeps[n] = picard_solve(
+            grid, dinv, x + dt * source[n], operator(n, x), dt, picard_tol, max_iters, step=n
+        )
     return sweeps
 
 
@@ -166,12 +168,14 @@ def step_state(
             RuntimeWarning,
             stacklevel=2,
         )
+    grid = m_n.grid
     out = np.empty((2,) + m_n.coeffs.shape, dtype=np.complex128)
+    out[0] = m_n.coeffs
     march(
-        m_n, f_n.coeffs[None], dt, params, lambda n, x: StateStencil(x, params).apply, out,
+        grid, f_n.coeffs[None], dt, params, lambda n, x: StateStencil(grid, x, params).apply, out,
         picard_tol=picard_tol, max_iters=max_iters,
     )
-    return SpectralField(m_n.grid, out[1])
+    return SpectralField(grid, out[1])
 
 
 @dataclass(frozen=True)
@@ -232,17 +236,18 @@ def solve_state(
         )
     # Each sample's stencil is its one transform: it serves the next step
     # and gives the sample's l4.  The spectral series are taken after the march.
-    l4s = []
+    grid, l4s = f.grid, []
 
-    def operator(n: int, m: SpectralField) -> Callable[[np.ndarray], np.ndarray]:
-        stencil = StateStencil(m, params)
+    def operator(n: int, m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        stencil = StateStencil(grid, m, params)
         l4s.append(stencil.l4)
         return stencil.apply
 
     coeffs = np.empty(f.coeffs.shape, dtype=np.complex128)
-    sweeps = march(m0, f.coeffs, f.dt, params, operator, coeffs, picard_tol=picard_tol, max_iters=max_iters)
-    solution = Trajectory(f.grid, f.t_end, coeffs)
-    l4s.append(StateStencil(solution[-1], params).l4)
+    coeffs[0] = m0.coeffs
+    sweeps = march(grid, f.coeffs, f.dt, params, operator, coeffs, picard_tol=picard_tol, max_iters=max_iters)
+    l4s.append(StateStencil(grid, coeffs[-1], params).l4)
+    solution = Trajectory(grid, f.t_end, coeffs)
     l2, v = spectral_norm_series(solution)
     l4 = np.array(l4s)
     f_l2 = l2_series(f)
@@ -338,9 +343,8 @@ def solve_difference(
     g = run1.forcing - run2.forcing
     coeffs = np.zeros(m1.coeffs.shape, dtype=np.complex128)
     march(
-        SpectralField(grid, coeffs[0]), g.coeffs, run1.dt, params,
-        lambda n, _v: PairStencil(m1[n], m2[n], params).apply, coeffs,
-        picard_tol=picard_tol, max_iters=max_iters,
+        grid, g.coeffs, run1.dt, params, lambda n, _v: PairStencil(grid, m1.coeffs[n], m2.coeffs[n], params).apply,
+        coeffs, picard_tol=picard_tol, max_iters=max_iters,
     )
     v = Trajectory(grid, m1.t_end, coeffs)
     defect = max([0.0] + l2_series(v - (m1 - m2))[1:].tolist())

@@ -18,8 +18,8 @@ import numpy as np
 
 import cbfctl
 from cbfctl import (
-    ControlProblem, Grid, OperatorParams, SpectralField, Trajectory, optimize, random_field, random_trajectory,
-    solve_adjoint, solve_difference, solve_state,
+    ControlProblem, Grid, OperatorParams, Trajectory, optimize, random_field, random_trajectory,
+    solve_adjoint, solve_difference, solve_state, step_state, zero_field,
 )
 from cbfctl.adjoint_solver import AdjointReport, DerivativeBound, DualityReport
 from cbfctl.checks import Optimum
@@ -70,14 +70,19 @@ def test_workload_calls_bind():
             raise AssertionError(f"line {call.lineno}: {ast.unparse(call)}: {exc}") from None
 
 
-def test_picard_solve_returns_field_and_sweeps():
+def test_picard_solve_returns_array_and_sweeps():
+    # the tracer's picard hook reads the sweep count, out[1]; x is the step's solution
     grid = Grid(d=2, n=8)
     params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)
     m = random_field(grid, np.random.default_rng(1), l2=1.0)
     dt = 1e-3
-    x, sweeps = picard_solve(grid, _dinv(grid, params, dt), m, StateStencil(m, params).apply, dt, 1e-11, 200, 0)
-    assert type(x) is SpectralField and x.grid == grid
+    stencil = StateStencil(grid, m.coeffs, params)
+    x, sweeps = picard_solve(grid, _dinv(grid, params, dt), m.coeffs, stencil.apply, dt, 1e-11, 200, 0)
     assert type(sweeps) is int and sweeps >= 1
+    assert type(x) is np.ndarray and x.shape == (grid.d,) + grid.shape
+    # with f = 0 the right-hand side is m itself: x is step_state's result, bit for bit
+    ref = step_state(m, zero_field(grid), dt, params, picard_tol=1e-11, max_iters=200).coeffs
+    assert np.array_equal(x.view(np.uint64), ref.view(np.uint64))
 
 
 def test_solver_results_carry_what_the_hooks_read():

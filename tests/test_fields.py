@@ -20,7 +20,6 @@ from cbfctl import (
     write_trajectory,
     zero_field,
 )
-from cbfctl.adjoint_solver import time_reverse
 from cbfctl.fields import TAU, CBFTFormatError
 
 
@@ -347,12 +346,6 @@ def test_trajectory_is_one_read_only_array(grid2d, rng):
     with pytest.raises(ValueError):
         s.coeffs[0, 1, 1] = 1.0
     assert [np.array_equal(x.coeffs, a.coeffs[n]) for n, x in enumerate(a)] == [True] * 5
-    rev = time_reverse(a)
-    assert np.shares_memory(rev.coeffs, a.coeffs)
-    assert np.array_equal(rev[0].coeffs, a[4].coeffs)
-    assert np.array_equal(time_reverse(rev).coeffs, a.coeffs)
-    with pytest.raises(ValueError):
-        rev.coeffs[0, 0, 1, 1] = 1.0
     const = Trajectory.from_fields(grid2d, 1.0, [s] * 4)
     assert const.nt == 3 and np.array_equal(const[3].coeffs, s.coeffs)
     with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ def test_cubic_monotonicity(setup):
 def test_pair_stencil_transpose(setup):
     g, amp, rng = setup
     m1, m2, v, q = (random_field(g, rng, l2=amp) for _ in range(4))
-    stencil = PairStencil(m1, m2, OperatorParams(mu=1.0, alpha=0.1, beta=1.0))
+    stencil = PairStencil(g, m1.coeffs, m2.coeffs, OperatorParams(mu=1.0, alpha=0.1, beta=1.0))
     lv, ltq = (SpectralField(g, a) for a in (stencil.apply(v.coeffs), stencil.apply_transpose(q.coeffs)))
     scale = norms(lv).l2 * norms(q).l2 + norms(v).l2 * norms(ltq).l2
     assert abs(inner_product(lv, q) - inner_product(v, ltq)) <= TOL * scale

@@ -6,8 +6,10 @@ Picard sweep, an adjoint step adds the new sample's transform and the
 coefficient fields' (one transform fewer when both are the same object).
 The reports reuse those transforms, so each of their values must equal a
 recomputation from the solution samples exactly, not just to round-off.
-A Picard sweep iterates on raw arrays: the SpectralFields a solve builds do
-not depend on how many sweeps it takes.
+The time-step core (march, picard_solve and the stencils) works on raw
+coefficient arrays, and fields appear only at the solvers' edges: the
+SpectralFields a solve builds depend neither on how many sweeps it takes nor
+on how many steps.
 """
 
 import math
@@ -25,6 +27,7 @@ from cbfctl import (
     random_trajectory,
     solve_adjoint,
     solve_adjoint_noc,
+    solve_difference,
     solve_state,
 )
 from cbfctl import state_solver
@@ -101,9 +104,9 @@ def _check_adjoint_report(adj):
     int_h2 = int_w = int_qv = int_q4 = 0.0
     for n in range(nt):
         int_h2 += dt * inner_product(h[n], h[n])
-        q2 = speed_squared(q[n])
-        a = float(np.sum(speed_squared(m1[n]) * q2) * g.quad_weight)
-        b = float(np.sum(speed_squared(m2[n]) * q2) * g.quad_weight)
+        q2 = speed_squared(g, q.coeffs[n])
+        a = float(np.sum(speed_squared(g, m1.coeffs[n]) * q2) * g.quad_weight)
+        b = float(np.sum(speed_squared(g, m2.coeffs[n]) * q2) * g.quad_weight)
         int_w += dt * (a + b)
         int_qv += dt * qv2[n]
         int_q4 += dt * q4[n]
@@ -159,12 +162,12 @@ def test_transform_budget_and_reused_values(d, n, nt, counts):
 
 @pytest.mark.parametrize("d,n,nt", [(2, 8, 6), (3, 6, 3)])
 def test_field_wraps_do_not_grow_with_sweeps(d, n, nt, monkeypatch):
+    # each solve builds as many SpectralFields at two tolerances (different
+    # sweep totals) and at two horizons, nt and 2 nt (different step counts)
     grid = Grid(d=d, n=n)
     params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)
     rng = np.random.default_rng(4243)
     m0 = random_field(grid, rng, l2=1.0)
-    f = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
-    h = random_trajectory(grid, 0.25, nt, rng, l2=1.0)
     wraps = [0]
     post_init = SpectralField.__post_init__
 
@@ -172,16 +175,26 @@ def test_field_wraps_do_not_grow_with_sweeps(d, n, nt, monkeypatch):
         wraps[0] += 1
         post_init(self)
 
+    def wraps_of(solve, *args, **kwargs):
+        wraps[0] = 0
+        return solve(*args, **kwargs), wraps[0]
+
     monkeypatch.setattr(SpectralField, "__post_init__", counted)
-    seen = {}
-    for tol in (1e-6, 1e-13):
-        wraps[0] = 0
-        run = solve_state(m0, f, params, picard_tol=tol)
-        state_wraps = wraps[0]
-        wraps[0] = 0
-        adj = solve_adjoint((run.solution, run.solution), h, 0.3, params, kappa=params.kappa_star(), picard_tol=tol)
-        sweeps = (int(run.report.picard_sweeps.sum()), int(adj.report.picard_sweeps.sum()))
-        seen[tol] = (state_wraps, wraps[0], sweeps)
-    (s1, a1, sw1), (s2, a2, sw2) = seen[1e-6], seen[1e-13]
-    assert sw1[0] < sw2[0] and sw1[1] < sw2[1]  # the tolerances take different numbers of sweeps
-    assert (s1, a1) == (s2, a2)
+    seen, sweeps = {}, {}
+    for steps in (nt, 2 * nt):
+        f1 = random_trajectory(grid, 0.25, steps, rng, l2=1.0)
+        f2 = f1 + random_trajectory(grid, 0.25, steps, rng, l2=0.5)
+        h = random_trajectory(grid, 0.25, steps, rng, l2=1.0)
+        for tol in (1e-6, 1e-13):
+            run1, state = wraps_of(solve_state, m0, f1, params, picard_tol=tol)
+            run2 = solve_state(m0, f2, params, picard_tol=tol)
+            _, difference = wraps_of(solve_difference, run1, run2, picard_tol=tol)
+            adj, adjoint = wraps_of(
+                solve_adjoint, (run1.solution, run1.solution), h, 0.3, params, kappa=params.kappa_star(), picard_tol=tol
+            )
+            seen[steps, tol] = (state, difference, adjoint)
+            sweeps[steps, tol] = (int(run1.report.picard_sweeps.sum()), int(adj.report.picard_sweeps.sum()))
+    for steps in (nt, 2 * nt):
+        loose, tight = sweeps[steps, 1e-6], sweeps[steps, 1e-13]
+        assert loose[0] < tight[0] and loose[1] < tight[1]  # the tolerances take different numbers of sweeps
+    assert len(set(seen.values())) == 1, seen
