@@ -38,24 +38,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fields import (
-    SpectralField,
-    Trajectory,
-    check_aligned,
-    inner_product,
-    inner_product_series,
-    l2_series,
-    l4_from_speed_squared,
-    running_integral,
-    spectral_norm_series,
-    time_l2_inner,
+    SpectralField, Trajectory, check_aligned, inner_product, inner_product_series, l2_series, l4_from_speed_squared,
+    mode_sq, parseval_sum, quadrature, running_integral, spectral_norm_series, speed_squared, time_l2_inner,
     time_l2_norm,
 )
-from .operators import (
-    OperatorParams,
-    PairStencil,
-    apply_C,
-    speed_squared,
-)
+from .operators import OperatorParams, PairStencil, apply_C
 from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, march
 
 
@@ -84,7 +71,7 @@ def step_adjoint(
         raise ValueError("delta must be >= 0")
     grid = p_n.grid
     stencil = PairStencil(grid, m1_rev.coeffs, m2_rev.coeffs, params)
-    extra = delta * speed_squared(grid, p_n.coeffs) if delta > 0 else None
+    extra = delta * speed_squared(grid, grid.to_physical(p_n.coeffs)) if delta > 0 else None
     out = np.empty((2,) + p_n.coeffs.shape, dtype=np.complex128)
     out[0] = p_n.coeffs
     march(
@@ -172,12 +159,11 @@ def solve_adjoint(
     stencil = None
 
     def record(p: np.ndarray) -> np.ndarray:
-        p2 = speed_squared(grid, p)
+        p2 = speed_squared(grid, grid.to_physical(p))
         rev_l4.append(l4_from_speed_squared(grid, p2))
         if stencil is not None:
-            weighted.append(
-                float(np.sum(stencil.w1 * p2) * grid.quad_weight) + float(np.sum(stencil.w2 * p2) * grid.quad_weight)
-            )
+            w1 = float(quadrature(grid, stencil.w1 * p2, grid.d))
+            weighted.append(w1 + float(quadrature(grid, stencil.w2 * p2, grid.d)))
         return p2
 
     def operator(j: int, p: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -319,8 +305,9 @@ def derivative_bound_check(adj: AdjointRun) -> DerivativeBound:
     bound = k_hat + adj.delta ** 0.25 * (K / 2.0) ** 0.75
 
     grid = q.grid
-    dq_sq = np.sum(np.abs(np.diff(q.coeffs, axis=0)) ** 2, axis=1)  # row n: |q[n + 1] - q[n]|^2 per mode
-    norm = math.sqrt(float(np.sum(dq_sq / grid.k_sq_safe)) * grid.volume / q.dt)
+    dq_sq = mode_sq(grid, np.diff(q.coeffs, axis=0))  # row n: |q[n + 1] - q[n]|^2 per mode
+    # one Parseval sum over every row at once (ndim d + 1), not a sum of row sums
+    norm = math.sqrt(float(parseval_sum(grid, dq_sq / grid.k_sq_safe, grid.d + 1)) / q.dt)
     return DerivativeBound(bound - norm, norm, bound)
 
 

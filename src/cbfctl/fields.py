@@ -27,10 +27,9 @@ Every Grid transform accepts leading batch axes.
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d, r, ..., r); ``traj[n]`` is a SpectralField over row n, without a
-copy.  Trajectory arithmetic is one array operation, and the per-sample
-series (inner_product_series, l2_series, spectral_norm_series, norm_series)
-reduce all rows in one call: each entry is bitwise the per-sample function's value.
-Every time integral goes through running_integral, the one rectangle rule.
+copy.  Trajectory arithmetic is one array operation.  Every spatial integral
+goes through the three reductions of the space quadrature section, every
+time integral through running_integral, the one rectangle rule.
 
 CBFT files keep the n^d lattice in lexicographic k-order, in which the cube
 is the centred block n/2 - kmax .. n/2 + kmax of every axis.
@@ -299,7 +298,7 @@ class SpectralField:
         """max_k |k . c(k)| / (|k| |c(k)|), 0 for the zero field."""
         g = self.grid
         dot = np.abs(np.sum(g.k * self.coeffs, axis=0))
-        mag = np.sqrt(g.k_sq) * np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=0))
+        mag = np.sqrt(g.k_sq) * np.sqrt(mode_sq(g, self.coeffs))
         rel = np.where(mag > 0, dot / np.where(mag > 0, mag, 1.0), 0.0)
         return float(np.max(rel))
 
@@ -369,33 +368,20 @@ def leray_project(grid: Grid, coeffs: np.ndarray) -> SpectralField:
 def inner_product(u: SpectralField, w: SpectralField) -> float:
     """L2(torus) inner product via Parseval."""
     _check_same_grid(u, w)
-    return float(np.real(np.sum(u.coeffs * np.conj(w.coeffs))) * u.grid.volume)
+    return float(parseval_pairing(u.grid, u.coeffs, w.coeffs))
 
 
 def spectral_norms(u: SpectralField) -> tuple[float, float]:
     """(||u||_2, ||grad u||_2) by Parseval; no transform."""
-    g = u.grid
-    sq = np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    l2 = math.sqrt(float(np.sum(sq)) * g.volume)
-    v = math.sqrt(float(np.sum(g.k_sq * sq)) * g.volume)
-    return l2, v
-
-
-def l4_from_speed_squared(grid: Grid, mag2: np.ndarray) -> float:
-    """||u||_4 from |u|^2 on the M-grid, by exact quadrature."""
-    return (float(np.add.reduce(mag2**2, axis=None)) * grid.quad_weight) ** 0.25
+    l2, v = _spectral_rows(u.grid, u.coeffs)
+    return float(l2), float(v)
 
 
 def norms(u: SpectralField) -> FieldNorms:
     """(||u||_2, ||grad u||_2, ||u||_4); l4 by exact padded-grid quadrature.
-
-    Solvers that already hold |u|^2 on the M-grid assemble the same triple
-    from spectral_norms and l4_from_speed_squared without a transform; the
-    values are bitwise those of norms().
-    """
-    l2, v = spectral_norms(u)
-    mag2 = np.sum(u.grid.to_physical(u.coeffs) ** 2, axis=0)
-    return FieldNorms(l2=l2, v=v, l4=l4_from_speed_squared(u.grid, mag2))
+    Solvers that hold |u|^2 on the M-grid get the same bits from
+    spectral_norms and l4_from_speed_squared."""
+    return FieldNorms(*(float(x) for x in _norm_rows(u.grid, u.coeffs)))
 
 
 def random_field(
@@ -498,45 +484,82 @@ def check_aligned(a: Trajectory, b: Trajectory) -> None:
         raise GridMismatchError("trajectory time axes differ")
 
 
-# Per-sample series.  Each reduces every sample row of a (nt+1, ...) array in
-# one call; np.sum over a contiguous row is the same pairwise sum as np.sum of
-# that sample alone, so every entry is bitwise the per-sample function's value.
+# ----------------------------------------------------------------------
+# space quadrature: the Parseval pairing and mode sums of coefficient arrays,
+# the exact quadrature of M-grid values.  Each sums a sample's trailing axes
+# (_TRAILING[ndim]) per leading row, so a field and a trajectory take the same
+# code; the axes of a contiguous array coalesce into one pairwise run per
+# row, so every row is bitwise its one-field value.
+# ----------------------------------------------------------------------
 
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    return np.sum(x.reshape(x.shape[0], -1), axis=1)
+_TRAILING = tuple(tuple(range(-ndim, 0)) for ndim in range(5))
+
+
+def parseval_pairing(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum a conj(b) * volume per (d, r, ..., r) row; a and b broadcast."""
+    return np.real(np.add.reduce(a * np.conj(b), axis=_TRAILING[grid.d + 1])) * grid.volume
+
+
+def mode_sq(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """|c(k)|^2 summed over the components, per mode."""
+    return np.add.reduce(np.abs(c) ** 2, axis=-(grid.d + 1))
+
+
+def parseval_sum(grid: Grid, x: np.ndarray, ndim: int) -> np.ndarray:
+    """sum x * volume over the last ndim axes of a per-mode array x, such as
+    mode_sq (squared L2 norm) or |k|^2 mode_sq (squared V norm)."""
+    return np.add.reduce(x, axis=_TRAILING[ndim]) * grid.volume
+
+
+def quadrature(grid: Grid, values: np.ndarray, ndim: int) -> np.ndarray:
+    """Exact M-grid quadrature sum values * quad_weight over the last ndim
+    axes: d for a scalar integrand, d + 1 for a dot product."""
+    return np.add.reduce(values, axis=_TRAILING[ndim]) * grid.quad_weight
+
+
+def speed_squared(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """|u|^2 at every M-grid node from the values of u."""
+    return np.add.reduce(values**2, axis=-(grid.d + 1))
+
+
+def l4_from_speed_squared(grid: Grid, mag2: np.ndarray) -> float | np.ndarray:
+    """||u||_4 per row from |u|^2, a float for one field; Python's float
+    power, which numpy's vectorized power differs from in the last bit."""
+    s = quadrature(grid, mag2**2, grid.d).tolist()
+    return s**0.25 if isinstance(s, float) else np.array([x**0.25 for x in s])
+
+
+def _spectral_rows(grid: Grid, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sq = mode_sq(grid, c)
+    return np.sqrt(parseval_sum(grid, sq, grid.d)), np.sqrt(parseval_sum(grid, grid.k_sq * sq, grid.d))
+
+
+def _norm_rows(grid: Grid, c: np.ndarray) -> FieldNorms:
+    l2, v = _spectral_rows(grid, c)
+    return FieldNorms(l2, v, l4_from_speed_squared(grid, speed_squared(grid, grid.to_physical(c))))
 
 
 def inner_product_series(a: Trajectory, b: Trajectory) -> np.ndarray:
     """inner_product(a[n], b[n]) for every sample n."""
     check_aligned(a, b)
-    return np.real(_row_sums(a.coeffs * np.conj(b.coeffs))) * a.grid.volume
-
-
-def _l2_and_mode_sq(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    sq = np.sum(np.abs(traj.coeffs) ** 2, axis=1)  # |c(k)|^2 per sample and mode
-    return np.sqrt(_row_sums(sq) * traj.grid.volume), sq
+    return parseval_pairing(a.grid, a.coeffs, b.coeffs)
 
 
 def l2_series(traj: Trajectory) -> np.ndarray:
     """spectral_norms(traj[n])[0] for every sample n, without the V series."""
-    return _l2_and_mode_sq(traj)[0]
+    g = traj.grid
+    return np.sqrt(parseval_sum(g, mode_sq(g, traj.coeffs), g.d))
 
 
 def spectral_norm_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """spectral_norms(traj[n]) for every sample n, as (l2, v) arrays."""
-    g = traj.grid
-    l2, sq = _l2_and_mode_sq(traj)
-    return l2, np.sqrt(_row_sums(g.k_sq * sq) * g.volume)
+    return _spectral_rows(traj.grid, traj.coeffs)
 
 
 def norm_series(traj: Trajectory) -> FieldNorms:
     """norms(traj[n]) for every sample n, as a FieldNorms of arrays; the l4
     series comes from one batched transform of the whole trajectory."""
-    g = traj.grid
-    l2, v = spectral_norm_series(traj)
-    mag2 = np.sum(g.to_physical(traj.coeffs) ** 2, axis=1)
-    l4 = [(s * g.quad_weight) ** 0.25 for s in _row_sums(mag2**2).tolist()]
-    return FieldNorms(l2=l2, v=v, l4=np.array(l4))
+    return _norm_rows(traj.grid, traj.coeffs)
 
 
 def running_integral(values: np.ndarray | Sequence[float], dt: float) -> np.ndarray:

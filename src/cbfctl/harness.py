@@ -27,8 +27,8 @@ from .fields import (
     Grid,
     SpectralField,
     Trajectory,
-    inner_product,
     make_field,
+    parseval_pairing,
     random_field,
     random_trajectory,
     time_l2_norm,
@@ -234,21 +234,24 @@ class DenseSystem:
                 f"n: dense dimension {len(basis)} at n={grid.n} exceeds the cap {self.MAX_DIM}; shrink the grid"
             )
         self.basis = basis
+        self._stacked = np.stack([e.coeffs for e in basis])
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def field_to_vec(self, u: SpectralField) -> np.ndarray:
-        return np.array([inner_product(u, e) for e in self.basis])
+        """The coordinates inner_product(u, e) over the basis, in one pairing."""
+        return parseval_pairing(self.grid, u.coeffs, self._stacked)
 
     def vec_to_field(self, x: np.ndarray) -> SpectralField:
         coeffs = sum(float(xi) * e.coeffs for xi, e in zip(x, self.basis))
         return SpectralField(self.grid, np.asarray(coeffs))
 
     def assemble(self, op: Callable[[SpectralField], SpectralField]) -> np.ndarray:
-        cols = [self.field_to_vec(op(e)) for e in self.basis]
-        return np.column_stack(cols)
+        """The matrix (inner_product(op(e_j), e_i))_ij, in one pairing."""
+        cols = np.stack([op(e).coeffs for e in self.basis])
+        return parseval_pairing(self.grid, cols, self._stacked[:, None])
 
     @cached_property
     def a_matrix(self) -> np.ndarray:
@@ -268,7 +271,7 @@ class DenseSystem:
         forcing_fn: Callable[[float], SpectralField],
         t_end: float,
         nt: int,
-        refine: int = 64,
+        refine: int,
     ) -> Trajectory:
         """Fine-step dense integration (dt_ref = dt / refine), sampled on the
         coarse time grid; per fine step the implicit matrix is rebuilt from

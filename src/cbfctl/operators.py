@@ -34,6 +34,8 @@ argument from one 1-jet transform (grad_physical), a stencil transforms its
 coefficient arrays once (once in all when m2 holds the same coefficient bits
 as m1), and it keeps |m1|^2 and |m2|^2 so the solvers read norms and
 weighted integrals off it instead of transforming again.
+|u|^2 and every integral are the fields reductions speed_squared and
+quadrature, fed the M-grid values already at hand.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpectralField, _check_same_grid, l4_from_speed_squared
+from .fields import Grid, SpectralField, _check_same_grid, l4_from_speed_squared, quadrature, speed_squared
 
 
 @dataclass(frozen=True)
@@ -94,15 +96,14 @@ def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
     gq = g.grad_physical(q.coeffs)[1:]
     rv = g.to_physical(r.coeffs)
     conv = np.einsum("i...,ij...->j...", pv, gq)
-    return float(np.sum(conv * rv) * g.quad_weight)
+    return float(quadrature(g, conv * rv, g.d + 1))
 
 
 def apply_C(p: SpectralField) -> SpectralField:
     """Cubic damping C(p) = P(|p|^2 p); padded grid keeps it alias-free."""
     g = p.grid
     pv = g.to_physical(p.coeffs)
-    mag2 = np.sum(pv**2, axis=0)
-    return SpectralField(g, g.project_coeffs(g.from_physical(mag2 * pv)))
+    return SpectralField(g, g.project_coeffs(g.from_physical(speed_squared(g, pv) * pv)))
 
 
 def monotonicity_gap(p: SpectralField, q: SpectralField) -> float:
@@ -112,9 +113,9 @@ def monotonicity_gap(p: SpectralField, q: SpectralField) -> float:
     pv = g.to_physical(p.coeffs)
     qv = g.to_physical(q.coeffs)
     dv = pv - qv
-    cubic = np.sum(pv**2, axis=0) * pv - np.sum(qv**2, axis=0) * qv
-    pairing = float(np.sum(cubic * dv) * g.quad_weight)
-    d4 = float(np.sum(np.sum(dv**2, axis=0) ** 2) * g.quad_weight)
+    cubic = speed_squared(g, pv) * pv - speed_squared(g, qv) * qv
+    pairing = float(quadrature(g, cubic * dv, g.d + 1))
+    d4 = float(quadrature(g, speed_squared(g, dv) ** 2, g.d))
     return pairing - 0.25 * d4
 
 
@@ -146,13 +147,13 @@ class PairStencil:
         jet2 = grid.grad_physical(m2)
         m2v, self._gm2 = jet2[0], jet2[1:]
         self._m1v = m2v if shared else grid.to_physical(m1)
-        self.w2 = np.add.reduce(m2v**2, axis=0)
-        self.w1 = self.w2 if shared else np.add.reduce(self._m1v**2, axis=0)
+        self.w2 = speed_squared(grid, m2v)
+        self.w1 = self.w2 if shared else speed_squared(grid, self._m1v)
         self._w = self.w1 + self.w2
         self._s = self._m1v + m2v
 
     def _forch(self, qv: np.ndarray) -> np.ndarray:
-        return 0.5 * self.beta * (self._w * qv + np.add.reduce(self._s * qv, axis=0) * self._s)
+        return 0.5 * self.beta * (self._w * qv + np.add.reduce(self._s * qv, axis=-(self.grid.d + 1)) * self._s)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """B(m1, v) + B(v, m2) + Forchheimer(v), v a coefficient array."""
@@ -190,7 +191,7 @@ class StateStencil:
     def __init__(self, grid: Grid, m_ref: np.ndarray, params: OperatorParams):
         self.grid = grid
         self._mv = grid.to_physical(m_ref)
-        w = np.add.reduce(self._mv**2, axis=0)
+        w = speed_squared(grid, self._mv)
         self._bw = params.beta * w
         self.l4 = l4_from_speed_squared(grid, w)
 
@@ -200,14 +201,4 @@ class StateStencil:
         xv, gx = jx[0], jx[1:]
         out = np.einsum("i...,ij...->j...", self._mv, gx) + self._bw * xv
         return g.project_coeffs(g.from_physical(out))
-
-
-def speed_squared(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """|u(x)|^2 on the padded grid of the field with coefficient array c."""
-    return np.sum(grid.to_physical(c) ** 2, axis=0)
-
-
-def l4_norm4(u: SpectralField) -> float:
-    """||u||_4^4 from one transform, without the spectral norms of norms()."""
-    return float(np.sum(speed_squared(u.grid, u.coeffs) ** 2) * u.grid.quad_weight)
 

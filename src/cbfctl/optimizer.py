@@ -158,8 +158,8 @@ def optimize(
     problem: ControlProblem,
     f_init: Trajectory,
     *,
-    max_iters: int = 100,
-    tol: float = 1e-8,
+    max_iters: int,
+    tol: float,
 ) -> OptimizeResult:
     """Spectral projected gradient (Birgin, Martinez & Raydan 2000) with the
     nonmonotone Armijo search of Grippo, Lampariello & Lucidi (1986) on the
@@ -242,8 +242,8 @@ def make_probe_bank(
     count: int,
     rng: np.random.Generator,
     *,
-    grad: Trajectory | None = None,
-    step: float = 1.0,
+    grad: Trajectory | None,
+    step: float,
 ) -> list[Trajectory]:
     """Admissible probe bank: random interior points plus +-R-normalized
     extreme directions, optionally with the projected descent probe."""

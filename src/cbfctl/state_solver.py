@@ -50,6 +50,7 @@ from .fields import (
     inner_product_series,
     l2_series,
     norm_series,
+    parseval_pairing,
     running_integral,
     spectral_norm_series,
     spectral_norms,
@@ -80,12 +81,6 @@ def _dinv(grid: Grid, params: OperatorParams, dt: float) -> np.ndarray:
     return 1.0 / (1.0 + dt * (params.alpha + params.mu * grid.k_sq))
 
 
-def _l2c(c: np.ndarray, volume: float) -> float:
-    """||c||_2 of a raw coefficient array: the square root of its
-    inner_product with itself, as the same expression."""
-    return math.sqrt(max(float(np.real(np.add.reduce(c * np.conj(c), axis=None)) * volume), 0.0))
-
-
 def picard_solve(
     grid: Grid,
     dinv: np.ndarray,
@@ -104,12 +99,12 @@ def picard_solve(
     right-hand side, the iterates, napply's argument and value and x are raw
     coefficient arrays of shape (d,) + grid.shape.
     """
-    vol = grid.volume
-    scale = max(_l2c(rhs, vol), 1e-300)
+    scale = max(math.sqrt(parseval_pairing(grid, rhs, rhs)), 1e-300)
     x = dinv * rhs
     for it in range(max_iters):
         x_new = dinv * (rhs - dt * napply(x))
-        delta = _l2c(x_new - x, vol)
+        dx = x_new - x
+        delta = math.sqrt(parseval_pairing(grid, dx, dx))
         x = x_new
         if delta <= tol * scale:
             return x, it + 1
@@ -315,10 +310,10 @@ def _require_shared_setup(run1: StateRun, run2: StateRun) -> None:
     if run1.grid != run2.grid:
         raise ValueError("runs live on different grids")
     check_aligned(run1.solution, run2.solution)
-    vol = run1.grid.volume
-    d0 = _l2c(run1.initial.coeffs - run2.initial.coeffs, vol)
-    scale = max(_l2c(run1.initial.coeffs, vol), _l2c(run2.initial.coeffs, vol), 1.0)
-    if d0 > 1e-12 * scale:
+    c1, c2 = run1.initial.coeffs, run2.initial.coeffs
+    rows = np.stack((c1 - c2, c1, c2))
+    d0, l2_1, l2_2 = np.sqrt(parseval_pairing(run1.grid, rows, rows)).tolist()
+    if d0 > 1e-12 * max(l2_1, l2_2, 1.0):
         raise ValueError("runs must share the initial condition")
     if run1.params != run2.params:
         raise ValueError("runs must share operator parameters")

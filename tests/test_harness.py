@@ -223,6 +223,25 @@ def test_dense_operator_equivalence(tiny_system, rng):
             assert float(np.max(np.abs(dense - spectral))) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("d,n", [(2, 4), (2, 6), (3, 4)])
+def test_dense_pairings_match_inner_product_loop(d, n):
+    # field_to_vec and assemble each make one pairing against the stacked
+    # basis; every entry is bitwise the inner_product of the per-basis loop
+    s = DenseSystem(Grid(d=d, n=n), OperatorParams(mu=1.0, alpha=0.1, beta=1.0))
+    rng = np.random.default_rng(611)
+    u, m1, m2 = (random_field(s.grid, rng) for _ in range(3))
+    pair = PairStencil(s.grid, m1.coeffs, m2.coeffs, s.params)
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    loop = np.array([inner_product(u, e) for e in s.basis])
+    assert np.array_equal(bits(s.field_to_vec(u)), bits(loop))
+    for op in (apply_A, lambda e: SpectralField(s.grid, pair.apply(e.coeffs))):
+        cols = [np.array([inner_product(op(e), b) for b in s.basis]) for e in s.basis]
+        assert np.array_equal(bits(s.assemble(op)), bits(np.column_stack(cols)))
+
+
 def test_dense_dimension_cap():
     grid = Grid(d=3, n=4)  # 13 representatives x 2 tangents x 2 phases = 52
     params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)

@@ -37,3 +37,19 @@ def test_relative_imports_name_the_defining_module():
                     for a in node.names if a.name not in defined[node.module]
                 ]
     assert not routed, routed
+
+
+def test_space_integrals_live_in_fields():
+    # every spatial integral is a fields reduction: outside fields.py no module
+    # weights a sum by the grid's volume or quadrature weight; harness.py
+    # reads .volume once, to normalize the dense basis
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        reads += [
+            (path.name, node.attr)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("volume", "quad_weight")
+        ]
+    assert reads == [("harness.py", "volume")], reads

@@ -290,7 +290,7 @@ def test_ioc_ladder_at_optimum(params, rng, monkeypatch):
     assert result.trace.stop == "tol"
     assert len(solves) <= 16  # 12 with the nonmonotone search, 29 with the monotone one
     assert all(r.step <= 1.0 / problem.lam for r in result.trace.rows)
-    probes = make_probe_bank(result.control, problem.radius, 2, rng)
+    probes = make_probe_bank(result.control, problem.radius, 2, rng, grad=None, step=1.0)
     scale = vi_scale(result.control, probes, problem)
     points = ioc_ladder(
         probes[0], (0.5, 0.25, 0.1, 0.01), problem, base_run=result.state, base_adjoint=result.adjoint

@@ -32,9 +32,12 @@ from cbfctl.fields import (
     inner_product_series,
     l2_series,
     norm_series,
+    parseval_pairing,
+    quadrature,
     running_integral,
     spectral_norm_series,
     spectral_norms,
+    speed_squared,
 )
 
 
@@ -66,11 +69,21 @@ def test_series_match_per_sample_functions(d, n):
     l2, v = spectral_norm_series(a)
     l2_only = l2_series(a)
     nm = norm_series(a)
+    # the batched |u|^2, the M-grid quadrature of |u|^4 and the increment
+    # norm of a Picard sweep, one row per sample
+    mag2 = speed_squared(grid, grid.to_physical(a.coeffs))
+    quad = quadrature(grid, mag2**2, d)
+    increments = np.sqrt(parseval_pairing(grid, a.coeffs, a.coeffs))
     for k in range(a.nt + 1):
         assert ips[k] == inner_product(a[k], b[k])
         assert (l2[k], v[k]) == spectral_norms(a[k])
         assert l2_only[k] == l2[k]
         assert (nm.l2[k], nm.v[k], nm.l4[k]) == norms(a[k])
+        u2 = speed_squared(grid, grid.to_physical(a[k].coeffs))
+        assert np.array_equal(mag2[k].view(np.uint64), u2.view(np.uint64))
+        assert quad[k] == quadrature(grid, u2**2, d)
+        picard = math.sqrt(parseval_pairing(grid, a[k].coeffs, a[k].coeffs))  # picard_solve's expression
+        assert increments[k] == picard == math.sqrt(inner_product(a[k], a[k]))
 
 
 def test_state_report_series(case):

@@ -21,9 +21,9 @@ from cbfctl import (
     step_state,
     zero_field,
 )
-from cbfctl.fields import random_forcing
+from cbfctl.fields import random_forcing, speed_squared
 from cbfctl.checks import observed_order
-from cbfctl.operators import PairStencil, StateStencil, speed_squared
+from cbfctl.operators import PairStencil, StateStencil
 from cbfctl.state_solver import _dinv, picard_solve
 from oracles import apply_B
 
@@ -98,7 +98,7 @@ def test_picard_solve_matches_field_loop_bitwise(d, n, params):
     rng = np.random.default_rng(808)
     m1, m2, rhs = (random_field(g, rng, l2=2.0) for _ in range(3))
     pair = PairStencil(g, m1.coeffs, m2.coeffs, params)
-    extra = 0.3 * speed_squared(g, m2.coeffs)
+    extra = 0.3 * speed_squared(g, g.to_physical(m2.coeffs))
     applies = {
         "state": StateStencil(g, m1.coeffs, params).apply,
         "pair": pair.apply,

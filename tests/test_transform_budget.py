@@ -31,7 +31,7 @@ from cbfctl import (
     solve_state,
 )
 from cbfctl import state_solver
-from cbfctl.operators import speed_squared
+from cbfctl.fields import speed_squared
 
 TRANSFORMS = ("to_physical", "grad_physical", "from_physical")
 
@@ -104,9 +104,9 @@ def _check_adjoint_report(adj):
     int_h2 = int_w = int_qv = int_q4 = 0.0
     for n in range(nt):
         int_h2 += dt * inner_product(h[n], h[n])
-        q2 = speed_squared(g, q.coeffs[n])
-        a = float(np.sum(speed_squared(g, m1.coeffs[n]) * q2) * g.quad_weight)
-        b = float(np.sum(speed_squared(g, m2.coeffs[n]) * q2) * g.quad_weight)
+        q2 = speed_squared(g, g.to_physical(q.coeffs[n]))
+        a = float(np.sum(speed_squared(g, g.to_physical(m1.coeffs[n])) * q2) * g.quad_weight)
+        b = float(np.sum(speed_squared(g, g.to_physical(m2.coeffs[n])) * q2) * g.quad_weight)
         int_w += dt * (a + b)
         int_qv += dt * qv2[n]
         int_q4 += dt * q4[n]
