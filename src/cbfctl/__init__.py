@@ -36,8 +36,6 @@ from .fields import (
 from .operators import (
     OperatorParams,
     apply_A,
-    apply_C,
-    monotonicity_gap,
     trilinear_b,
 )
 from .state_solver import (

@@ -38,11 +38,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fields import (
-    SpectralField, Trajectory, check_aligned, inner_product, inner_product_series, l2_series, l4_from_speed_squared,
-    mode_sq, parseval_sum, quadrature, running_integral, spectral_norm_series, speed_squared, time_l2_inner,
+    SpectralField, Trajectory, check_aligned, inner_product_series, l2_series, l4_from_speed_squared, mode_sq,
+    parseval_pairing, parseval_sum, quadrature, running_integral, spectral_norm_series, speed_squared, time_l2_inner,
     time_l2_norm,
 )
-from .operators import OperatorParams, PairStencil, apply_C
+from .operators import OperatorParams, PairStencil, cubic_coeffs
 from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, march
 
 
@@ -190,22 +190,9 @@ def solve_adjoint(
         margin = K - lhs
     else:
         warnings.warn("coefficient hypothesis fails; adjoint energy margin undefined", RuntimeWarning)
-    report = AdjointReport(
-        q_l2=q_l2,
-        q_v=q_v,
-        picard_sweeps=sweeps,
-        energy_K=K,
-        energy_margin=margin,
-        kappa=kappa,
-    )
+    report = AdjointReport(q_l2=q_l2, q_v=q_v, picard_sweeps=sweeps, energy_K=K, energy_margin=margin, kappa=kappa)
     return AdjointRun(
-        params=params,
-        delta=delta,
-        coeffs=coeffs,
-        rhs=h,
-        solution=solution,
-        report=report,
-        state_K=state_K,
+        params=params, delta=delta, coeffs=coeffs, rhs=h, solution=solution, report=report, state_K=state_K
     )
 
 
@@ -250,16 +237,15 @@ def duality_residual(
     lhs = running_integral(inner_product_series(g, q)[:-1], dt)
     rhs = running_integral(inner_product_series(h, v)[1:], dt)
     cubic = np.zeros(q.nt + 1)
-    if adj.delta > 0:
-        cubic = running_integral([inner_product(apply_C(q[n]), v[n]) for n in range(q.nt)], adj.delta * dt)
+    if adj.delta > 0:  # <C(q_n), v_n> for n < nt, from one batched transform each way
+        cq = cubic_coeffs(q.grid, q.grid.to_physical(q.coeffs[:-1]))
+        cubic = running_integral(parseval_pairing(q.grid, cq, v.coeffs[:-1]), adj.delta * dt)
     limit = lhs[-1] - running_integral(inner_product_series(h, run1.solution - run2.solution)[1:], dt)[-1]
     scale = running_integral(np.concatenate(((g_l2 * q_l2)[:-1], (h_l2 * v_l2)[1:])), dt)[-1]
     running = np.abs(lhs + cubic - rhs)
     return DualityReport(
-        delta_form=float(running[-1]),
-        limit_form=float(abs(limit)),
-        scale=max(float(scale + abs(cubic[-1])), 1e-300),
-        running=tuple(running.tolist()),
+        delta_form=float(running[-1]), limit_form=float(abs(limit)),
+        scale=max(float(scale + abs(cubic[-1])), 1e-300), running=tuple(running.tolist()),
     )
 
 

@@ -3,8 +3,8 @@
     cbfctl simulate|adjoint|optimize|verify|delta-sweep|oracle
            --config <file> --out <dir> [--seed N]
 
-Exit codes: 0 pass, 1 invariant violation, 2 solver failure, 3 config,
-input-file or command-line argument error.  Any other exception propagates
+Exit codes: 0 pass, 1 invariant violation, 2 solver failure, 3 config or
+command-line argument error.  Any other exception propagates
 with its traceback.
 """
 
@@ -15,7 +15,6 @@ import sys
 from typing import NoReturn
 
 from .experiments import run_experiment
-from .fields import CBFTFormatError
 from .harness import EXPERIMENTS, ConfigError, config_from_dict, config_to_dict, parse_config
 from .optimizer import LineSearchFailure
 from .state_solver import HypothesisViolatedError, NonConvergenceError
@@ -69,9 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ConfigError, HypothesisViolatedError) as exc:
         print(f"cbfctl: config error: {exc}", file=sys.stderr)
-        return 3
-    except CBFTFormatError as exc:
-        print(f"cbfctl: input error: {exc}", file=sys.stderr)
         return 3
     status = "pass" if result.exit_code == 0 else "INVARIANT VIOLATION"
     print(f"cbfctl {config.experiment}: {status} ({len(result.summary['checks'])} checks, out={args.out})")

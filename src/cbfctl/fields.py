@@ -2,12 +2,13 @@
 
 The computational domain is the d-torus [0, 2*pi)^d (d = 2 or 3).  A velocity
 field is stored as a complex coefficient array ``c[j, k1, ..., kd]`` over the
-retained cube: r = 2*kmax + 1 slots per axis, kmax = n//3 (2/3-rule
-dealiasing), holding k = -kmax..kmax in ascending order, so k sits at index
-k + kmax and k -> -k reverses the d axes.  No mode outside the dealiased
-range has a slot.  Two invariants are enforced everywhere:
+retained half cube, the half-complex layout of a real field (kmax = n//3,
+2/3-rule dealiasing): k = -kmax..kmax at index k + kmax on each of the first
+d - 1 axes, k_last = 0..kmax at index k_last on the last.  The k_last < 0
+modes, conjugates of stored ones, and the modes outside the dealiased range
+have no slot.  Two invariants are enforced everywhere:
 
-* Hermitian symmetry  c(-k) = conj(c(k))   (the field is real valued),
+* Hermitian symmetry  c(-k) = conj(c(k))   (real values; binds k_last = 0),
 * c(0) = 0                                  (zero spatial mean),
 
 plus discrete incompressibility  k . c(k) = 0  for every retained mode.  With
@@ -22,17 +23,17 @@ quadrature of their (up to quartic) integrals exact (Orszag's padding rule
 applied to cubic terms).  The transforms sum over the retained modes only,
 as tensor-product matrix products (sum factorization): a precomputed M x r
 matrix per full axis and, fields being real, a real matrix on the last
-axis's half spectrum k_last >= 0, the basic slice [..., kmax:] of the cube.
-Every Grid transform accepts leading batch axes.
+axis's half spectrum.  Every Grid transform accepts leading batch axes.
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
-(nt+1, d, r, ..., r); ``traj[n]`` is a SpectralField over row n, without a
+(nt+1, d) + Grid.shape; ``traj[n]`` is a SpectralField over row n, without a
 copy.  Trajectory arithmetic is one array operation.  Every spatial integral
-goes through the three reductions of the space quadrature section, every
-time integral through running_integral, the one rectangle rule.
+goes through the three reductions of the space quadrature section, the only
+sums that weight the half (1 on the k_last = 0 plane, 2 elsewhere for a slot
+and its mirror); every time integral goes through running_integral.
 
-CBFT files keep the n^d lattice in lexicographic k-order, in which the cube
-is the centred block n/2 - kmax .. n/2 + kmax of every axis.
+CBFT files keep the full n^d lattice in lexicographic k-order, in which the
+retained cube is the centred block n/2 - kmax .. n/2 + kmax of every axis.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ class Grid:
     """Spectral grid: ``d`` spatial dimensions, ``n`` wavenumbers per axis.
 
     The box length is fixed at 2*pi per axis.  Retained (dealiased) modes
-    satisfy |k_i| <= kmax = n//3, and coefficient arrays hold exactly those:
-    the cube of side r = 2*kmax + 1, k ascending on every axis.
+    satisfy |k_i| <= kmax = n//3, and coefficient arrays hold those with
+    k_last >= 0: the half cube, k ascending on every axis.
     """
 
     d: int
@@ -91,8 +92,8 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """The retained cube, (r,) * d with r = 2*kmax + 1."""
-        return (2 * self.kmax + 1,) * self.d
+        """The half cube (2*kmax + 1,) * (d - 1) + (kmax + 1,): the retained k_last >= 0."""
+        return (2 * self.kmax + 1,) * (self.d - 1) + (self.kmax + 1,)
 
     @property
     def pad_n(self) -> int:
@@ -114,8 +115,9 @@ class Grid:
 
     @cached_property
     def k(self) -> np.ndarray:
-        """Wavenumber vectors over the cube, shape (d, r, ..., r), float64."""
-        axes = np.meshgrid(*([np.arange(-self.kmax, self.kmax + 1)] * self.d), indexing="ij")
+        """Wavenumber vectors over the half cube, shape (d,) + shape, float64."""
+        ks = np.arange(-self.kmax, self.kmax + 1)
+        axes = np.meshgrid(*([ks] * (self.d - 1) + [ks[self.kmax :]]), indexing="ij")
         return _frozen(np.stack(axes).astype(np.float64))
 
     @cached_property
@@ -137,20 +139,30 @@ class Grid:
         (re, im) pairs of k = 0..kmax to real values, with weight 2 for k > 0:
         the Hermitian k_last < 0 half adds the complex conjugate.  F = E^H / M
         and Rf (M x 2(kmax+1)), the (re, im) columns of conj(E) / M over
-        k = 0..kmax, are the analysis pair; they give the cube's k_last >= 0
-        half.  Phases come from the integer (j k) mod M.
+        k = 0..kmax, are the analysis pair; they give the half cube.  Phases
+        come from the integer (j k) mod M.
         """
         m, kx = self.pad_n, self.kmax
         e = np.exp(1j * (TAU * (np.outer(np.arange(m), np.arange(-kx, kx + 1)) % m) / m))
-        r = np.conj(e[:, kx:] * np.where(np.arange(kx + 1) > 0, 2.0, 1.0)).view(np.float64).T
+        r = np.conj(e[:, kx:] * self._hermitian_weights).view(np.float64).T
         rf = np.conj(e[:, kx:]).view(np.float64) / m
         mats = (e, np.ascontiguousarray(r), np.ascontiguousarray(np.conj(e).T) / m, rf)
         return tuple(_frozen(a) for a in mats)
 
     @cached_property
     def _ik_half(self) -> np.ndarray:
-        """1j * k over the cube's k_last >= 0 half, shape (d, r, ..., r, kmax+1)."""
-        return _frozen(1j * self.k[..., self.kmax :])
+        """1j * k over the half cube."""
+        return _frozen(1j * self.k)
+
+    @cached_property
+    def _hermitian_weights(self) -> np.ndarray:
+        """Hermitian weights of the last axis: 1 for k_last = 0, 2 for a slot and its mirror."""
+        return _frozen(np.where(np.arange(self.kmax + 1) > 0, 2.0, 1.0))
+
+    @cached_property
+    def _plane_slots(self) -> tuple[tuple, tuple]:
+        """Within the k_last = 0 plane: the index of k = 0 and the reflection k -> -k."""
+        return (Ellipsis,) + (self.kmax,) * (self.d - 1), (Ellipsis,) + (slice(None, None, -1),) * (self.d - 1)
 
     @cached_property
     def _jet_slots(self) -> tuple[tuple, tuple, tuple]:
@@ -161,11 +173,13 @@ class Grid:
         return (Ellipsis, 0) + tail, (Ellipsis, slice(1, None)) + tail, (Ellipsis, None) + tail
 
     def position(self, k: Sequence[int]) -> tuple[int, ...]:
-        """Array index of the wavenumber k in the cube."""
-        return tuple(ki + self.kmax for ki in k)
+        """Array index of the wavenumber k, k_last >= 0, in the half cube."""
+        if k[-1] < 0:
+            raise ValueError(f"wavenumber {tuple(k)} has no slot: its mirror -k holds the conjugate")
+        return tuple(ki + self.kmax for ki in k[:-1]) + (k[-1],)
 
     def retained_modes(self) -> list[tuple[int, ...]]:
-        """All retained wavenumber tuples (k = 0 excluded), lexicographically sorted."""
+        """All retained wavenumber tuples, k_last < 0 too (k = 0 excluded), lexicographically sorted."""
         kx = self.kmax
         return [k for k in itertools.product(range(-kx, kx + 1), repeat=self.d) if any(k)]
 
@@ -174,17 +188,18 @@ class Grid:
     # ------------------------------------------------------------------
 
     def reduce_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Hermitian part 0.5 * (c(k) + conj(c(-k))) of a raw cube array, with
-        c(0) = 0 (returns a copy); any leading axes are batch axes."""
-        return _hermitian_part(np.array(coeffs, dtype=np.complex128), self.d)
+        """A copy of a raw half-cube array, c(0) = 0 and its k_last = 0 plane
+        Hermitian (_hermitian_plane); any leading axes are batch axes."""
+        return self._hermitian_plane(np.array(coeffs, dtype=np.complex128))
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-mode Helmholtz projection c <- (I - k k^T / |k|^2) c.
+        """Per-mode Helmholtz projection c <- (I - k k^T / |k|^2) c; k . c
+        sums the component axis -(d + 1), so leading axes are batch axes.
 
         ``coeffs`` must already be reduced (output of reduce_coeffs, or of
         from_physical): its k = 0 mode is +0, and the projection leaves it +0.
         """
-        dot = np.add.reduce(self.k * coeffs, axis=0)
+        dot = np.add.reduce(self.k * coeffs, axis=-(self.d + 1), keepdims=True)
         return coeffs - self.k * (dot / self.k_sq_safe)
 
     @staticmethod
@@ -196,9 +211,9 @@ class Grid:
         return (mat @ x.reshape(head + (x.shape[axis], -1))).reshape(head + (mat.shape[0],) + tail)
 
     def _synthesize(self, half: np.ndarray) -> np.ndarray:
-        """Real M-grid samples of the cube's k_last >= 0 half (last d axes; the
-        rest are batch axes): E on every full axis, innermost first (axis -2 by
-        e @ half) so the matmuls stack over retained rows, then R on the last."""
+        """Real M-grid samples of a half-cube array (last d axes; the rest are
+        batch axes): E on every full axis, innermost first (axis -2 by e @
+        half) so the matmuls stack over retained rows, then R on the last."""
         e, r, _, _ = self._matrices
         m, d, lead = self.pad_n, self.d, half.shape[: -self.d]
         half = e @ half
@@ -208,52 +223,52 @@ class Grid:
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M)."""
-        return self._synthesize(coeffs[..., self.kmax :])
+        return self._synthesize(coeffs)
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
-        """Retained-mode coefficients of M-grid samples (exact, no aliasing
-        for products of total degree <= 3 of retained modes); any leading
-        axes are batch axes.  Rf on the last axis, then F on every full
-        axis, outermost first so the matmuls stack over retained rows (axis
-        -2 last, by matmul's own contraction, f @ x)."""
+        """Half-cube coefficients of M-grid samples (exact, no aliasing for
+        products of total degree <= 3 of retained modes), the k_last = 0
+        plane symmetrized; any leading axes are batch axes.  Rf on the last
+        axis, then F on every full axis, outermost first so the matmuls stack
+        over retained rows (axis -2 last, by matmul's own contraction, f @ x)."""
         _, _, f, rf = self._matrices
         m, d, kx, lead = self.pad_n, self.d, self.kmax, values.shape[: -self.d]
         x = (values.reshape(lead + (m ** (d - 1), m)) @ rf).view(np.complex128)
         x = x.reshape(lead + (m,) * (d - 1) + (kx + 1,))
         for axis in range(-3, -d - 1, -1):
             x = self._along(f, x, axis)
-        x = f @ x
-        # The Hermitian part is 0.5 * (c(k) + conj(c(-k))) on the k_last = 0
-        # plane, c(k) on k_last > 0 and conj(c(-k)) on k_last < 0; the + 0.0
-        # makes the zero imaginary parts that conj negates +0 again.
-        cube = np.empty(lead + (2 * kx + 1,) * d, dtype=np.complex128)
-        cube[..., kx] = _hermitian_part(x[..., 0], d - 1)
-        cube[..., kx + 1 :] = x[..., 1:]
-        cube[..., :kx] = np.conj(cube[(Ellipsis,) + (slice(None, None, -1),) * d][..., :kx]) + 0.0
-        return cube
+        return self._hermitian_plane(f @ x)
 
     def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """The 1-jet of u on the M-grid from one stacked inverse transform:
         out[0] = u and out[1 + i, j] = d u_j / d x_i, shape (1 + d, d, M, ..., M).
-        Leading batch axes come first: a (B, d, r, ..., r) input gives
+        Leading batch axes come first: a (B, d) + shape input gives
         (B, 1 + d, d, M, ..., M).
 
         out[0] is bitwise equal to to_physical(coeffs): every component is
         the same matmuls of the same data.
         """
         value, derivs, insert = self._jet_slots
-        half = coeffs[..., self.kmax :]
-        jet = np.empty(half.shape[: -self.d - 1] + (1 + self.d,) + half.shape[-self.d - 1 :], dtype=np.complex128)
-        jet[value] = half
-        np.multiply(self._ik_half[:, None], half[insert], out=jet[derivs])
+        jet = np.empty(coeffs.shape[: -self.d - 1] + (1 + self.d,) + coeffs.shape[-self.d - 1 :], dtype=np.complex128)
+        jet[value] = coeffs
+        np.multiply(self._ik_half[:, None], coeffs[insert], out=jet[derivs])
         return self._synthesize(jet)
 
+    def _hermitian_plane(self, c: np.ndarray) -> np.ndarray:
+        """Set c(0) = 0 and replace the k_last = 0 plane of the half-cube array
+        c by its Hermitian part 0.5 * (c(k) + conj(c(-k))), in place; returns c."""
+        centre, reflect = self._plane_slots
+        plane = c[..., 0]
+        plane[centre] = 0.0
+        c[..., 0] = 0.5 * (plane + np.conj(plane[reflect]))
+        return c
 
-def _hermitian_part(c: np.ndarray, ndim: int) -> np.ndarray:
-    """0.5 * (c(k) + conj(c(-k))) over the last ``ndim`` axes of a centred
-    cube, after setting c(0) = 0 in place."""
-    c[(Ellipsis,) + (c.shape[-1] // 2,) * ndim] = 0.0
-    return 0.5 * (c + np.conj(c[(Ellipsis,) + (slice(None, None, -1),) * ndim]))
+
+def _full_cube(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The retained cube of a half-cube array: conj(c(-k)) + 0.0 on k_last < 0,
+    the + 0.0 writing the zeros that conj negates as +0."""
+    mirror = half[(Ellipsis,) + (slice(None, None, -1),) * (grid.d - 1) + (slice(grid.kmax, 0, -1),)]
+    return np.concatenate((np.conj(mirror) + 0.0, half), axis=-1)
 
 
 class FieldNorms(NamedTuple):
@@ -303,11 +318,12 @@ class SpectralField:
         return float(np.max(rel))
 
     def hermitian_defect(self) -> float:
-        refl = np.conj(self.coeffs[(slice(None),) + (slice(None, None, -1),) * self.grid.d])
+        """max |c(k) - conj(c(-k))| on the k_last = 0 plane over max |c|, 0 for zero c."""
+        plane = self.coeffs[..., 0]
         scale = float(np.max(np.abs(self.coeffs)))
         if scale == 0.0:
             return 0.0
-        return float(np.max(np.abs(self.coeffs - refl)) / scale)
+        return float(np.max(np.abs(plane - np.conj(plane[self.grid._plane_slots[1]]))) / scale)
 
     def validate(self) -> None:
         """Assert the class invariants, the two symmetry defects to 1e-12
@@ -315,7 +331,7 @@ class SpectralField:
         g = self.grid
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
-        if np.any(self.coeffs[(slice(None),) + (g.kmax,) * g.d] != 0):
+        if np.any(self.coeffs[(slice(None),) + g.position((0,) * g.d)] != 0):
             raise ValueError("nonzero mean coefficient c(0)")
         if self.hermitian_defect() > 1e-12:
             raise ValueError("Hermitian symmetry violated")
@@ -335,10 +351,10 @@ def _check_same_grid(u: SpectralField, w: SpectralField) -> None:
 def make_field(grid: Grid, mode_list: Iterable[tuple[Sequence[int], Sequence[complex]]]) -> SpectralField:
     """Build a field from (wavenumber, amplitude) pairs.
 
-    Each entry (k, a) contributes a*exp(i k.x) + conj(a)*exp(-i k.x); the
-    mirror mode is filled automatically and the result is Leray-projected, so
-    every invariant holds on return.  k = 0 and out-of-range wavenumbers are
-    rejected.
+    Each entry (k, a) contributes a*exp(i k.x) + conj(a)*exp(-i k.x), of
+    which the half cube stores the term with k_last >= 0 (both on the k_last
+    = 0 plane); the result is Leray-projected, so every invariant holds on
+    return.  k = 0 and out-of-range wavenumbers are rejected.
     """
     coeffs = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
     for k, amp in mode_list:
@@ -352,8 +368,9 @@ def make_field(grid: Grid, mode_list: Iterable[tuple[Sequence[int], Sequence[com
         a = np.asarray(amp, dtype=np.complex128)
         if a.shape != (grid.d,):
             raise ValueError(f"amplitude must be a {grid.d}-vector")
-        coeffs[(slice(None),) + grid.position(kt)] += a
-        coeffs[(slice(None),) + grid.position([-ki for ki in kt])] += np.conj(a)
+        for kk, ak in ((kt, a), (tuple(-ki for ki in kt), np.conj(a))):
+            if kk[-1] >= 0:
+                coeffs[(slice(None),) + grid.position(kk)] += ak
     return leray_project(grid, coeffs)
 
 
@@ -395,9 +412,12 @@ def random_field(
     rescaled to the requested L2 norm (zero field if l2 == 0)."""
     shape = (grid.d,) + (grid.n,) * grid.d
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    slots = np.arange(-grid.kmax, grid.kmax + 1) % grid.n  # the retained modes in the draws' FFT order
+    slots = np.arange(-grid.kmax, grid.kmax + 1) % grid.n  # the retained cube in the draws' FFT order
+    cube = raw[(slice(None),) + np.ix_(*([slots] * grid.d))]
     envelope = np.exp(-decay * np.sqrt(grid.k_sq))
-    u = leray_project(grid, raw[(slice(None),) + np.ix_(*([slots] * grid.d))] * envelope)
+    # the Hermitian part 0.5 * (c(k) + conj(c(-k))) of the enveloped draws, on the half
+    c, c_neg = (x[..., grid.kmax :] * envelope for x in (cube, cube[(Ellipsis,) + (slice(None, None, -1),) * grid.d]))
+    u = leray_project(grid, 0.5 * (c + np.conj(c_neg)))
     amp, _ = spectral_norms(u)
     if amp == 0.0 or l2 == 0.0:
         return zero_field(grid)
@@ -407,7 +427,7 @@ def random_field(
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly time-sampled fields on [0, t_end]: one read-only complex
-    array of shape (nt+1, d, r, ..., r) whose row n is the sample at n * dt.
+    array of shape (nt+1, d) + grid.shape whose row n is the sample at n * dt.
 
     traj[n] is a SpectralField over the row (a view, no copy); arithmetic
     and the per-sample series below are single array operations.
@@ -496,8 +516,10 @@ _TRAILING = tuple(tuple(range(-ndim, 0)) for ndim in range(5))
 
 
 def parseval_pairing(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re sum a conj(b) * volume per (d, r, ..., r) row; a and b broadcast."""
-    return np.real(np.add.reduce(a * np.conj(b), axis=_TRAILING[grid.d + 1])) * grid.volume
+    """Re sum a conj(b) * volume over the full cube per sample row (the
+    Hermitian weights); a and b broadcast."""
+    prod = np.real(a * np.conj(b)) * grid._hermitian_weights
+    return np.add.reduce(prod, axis=_TRAILING[grid.d + 1]) * grid.volume
 
 
 def mode_sq(grid: Grid, c: np.ndarray) -> np.ndarray:
@@ -506,9 +528,10 @@ def mode_sq(grid: Grid, c: np.ndarray) -> np.ndarray:
 
 
 def parseval_sum(grid: Grid, x: np.ndarray, ndim: int) -> np.ndarray:
-    """sum x * volume over the last ndim axes of a per-mode array x, such as
-    mode_sq (squared L2 norm) or |k|^2 mode_sq (squared V norm)."""
-    return np.add.reduce(x, axis=_TRAILING[ndim]) * grid.volume
+    """sum x * volume over the full cube (the Hermitian weights) and the last
+    ndim axes of a per-mode array x, such as mode_sq (squared L2 norm) or
+    |k|^2 mode_sq (squared V norm)."""
+    return np.add.reduce(x * grid._hermitian_weights, axis=_TRAILING[ndim]) * grid.volume
 
 
 def quadrature(grid: Grid, values: np.ndarray, ndim: int) -> np.ndarray:
@@ -627,8 +650,8 @@ def random_trajectory(
 # ----------------------------------------------------------------------
 
 def _lex_block(grid: Grid) -> tuple:
-    """Index of the cube in a lex-ordered n-lattice: the centred block
-    n/2 - kmax .. n/2 + kmax of each of the last d axes."""
+    """Index of the retained cube in a lex-ordered n-lattice: the centred
+    block n/2 - kmax .. n/2 + kmax of each of the last d axes."""
     lo = grid.n // 2 - grid.kmax
     return (Ellipsis,) + (slice(lo, lo + 2 * grid.kmax + 1),) * grid.d
 
@@ -639,11 +662,12 @@ def write_trajectory(path, traj: Trajectory) -> None:
     Layout: magic "CBFT", u32 version=1, u32 d, u32 n, u32 nt, f64 t_end, then
     (nt+1) * d * n^d little-endian f64 (re, im) pairs in lexicographic k-order
     (k_1 ascending fastest-last, i.e. C order over the sorted wavenumber axes
-    -n/2..n/2-1); every mode outside the retained cube is written as +0.
+    -n/2..n/2-1); the k_last < 0 modes are the conjugates of the stored ones,
+    and every mode outside the retained cube is written as +0.
     """
     g = traj.grid
     lattice = np.zeros((traj.nt + 1, g.d) + (g.n,) * g.d, dtype="<c16")
-    lattice[_lex_block(g)] = traj.coeffs
+    lattice[_lex_block(g)] = _full_cube(g, traj.coeffs)
     with open(path, "wb") as fh:
         fh.write(_CBFT_HEADER.pack(_CBFT_MAGIC, _CBFT_VERSION, g.d, g.n, traj.nt, traj.t_end))
         fh.write(lattice.tobytes())
@@ -653,8 +677,9 @@ def read_trajectory(path) -> Trajectory:
     """Read a CBFT file written by write_trajectory.
 
     The header's sizes are checked against the file length before anything
-    is allocated.  Every sample must be zero outside the retained cube and
-    pass SpectralField.validate; any defect raises CBFTFormatError naming it.
+    is allocated.  Every sample must be zero outside the retained cube, pass
+    SpectralField.validate on its half (which is kept) and be Hermitian over
+    the whole cube; any defect raises CBFTFormatError naming it.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CBFT_HEADER.size)
@@ -679,13 +704,17 @@ def read_trajectory(path) -> Trajectory:
             raise CBFTFormatError(f"CBFT file has {size - expected} trailing bytes after its {nt + 1} samples")
         data = np.frombuffer(fh.read(expected - _CBFT_HEADER.size), dtype="<c16")
     lattice = data.reshape((nt + 1, d) + (n,) * d)
-    coeffs = lattice[_lex_block(grid)]
-    for i, c in enumerate(coeffs):
+    cube = lattice[_lex_block(grid)]
+    half = cube[..., grid.kmax :]
+    for i, c in enumerate(cube):
         try:
             if np.count_nonzero(lattice[i]) > np.count_nonzero(c):
                 raise ValueError("nonzero coefficient outside the dealiased range")
-            SpectralField(grid, c).validate()
+            SpectralField(grid, half[i]).validate()
+            # NaN-safe: a non-finite k_last < 0 mode fails here too
+            if not np.max(np.abs(c - _full_cube(grid, half[i]))) <= 1e-12 * np.max(np.abs(c)):
+                raise ValueError("Hermitian symmetry violated")
         except ValueError as exc:
             raise CBFTFormatError(f"CBFT sample {i}: {exc}") from None
-    return Trajectory(grid, t_end, grid.reduce_coeffs(coeffs))
+    return Trajectory(grid, t_end, grid.reduce_coeffs(half))
 

@@ -26,16 +26,12 @@ from one set of frozen coefficient transforms; it is the inner kernel of the
 time steppers, and the exactness of apply/apply_transpose as mutual
 transposes is what the discrete duality identity rests on.
 
-The stencils work on raw coefficient arrays of shape (d,) + grid.shape: they
-are built from the coefficient arrays of the frozen fields, and an apply maps
-an array to an array as a Picard sweep calls it.  Every field goes through
-the M-grid once per use: an apply takes the values and the gradient of its
-argument from one 1-jet transform (grad_physical), a stencil transforms its
-coefficient arrays once (once in all when m2 holds the same coefficient bits
-as m1), and it keeps |m1|^2 and |m2|^2 so the solvers read norms and
-weighted integrals off it instead of transforming again.
-|u|^2 and every integral are the fields reductions speed_squared and
-quadrature, fed the M-grid values already at hand.
+The stencils map raw coefficient arrays to arrays, as a Picard sweep calls
+them.  Every field goes through the M-grid once per use: an apply takes the
+values and the gradient of its argument from one 1-jet transform, a stencil
+transforms its frozen arrays once and keeps |m1|^2 and |m2|^2 for the
+solvers' norms and weighted integrals.  |u|^2 and every integral are the
+fields reductions speed_squared and quadrature.
 """
 
 from __future__ import annotations
@@ -99,24 +95,20 @@ def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
     return float(quadrature(g, conv * rv, g.d + 1))
 
 
-def apply_C(p: SpectralField) -> SpectralField:
-    """Cubic damping C(p) = P(|p|^2 p); padded grid keeps it alias-free."""
-    g = p.grid
-    pv = g.to_physical(p.coeffs)
-    return SpectralField(g, g.project_coeffs(g.from_physical(speed_squared(g, pv) * pv)))
+def cubic_coeffs(grid: Grid, pv: np.ndarray) -> np.ndarray:
+    """The coefficients of the cubic damping C(p) = P(|p|^2 p), alias-free on
+    the padded grid, from the M-grid values pv of p; any leading axes are
+    batch axes."""
+    return grid.project_coeffs(grid.from_physical(np.expand_dims(speed_squared(grid, pv), -(grid.d + 1)) * pv))
 
 
-def monotonicity_gap(p: SpectralField, q: SpectralField) -> float:
-    """<C(p) - C(q), p - q> - 1/4 ||p - q||_4^4, nonnegative up to round-off."""
-    _check_same_grid(p, q)
-    g = p.grid
-    pv = g.to_physical(p.coeffs)
-    qv = g.to_physical(q.coeffs)
+def gap_of_values(grid: Grid, pv: np.ndarray, qv: np.ndarray) -> float:
+    """The monotonicity gap <C(p) - C(q), p - q> - 1/4 ||p - q||_4^4,
+    nonnegative up to round-off, from the M-grid values pv and qv."""
     dv = pv - qv
-    cubic = speed_squared(g, pv) * pv - speed_squared(g, qv) * qv
-    pairing = float(quadrature(g, cubic * dv, g.d + 1))
-    d4 = float(quadrature(g, speed_squared(g, dv) ** 2, g.d))
-    return pairing - 0.25 * d4
+    cubic = speed_squared(grid, pv) * pv - speed_squared(grid, qv) * qv
+    pairing = float(quadrature(grid, cubic * dv, grid.d + 1))
+    return pairing - 0.25 * float(quadrature(grid, speed_squared(grid, dv) ** 2, grid.d))
 
 
 def _bits(c: np.ndarray) -> np.ndarray:
@@ -133,11 +125,9 @@ class PairStencil:
     on the retained divergence-free space (the quadrature pairing of each term
     is symmetric/alternating by construction).
 
-    It is built from the coefficient arrays m1 and m2 on grid.  Building it
-    costs one 1-jet transform of m2 and one value transform of m1, or the jet
-    alone when m2 is m1 or holds the same coefficient bits (then m1's
-    transform is m2's, bit for bit).  It keeps w1 = |m1|^2 and w2 = |m2|^2 on
-    the M-grid (the adjoint energy weights) beside their sum.
+    Building it costs one 1-jet transform of m2 and one value transform of
+    m1, or the jet alone when m2 holds m1's bits.  It keeps w1 = |m1|^2 and
+    w2 = |m2|^2 on the M-grid (the adjoint energy weights) beside their sum.
     """
 
     def __init__(self, grid: Grid, m1: np.ndarray, m2: np.ndarray, params: OperatorParams):
@@ -183,9 +173,8 @@ class StateStencil:
     """Frozen-coefficient implicit part of one state step:
     x -> B(m_ref, x) + beta P{|m_ref|^2 x}, on raw coefficient arrays.
 
-    It is built from m_ref's coefficient array on grid.  Building it is the
-    one transform of m_ref; its l4 is m_ref's ||.||_4, bitwise equal to
-    norms(m_ref).l4.
+    Building it is the one transform of m_ref; its l4 is m_ref's ||.||_4,
+    bitwise norms(m_ref).l4.
     """
 
     def __init__(self, grid: Grid, m_ref: np.ndarray, params: OperatorParams):

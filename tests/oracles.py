@@ -4,12 +4,16 @@ Each function below evaluates one term of the difference and adjoint
 operators on its own, straight from its definition, with fresh transforms of
 every argument.  The solvers never call them: PairStencil and StateStencil
 compute the same terms from frozen coefficient transforms, and the tests check
-the stencils against these forms.
+the stencils against these forms; apply_C and monotonicity_gap are the
+field-level forms of the batched M-grid kernels the checks and the duality
+residual use.  full_cube expands the stored half cube
+into the whole retained cube, slot by slot, for sums and transforms that
+ignore the storage.
 """
 
 import numpy as np
 
-from cbfctl.fields import SpectralField, _check_same_grid
+from cbfctl.fields import Grid, SpectralField, _check_same_grid, quadrature, speed_squared
 from cbfctl.harness import DenseSystem
 from cbfctl.operators import trilinear_b
 
@@ -22,6 +26,26 @@ def apply_B(p: SpectralField, q: SpectralField) -> SpectralField:
     gq = g.grad_physical(q.coeffs)[1:]
     conv = np.einsum("i...,ij...->j...", pv, gq)
     return SpectralField(g, g.project_coeffs(g.from_physical(conv)))
+
+
+def apply_C(p: SpectralField) -> SpectralField:
+    """Cubic damping C(p) = P(|p|^2 p) of one field, from a fresh transform."""
+    g = p.grid
+    pv = g.to_physical(p.coeffs)
+    return SpectralField(g, g.project_coeffs(g.from_physical(speed_squared(g, pv) * pv)))
+
+
+def monotonicity_gap(p: SpectralField, q: SpectralField) -> float:
+    """<C(p) - C(q), p - q> - 1/4 ||p - q||_4^4 of two fields, from fresh transforms."""
+    _check_same_grid(p, q)
+    g = p.grid
+    pv = g.to_physical(p.coeffs)
+    qv = g.to_physical(q.coeffs)
+    dv = pv - qv
+    cubic = speed_squared(g, pv) * pv - speed_squared(g, qv) * qv
+    pairing = float(quadrature(g, cubic * dv, g.d + 1))
+    d4 = float(quadrature(g, speed_squared(g, dv) ** 2, g.d))
+    return pairing - 0.25 * d4
 
 
 def b_dual_norm(u: SpectralField) -> float:
@@ -82,3 +106,17 @@ def b_tensor(system: DenseSystem) -> np.ndarray:
             for k, ek in enumerate(system.basis):
                 T[i, j, k] = trilinear_b(ei, ej, ek)
     return T
+
+
+def full_cube(g: Grid, half: np.ndarray) -> np.ndarray:
+    """The retained cube, k = -kmax..kmax on every axis, of a half-cube array
+    (any leading axes): c(k) at k_last >= 0, conj(c(-k)) at k_last < 0."""
+    r = 2 * g.kmax + 1
+    out = np.empty(half.shape[: -g.d] + (r,) * g.d, dtype=np.complex128)
+    for idx in np.ndindex(*(r,) * g.d):
+        k = tuple(i - g.kmax for i in idx)
+        if k[-1] >= 0:
+            out[(Ellipsis,) + idx] = half[(Ellipsis,) + g.position(k)]
+        else:
+            out[(Ellipsis,) + idx] = np.conj(half[(Ellipsis,) + g.position(tuple(-ki for ki in k))])
+    return out

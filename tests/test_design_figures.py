@@ -8,7 +8,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "cbfctl"
 
 DEFAULTED_PARAMETERS = 27
-EXPORTS = 55
+EXPORTS = 53
 
 
 def _defaulted_parameters() -> int:

@@ -20,26 +20,29 @@ from cbfctl import (
     write_trajectory,
     zero_field,
 )
-from cbfctl.fields import TAU, CBFTFormatError
+from cbfctl.fields import TAU, CBFTFormatError, mode_sq, parseval_pairing, parseval_sum
+from oracles import full_cube
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 4), (3, 8)])
 def test_position_and_retained_modes_match_mask(d, n):
-    # brute force: every slot of the retained cube but its centre, with its wavenumber from Grid.k
+    # brute force: every slot of the retained half cube but k = 0, with its wavenumber from Grid.k
     grid = Grid(d=d, n=n)
     r = 2 * grid.kmax + 1
-    assert grid.shape == (r,) * d and grid.k.shape == (d,) + grid.shape
+    assert grid.shape == (r,) * (d - 1) + (grid.kmax + 1,) and grid.k.shape == (d,) + grid.shape
     kk = grid.k.astype(np.int64)
     slots = {}
     for idx in np.ndindex(*grid.shape):
         k = tuple(int(kk[j][idx]) for j in range(d))
-        assert k == tuple(i - grid.kmax for i in idx)
+        assert k == tuple(i - grid.kmax for i in idx[:-1]) + (idx[-1],)
         if any(k):
             slots[k] = idx
-    assert grid.position((0,) * d) == (grid.kmax,) * d
-    assert grid.retained_modes() == sorted(slots)
+    assert grid.position((0,) * d) == (grid.kmax,) * (d - 1) + (0,)
+    assert [k for k in grid.retained_modes() if k[-1] >= 0] == sorted(slots)
     for k, idx in slots.items():
         assert grid.position(k) == idx
+    with pytest.raises(ValueError, match="mirror"):
+        grid.position((0,) * (d - 1) + (-1,))
 
 
 def test_grid_validation():
@@ -140,7 +143,7 @@ def test_l4_matches_fine_grid_quadrature(grid2d, rng):
 def _embed(src: Grid, dst: Grid, coeffs):
     out = np.zeros((src.d,) + dst.shape, dtype=np.complex128)
     lo = dst.kmax - src.kmax
-    out[(slice(None),) + (slice(lo, lo + 2 * src.kmax + 1),) * src.d] = coeffs
+    out[(slice(None),) + (slice(lo, lo + 2 * src.kmax + 1),) * (src.d - 1) + (slice(0, src.kmax + 1),)] = coeffs
     return out
 
 
@@ -272,7 +275,8 @@ def _signed_zeros(rng, c):
 
 @pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (3, 16)])
 def test_reduce_coeffs_bitwise_reference(d, n):
-    # the Hermitian average by an index table: the slot of -k from position(), k = 0 masked out
+    # the Hermitian average on the k_last = 0 plane by an index table: the slot of -k from position(),
+    # k = 0 masked out; the k_last > 0 slots stay as they are
     g = Grid(d=d, n=n)
     rng = np.random.default_rng(11)
     shape = (2, d) + g.shape
@@ -280,8 +284,9 @@ def test_reduce_coeffs_bitwise_reference(d, n):
     masked = np.where(g.k_sq > 0, c, 0.0)
     mirror = np.empty(g.shape + (d,), dtype=np.int64)
     for idx in np.ndindex(*g.shape):
-        mirror[idx] = g.position([g.kmax - i for i in idx])
-    ref = 0.5 * (masked + np.conj(masked[(slice(None), slice(None)) + tuple(np.moveaxis(mirror, -1, 0))]))
+        mirror[idx] = g.position([g.kmax - i for i in idx[:-1]] + [0]) if idx[-1] == 0 else idx
+    plane = 0.5 * (masked + np.conj(masked[(slice(None), slice(None)) + tuple(np.moveaxis(mirror, -1, 0))]))
+    ref = np.where(g.k[-1] == 0, plane, masked)
     before = c.copy()
     assert np.array_equal(_bits(g.reduce_coeffs(c)), _bits(ref))
     assert np.array_equal(_bits(c), _bits(before))  # a copy: the input keeps its k = 0 mode
@@ -315,15 +320,16 @@ def test_batched_grad_physical_matches_per_member(d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (2, 16), (3, 16)])
 def test_from_physical_exactly_hermitian_with_positive_zeros(d, n):
-    # samples of no retained field: the symmetrization alone must make c(-k) = conj(c(k))
+    # samples of no retained field: the symmetrization alone must make c(-k) = conj(c(k)) on the
+    # k_last = 0 plane, the one plane of the half cube that holds both k and -k
     g = Grid(d=d, n=n)
     c = g.from_physical(np.random.default_rng(14).standard_normal((d,) + (g.pad_n,) * d))
     assert SpectralField(g, c).hermitian_defect() == 0.0
-    off = c[(slice(None),) + (g.kmax,) * d]  # k = 0, the cube's one slot outside the retained modes
-    assert off.size == d * (len(c[0].ravel()) - len(g.retained_modes()))
+    off = c[(slice(None),) + g.position((0,) * d)]  # k = 0, the half's one slot outside the retained modes
+    assert off.size == d * (len(c[0].ravel()) - len([k for k in g.retained_modes() if k[-1] >= 0]))
     for part in (off.real, off.imag):
         assert np.all(part == 0.0) and not np.any(np.signbit(part))
-    # samples of the zero field give +0 on every mode, the conjugate-reflected half included
+    # samples of the zero field give +0 on every mode
     z = g.from_physical(np.zeros((d,) + (g.pad_n,) * d))
     assert not np.any(np.signbit(z.real)) and not np.any(np.signbit(z.imag))
 
@@ -391,6 +397,8 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
         ("hermitian", "Hermitian symmetry"),
         ("divergence", "divergence-free"),
         ("nan", "non-finite"),
+        ("mirror", "Hermitian symmetry"),
+        ("mirror-nan", "Hermitian symmetry"),
     ],
 )
 def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message):
@@ -400,22 +408,25 @@ def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message)
     if defect == "mean":
         c[(0,) + grid2d.position((0, 0))] = 1.0
     elif defect == "hermitian":
-        c[(0,) + pos] += 1e-3j
+        # the k_last = 0 plane holds both k and -k; component 1 keeps k = (1, 0) divergence-free
+        c[(1,) + grid2d.position((1, 0))] += 1e-3j
     elif defect == "divergence":
+        # the file holds the mirror (-1, -2) as the conjugate
         c[(slice(None),) + pos] += 1e-3 * np.array([1.0, 2.0])
-        c[(slice(None),) + grid2d.position((-1, -2))] += 1e-3 * np.array([1.0, 2.0])
     elif defect == "nan":
         c[(0,) + pos] = np.nan
     bad = Trajectory.from_fields(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
     path = tmp_path / "bad.cbft"
     write_trajectory(path, bad)
-    if defect == "outside":
-        # no field holds k = (kmax + 1, 0): patch component 0 of sample 1 at its lex-order lattice slot
+    if defect in ("outside", "mirror", "mirror-nan"):
+        # no field holds k = (kmax + 1, 0), and the file's (-1, -2) must be the conjugate of the stored (1, 2):
+        # patch component 0 of sample 1 at its lex-order lattice slot
         n = grid2d.n
-        slot = (1 * 2 + 0) * n**2 + (grid2d.kmax + 1 + n // 2) * n + n // 2
+        k = (grid2d.kmax + 1, 0) if defect == "outside" else (-1, -2)
+        slot = (1 * 2 + 0) * n**2 + (k[0] + n // 2) * n + k[1] + n // 2
         raw = bytearray(path.read_bytes())
         offset = CBFT_HEADER + 16 * slot
-        raw[offset : offset + 16] = struct.pack("<dd", 1.0, 0.0)
+        raw[offset : offset + 16] = struct.pack("<dd", np.nan if defect == "mirror-nan" else 1.0, 0.0)
         path.write_bytes(bytes(raw))
     with pytest.raises(CBFTFormatError, match=f"sample 1: {message}"):
         read_trajectory(path)
@@ -437,3 +448,22 @@ def test_trajectory_io_payload_layout(tmp_path, d, n, k, amp):
     lattice[(0, slice(None)) + tuple(n // 2 - ki for ki in k)] = np.conj(amp)
     assert path.read_bytes()[CBFT_HEADER:] == lattice.tobytes()
     assert np.array_equal(read_trajectory(path)[0].coeffs, u.coeffs)
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+def test_hermitian_weights_match_full_cube_sums(d, n):
+    # the weighted reductions over the stored half against plain sums over the expanded retained cube;
+    # a pairing of independent fields is relative to the product of their norms, which it can cancel below
+    g = Grid(d=d, n=n)
+    rng = np.random.default_rng(18)
+    a, b = (random_trajectory(g, 1.0, 5, rng).coeffs for _ in range(2))
+    fa, fb = full_cube(g, a), full_cube(g, b)
+    axes = tuple(range(-d - 1, 0))
+    sq = np.sum(np.abs(fa) ** 2, axis=axes) * g.volume
+    v_sq = np.sum(np.real(full_cube(g, g.k_sq)) * np.abs(fa) ** 2, axis=axes) * g.volume
+    pairing = np.real(np.sum(fa * np.conj(fb), axis=axes)) * g.volume
+    scale = np.sqrt(sq * np.sum(np.abs(fb) ** 2, axis=axes) * g.volume)
+    assert np.max(np.abs(parseval_sum(g, mode_sq(g, a), d) - sq) / sq) <= 1e-15
+    assert np.max(np.abs(parseval_sum(g, g.k_sq * mode_sq(g, a), d) - v_sq) / v_sq) <= 1e-15
+    assert np.max(np.abs(parseval_pairing(g, a, a) - sq) / sq) <= 1e-15
+    assert np.max(np.abs(parseval_pairing(g, a, b) - pairing) / scale) <= 1e-15

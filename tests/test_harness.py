@@ -393,8 +393,10 @@ def test_cli_exit_3_only_for_input_errors(tmp_path, monkeypatch):
             raise exc
         return run
 
+    # no CLI path reads a CBFT file, so a CBFTFormatError is a bug too
     monkeypatch.setattr(cli, "run_experiment", raising(CBFTFormatError("CBFT file has 8 trailing bytes")))
-    assert main(argv) == 3
+    with pytest.raises(CBFTFormatError):
+        main(argv)
     # the config's coefficients admit no stability split
     monkeypatch.setattr(cli, "run_experiment", raising(HypothesisViolatedError("kappa=1 needs 0 < kappa < 1")))
     assert main(argv) == 3

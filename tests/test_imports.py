@@ -53,3 +53,31 @@ def test_space_integrals_live_in_fields():
             if isinstance(node, ast.Attribute) and node.attr in ("volume", "quad_weight")
         ]
     assert reads == [("harness.py", "volume")], reads
+
+
+def _half_layout_uses(tree: ast.Module) -> list[str]:
+    """Slices bounded by kmax, the Hermitian weights and np.where(..., 2, 1)
+    weight arrays: the places that know coefficients are stored on a half."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Slice):
+            bounds = [b for b in (node.lower, node.upper, node.step) if b is not None]
+            names = {getattr(x, "id", None) or getattr(x, "attr", None) for b in bounds for x in ast.walk(b)}
+            if "kmax" in names:
+                found.append(f"line {node.lineno}: kmax slice")
+        elif isinstance(node, ast.Attribute) and node.attr == "_hermitian_weights":
+            found.append(f"line {node.lineno}: _hermitian_weights")
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "where" and len(node.args) == 3:
+            if {getattr(a, "value", None) for a in node.args[1:]} == {1, 2}:
+                found.append(f"line {node.lineno}: weight array")
+    return found
+
+
+def test_half_layout_lives_in_fields():
+    # coefficients live on the half cube k_last >= 0, and only fields.py knows it: no other module
+    # slices at kmax or weights a sum for the missing k_last < 0 half
+    assert _half_layout_uses(ast.parse("c[..., g.kmax:]; w = np.where(k > 0, 2.0, 1.0); g._hermitian_weights"))
+    others = [p for p in sorted(SRC.glob("*.py")) if p.name != "fields.py"]
+    uses = {p.name: _half_layout_uses(ast.parse(p.read_text())) for p in others}
+    assert not any(uses.values()), uses
+    assert _half_layout_uses(ast.parse((SRC / "fields.py").read_text()))

@@ -7,9 +7,7 @@ from cbfctl import (
     OperatorParams,
     SpectralField,
     apply_A,
-    apply_C,
     inner_product,
-    monotonicity_gap,
     norms,
     random_field,
     trilinear_b,
@@ -17,7 +15,7 @@ from cbfctl import (
 )
 from cbfctl.fields import quadrature, speed_squared
 from cbfctl.operators import PairStencil
-from oracles import adjoint_convection, adjoint_forchheimer, apply_B, b_dual_norm
+from oracles import adjoint_convection, adjoint_forchheimer, apply_B, apply_C, b_dual_norm, monotonicity_gap
 
 
 def test_operator_params_validation():

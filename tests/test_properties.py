@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from cbfctl import Grid, OperatorParams, SpectralField, inner_product, norms, random_field, random_trajectory
 from cbfctl.fields import read_trajectory, write_trajectory
-from cbfctl.operators import PairStencil, apply_C, monotonicity_gap, trilinear_b
+from cbfctl.operators import PairStencil, trilinear_b
+from oracles import apply_C, monotonicity_gap
 
 TOL = 1e-12
 

@@ -14,7 +14,6 @@ import pytest
 from cbfctl import (
     Grid,
     OperatorParams,
-    apply_C,
     cost,
     duality_residual,
     gradient,
@@ -39,6 +38,7 @@ from cbfctl.fields import (
     spectral_norms,
     speed_squared,
 )
+from oracles import apply_C
 
 
 def _l2(u):
@@ -165,3 +165,25 @@ def test_duality_running(case, delta):
         running.append(abs(left[n - 1] - rhs))
     assert rep.running == tuple(running)
     assert (rep.delta_form, rep.limit_form, rep.scale) == (running[-1], abs(lhs - int_hm), max(scale + abs(cubic), 1e-300))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])
+def test_duality_cubic_term_batched_is_the_loop(d, n):
+    # delta > 0: <C(q_n), v_n> for n < nt, from one batched transform each way, is the per-sample
+    # loop's, bit for bit
+    grid, delta = Grid(d=d, n=n), 0.1
+    params = OperatorParams(mu=1.0, alpha=0.1, beta=1.0)
+    rng = np.random.default_rng(518)
+    m0 = random_field(grid, rng, l2=1.0)
+    f1, f2, h = (random_trajectory(grid, 0.25, 8, rng, l2=1.0) for _ in range(3))
+    run1, run2 = solve_state(m0, f1, params), solve_state(m0, f2, params)
+    v = solve_difference(run1, run2).trajectory
+    adj = solve_adjoint((run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star())
+    rep = duality_residual(adj, run1, run2, difference=v)
+    q, dt = adj.solution, adj.dt
+    cubic = running_integral([inner_product(apply_C(q[k]), v[k]) for k in range(q.nt)], delta * dt)
+    g = run1.forcing - run2.forcing
+    lhs = running_integral(inner_product_series(g, q)[:-1], dt)
+    rhs = running_integral(inner_product_series(h, v)[1:], dt)
+    assert rep.running == tuple(np.abs(lhs + cubic - rhs).tolist())
+    assert rep.delta_form == abs(lhs[-1] + cubic[-1] - rhs[-1]) and cubic[-1] != 0.0

@@ -9,7 +9,7 @@ recomputation from the solution samples exactly, not just to round-off.
 The time-step core (march, picard_solve and the stencils) works on raw
 coefficient arrays, and fields appear only at the solvers' edges: the
 SpectralFields a solve builds depend neither on how many sweeps it takes nor
-on how many steps.
+on how many steps.  Check 2 transforms each of its random samples once.
 """
 
 import math
@@ -31,7 +31,10 @@ from cbfctl import (
     solve_state,
 )
 from cbfctl import state_solver
-from cbfctl.fields import speed_squared
+from cbfctl.checks import MarginLedger, Samples, _field, _samples, forchheimer, verify_profile
+from cbfctl.fields import quadrature, speed_squared
+from cbfctl.harness import ProblemConfig
+from oracles import apply_C, monotonicity_gap
 
 TRANSFORMS = ("to_physical", "grad_physical", "from_physical")
 
@@ -198,3 +201,33 @@ def test_field_wraps_do_not_grow_with_sweeps(d, n, nt, monkeypatch):
         loose, tight = sweeps[steps, 1e-6], sweeps[steps, 1e-13]
         assert loose[0] < tight[0] and loose[1] < tight[1]  # the tolerances take different numbers of sweeps
     assert len(set(seen.values())) == 1, seen
+
+
+def test_forchheimer_check_transforms_each_sample_once(monkeypatch):
+    # check 2 feeds the identity, the ||a||_4^4 quadrature and the monotonicity
+    # gap from one to_physical of each sample, and its rows are those of the
+    # field-level operators, bit for bit
+    profile = verify_profile(ProblemConfig())._replace(
+        forchheimer=Samples(((2, 8, 6, 5), (3, 6, 4, 6)), (0.5, 2.0), spawn=True, identity_share=0.5)
+    )
+    identity, gap = 0.0, math.inf
+    for grid, i, count, rng in _samples(profile.forchheimer):
+        a, b = _field(profile.forchheimer, grid, rng), _field(profile.forchheimer, grid, rng)
+        if i < 0.5 * count:
+            pairing = inner_product(apply_C(a), a)
+            l4_4 = float(quadrature(grid, speed_squared(grid, grid.to_physical(a.coeffs)) ** 2, grid.d))
+            identity = max(identity, abs(pairing - l4_4) / max(abs(pairing), 1e-30))
+        gap = min(gap, monotonicity_gap(a, b))
+    calls = [0]
+    to_physical = Grid.to_physical
+
+    def counted(self, coeffs):
+        calls[0] += 1
+        return to_physical(self, coeffs)
+
+    monkeypatch.setattr(Grid, "to_physical", counted)
+    ledger = MarginLedger()
+    forchheimer(profile, ledger)
+    assert calls[0] == 2 * (6 + 4)
+    assert ledger.records["forchheimer_identity_rel"]["value"] == identity
+    assert ledger.records["monotonicity_gap_min"]["value"] == gap

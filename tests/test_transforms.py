@@ -1,7 +1,8 @@
 """The real transforms on the M = 3n/2 grid against the complex 2n-grid reference.
 
 The reference below is the straightforward form of the transform pair: the
-retained cube zero-padded into a 2n-lattice, complex FFTs both ways.  Both
+retained cube (the stored half cube and its mirror) zero-padded into a
+2n-lattice, complex FFTs both ways.  Both
 grids integrate products of up to four retained modes exactly, so every
 quantity built from them agrees to round-off.
 """
@@ -12,6 +13,7 @@ import pytest
 from cbfctl import Grid, norms, random_field
 from cbfctl.fields import TAU
 from cbfctl.operators import trilinear_b
+from oracles import full_cube
 
 REL = 1e-12
 
@@ -25,7 +27,7 @@ def _ref_index(g: Grid):
 def ref_to_physical(g: Grid, coeffs: np.ndarray) -> np.ndarray:
     m = 2 * g.n
     big = np.zeros(coeffs.shape[: -g.d] + (m,) * g.d, dtype=np.complex128)
-    big[_ref_index(g)] = coeffs
+    big[_ref_index(g)] = full_cube(g, coeffs)
     vals = np.fft.ifftn(big, axes=tuple(range(-g.d, 0)))
     return np.real(vals) * float(m**g.d)
 
@@ -33,7 +35,7 @@ def ref_to_physical(g: Grid, coeffs: np.ndarray) -> np.ndarray:
 def ref_from_physical(g: Grid, values: np.ndarray) -> np.ndarray:
     m = 2 * g.n
     big = np.fft.fftn(values, axes=tuple(range(-g.d, 0))) / float(m**g.d)
-    return g.reduce_coeffs(big[_ref_index(g)])
+    return g.reduce_coeffs(big[_ref_index(g)][..., g.kmax :])
 
 
 def ref_quad_weight(g: Grid) -> float:
