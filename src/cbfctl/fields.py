@@ -24,6 +24,10 @@ applied to cubic terms).  The transforms sum over the retained modes only,
 as tensor-product matrix products (sum factorization): a precomputed M x r
 matrix per full axis and, fields being real, a real matrix on the last
 axis's half spectrum.  Every Grid transform accepts leading batch axes.
+An unbatched transform runs its stages, and a stencil apply its jet and
+products, in one workspace its Grid owns, made on first use and freed with
+the Grid.  The rule: one apply at a time per Grid; results, and the arrays
+a stencil keeps, are fresh arrays (a jet goes to a buffer only if passed).
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d) + Grid.shape; ``traj[n]`` is a SpectralField over row n, without a
@@ -44,6 +48,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,6 +80,9 @@ class Grid:
     The box length is fixed at 2*pi per axis.  Retained (dealiased) modes
     satisfy |k_i| <= kmax = n//3, and coefficient arrays hold those with
     k_last >= 0: the half cube, k ascending on every axis.
+
+    A Grid owns the buffers of one unbatched apply (_workspace): one apply
+    at a time per Grid, and what a transform or an apply returns is fresh.
     """
 
     d: int
@@ -202,28 +210,61 @@ class Grid:
         dot = np.add.reduce(self.k * coeffs, axis=-(self.d + 1), keepdims=True)
         return coeffs - self.k * (dot / self.k_sq_safe)
 
+    @cached_property
+    def _workspace(self) -> SimpleNamespace:
+        """The buffers of one unbatched apply, made on first use.  ``jet``
+        takes the real 1-jet (rows ``value`` and ``grad``).  One scratch
+        array holds the rest in three phases, each from its start: the
+        coefficient jet and the synthesis stages (``value_stages``: one
+        field's); the products ``prod``, ``tmp``, ``pair``, ``dot``; ``prod``
+        again, then the analysis stages that transform it."""
+        m, d, kx, r = self.pad_n, self.d, self.kmax, 2 * self.kmax + 1
+        lead, vec, c, f = (1 + d, d), (d,) + (m,) * d, np.complex128, np.float64
+        phases = (
+            [(lead + self.shape, c), (lead + (r,) * (d - 2) + (m, kx + 1), c)] + [(lead + (m, m * (kx + 1)), c)] * (d - 2),
+            [(vec, f)] * 3 + [(vec[1:], f)],
+            [(vec, f), ((d, m ** (d - 1), 2 * (kx + 1)), f)] + [((d, r, m * (kx + 1)), c)] * (d - 2),
+        )
+        words = [[math.prod(shape) * np.dtype(t).itemsize // 8 for shape, t in p] for p in phases]
+        scratch, jet = np.empty(max(map(sum, words))), np.empty(lead + (m,) * d)
+        (coeff_jet, *stages), (prod, tmp, pair, dot), (_, *analysis) = (
+            [scratch[a : a + w].view(t).reshape(shape) for (shape, t), a, w in zip(p, itertools.accumulate(ws, initial=0), ws)]
+            for p, ws in zip(phases, words)
+        )
+        return SimpleNamespace(
+            jet=jet, value=jet[0], grad=jet[1:], coeff_jet=coeff_jet, synthesis=stages, value_stages=[s[0] for s in stages],
+            prod=prod, tmp=tmp, pair=pair, dot=dot, analysis=analysis,
+        )
+
     @staticmethod
-    def _along(mat: np.ndarray, x: np.ndarray, axis: int) -> np.ndarray:
+    def _along(mat: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
         """mat applied to ``axis`` (negative) of x: one matmul per index of the
         axes before it, so each batch member gets the matmuls of its
-        unbatched transform, and bitwise its result."""
+        unbatched transform, and bitwise its result.  ``out``, if given, has
+        the matmul's shape head + (rows of mat, size of the axes after)."""
         head, tail = x.shape[:axis], x.shape[axis + 1 :]
-        return (mat @ x.reshape(head + (x.shape[axis], -1))).reshape(head + (mat.shape[0],) + tail)
+        return np.matmul(mat, x.reshape(head + (x.shape[axis], -1)), out=out).reshape(head + (mat.shape[0],) + tail)
 
-    def _synthesize(self, half: np.ndarray) -> np.ndarray:
+    def _synthesize(self, half: np.ndarray, stages: Sequence, out: np.ndarray | None) -> np.ndarray:
         """Real M-grid samples of a half-cube array (last d axes; the rest are
         batch axes): E on every full axis, innermost first (axis -2 by e @
-        half) so the matmuls stack over retained rows, then R on the last."""
+        half) so the matmuls stack over retained rows, then R on the last.
+        The E stages go to ``stages`` (None: fresh), the samples to ``out``."""
         e, r, _, _ = self._matrices
         m, d, lead = self.pad_n, self.d, half.shape[: -self.d]
-        half = e @ half
-        for axis in range(-3, -d - 1, -1):
-            half = self._along(e, half, axis)
-        return (half.view(np.float64).reshape(lead + (m ** (d - 1), -1)) @ r).reshape(lead + (m,) * d)
+        half = np.matmul(e, half, out=stages[0])
+        if d == 3:
+            half = self._along(e, half, -3, stages[1])
+        flat = half.view(np.float64).reshape(lead + (m ** (d - 1), -1))
+        if out is None:
+            return (flat @ r).reshape(lead + (m,) * d)
+        np.matmul(flat, r, out=out.reshape(lead + (m ** (d - 1), m)))
+        return out
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M)."""
-        return self._synthesize(coeffs)
+        unbatched = coeffs.shape[: -self.d] == (self.d,)
+        return self._synthesize(coeffs, self._workspace.value_stages if unbatched else (None, None), None)
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
         """Half-cube coefficients of M-grid samples (exact, no aliasing for
@@ -233,26 +274,32 @@ class Grid:
         over retained rows (axis -2 last, by matmul's own contraction, f @ x)."""
         _, _, f, rf = self._matrices
         m, d, kx, lead = self.pad_n, self.d, self.kmax, values.shape[: -self.d]
-        x = (values.reshape(lead + (m ** (d - 1), m)) @ rf).view(np.complex128)
+        stages = self._workspace.analysis if lead == (d,) else (None, None)
+        x = np.matmul(values.reshape(lead + (m ** (d - 1), m)), rf, out=stages[0]).view(np.complex128)
         x = x.reshape(lead + (m,) * (d - 1) + (kx + 1,))
-        for axis in range(-3, -d - 1, -1):
-            x = self._along(f, x, axis)
+        if d == 3:
+            x = self._along(f, x, -3, stages[1])
         return self._hermitian_plane(f @ x)
 
-    def grad_physical(self, coeffs: np.ndarray) -> np.ndarray:
+    def grad_physical(self, coeffs: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
         """The 1-jet of u on the M-grid from one stacked inverse transform:
         out[0] = u and out[1 + i, j] = d u_j / d x_i, shape (1 + d, d, M, ..., M).
         Leading batch axes come first: a (B, d) + shape input gives
-        (B, 1 + d, d, M, ..., M).
+        (B, 1 + d, d, M, ..., M).  The jet goes to ``out`` if given, else to
+        a fresh array.
 
         out[0] is bitwise equal to to_physical(coeffs): every component is
         the same matmuls of the same data.
         """
         value, derivs, insert = self._jet_slots
-        jet = np.empty(coeffs.shape[: -self.d - 1] + (1 + self.d,) + coeffs.shape[-self.d - 1 :], dtype=np.complex128)
+        if coeffs.shape[: -self.d] == (self.d,):
+            jet, stages = self._workspace.coeff_jet, self._workspace.synthesis
+        else:
+            jet = np.empty(coeffs.shape[: -self.d - 1] + (1 + self.d,) + coeffs.shape[-self.d - 1 :], dtype=np.complex128)
+            stages = (None, None)
         jet[value] = coeffs
         np.multiply(self._ik_half[:, None], coeffs[insert], out=jet[derivs])
-        return self._synthesize(jet)
+        return self._synthesize(jet, stages, out)
 
     def _hermitian_plane(self, c: np.ndarray) -> np.ndarray:
         """Set c(0) = 0 and replace the k_last = 0 plane of the half-cube array

@@ -31,7 +31,8 @@ them.  Every field goes through the M-grid once per use: an apply takes the
 values and the gradient of its argument from one 1-jet transform, a stencil
 transforms its frozen arrays once and keeps |m1|^2 and |m2|^2 for the
 solvers' norms and weighted integrals.  |u|^2 and every integral are the
-fields reductions speed_squared and quadrature.
+fields reductions speed_squared and quadrature.  An apply forms its jet and
+products in its Grid's workspace and returns a fresh array.
 """
 
 from __future__ import annotations
@@ -141,31 +142,34 @@ class PairStencil:
         self.w1 = self.w2 if shared else speed_squared(grid, self._m1v)
         self._w = self.w1 + self.w2
         self._s = self._m1v + m2v
+        self._ws = grid._workspace
 
-    def _forch(self, qv: np.ndarray) -> np.ndarray:
-        return 0.5 * self.beta * (self._w * qv + np.add.reduce(self._s * qv, axis=-(self.grid.d + 1)) * self._s)
+    def _add_forch(self, qv: np.ndarray, out: np.ndarray) -> None:
+        """out += the Forchheimer part at the M-grid values qv, formed in the workspace."""
+        ws = self._ws
+        np.add.reduce(np.multiply(self._s, qv, out=ws.pair), axis=-(self.grid.d + 1), out=ws.dot)
+        np.add(np.multiply(self._w, qv, out=ws.tmp), np.multiply(ws.dot, self._s, out=ws.pair), out=ws.tmp)
+        out += np.multiply(0.5 * self.beta, ws.tmp, out=ws.tmp)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """B(m1, v) + B(v, m2) + Forchheimer(v), v a coefficient array."""
-        g = self.grid
-        jv = g.grad_physical(v)
-        vv, gv = jv[0], jv[1:]
-        out = np.einsum("i...,ij...->j...", self._m1v, gv)
-        out += np.einsum("i...,ij...->j...", vv, self._gm2)
-        out += self._forch(vv)
+        g, ws = self.grid, self._ws
+        g.grad_physical(v, out=ws.jet)
+        out = np.einsum("i...,ij...->j...", self._m1v, ws.grad, out=ws.prod)
+        out += np.einsum("i...,ij...->j...", ws.value, self._gm2, out=ws.tmp)
+        self._add_forch(ws.value, out)
         return g.project_coeffs(g.from_physical(out))
 
     def apply_transpose(self, q: np.ndarray, extra_weight: np.ndarray | None = None) -> np.ndarray:
         """-B(m1, q) + P{sum_j grad((m2)_j) q_j} + Forchheimer(q)
         [+ extra_weight * q pointwise, the adjoint's delta term]."""
-        g = self.grid
-        jq = g.grad_physical(q)
-        qv, gq = jq[0], jq[1:]
-        out = -np.einsum("i...,ij...->j...", self._m1v, gq)
-        out += np.einsum("ij...,j...->i...", self._gm2, qv)
-        out += self._forch(qv)
+        g, ws = self.grid, self._ws
+        g.grad_physical(q, out=ws.jet)
+        out = np.negative(np.einsum("i...,ij...->j...", self._m1v, ws.grad, out=ws.prod), out=ws.prod)
+        out += np.einsum("ij...,j...->i...", self._gm2, ws.value, out=ws.tmp)
+        self._add_forch(ws.value, out)
         if extra_weight is not None:
-            out += extra_weight * qv
+            out += np.multiply(extra_weight, ws.value, out=ws.tmp)
         return g.project_coeffs(g.from_physical(out))
 
 
@@ -183,11 +187,12 @@ class StateStencil:
         w = speed_squared(grid, self._mv)
         self._bw = params.beta * w
         self.l4 = l4_from_speed_squared(grid, w)
+        self._ws = grid._workspace
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        jx = g.grad_physical(x)
-        xv, gx = jx[0], jx[1:]
-        out = np.einsum("i...,ij...->j...", self._mv, gx) + self._bw * xv
+        g, ws = self.grid, self._ws
+        g.grad_physical(x, out=ws.jet)
+        out = np.einsum("i...,ij...->j...", self._mv, ws.grad, out=ws.prod)
+        out += np.multiply(self._bw, ws.value, out=ws.tmp)
         return g.project_coeffs(g.from_physical(out))
 

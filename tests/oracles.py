@@ -6,16 +6,18 @@ every argument.  The solvers never call them: PairStencil and StateStencil
 compute the same terms from frozen coefficient transforms, and the tests check
 the stencils against these forms; apply_C and monotonicity_gap are the
 field-level forms of the batched M-grid kernels the checks and the duality
-residual use.  full_cube expands the stored half cube
-into the whole retained cube, slot by slot, for sums and transforms that
-ignore the storage.
+residual use.  state_apply, pair_apply and pair_apply_transpose are the
+stencil applies written with fresh arrays, the references for the applies
+that form their products in the Grid's workspace.  full_cube expands the
+stored half cube into the whole retained cube, slot by slot, for sums and
+transforms that ignore the storage.
 """
 
 import numpy as np
 
 from cbfctl.fields import Grid, SpectralField, _check_same_grid, quadrature, speed_squared
 from cbfctl.harness import DenseSystem
-from cbfctl.operators import trilinear_b
+from cbfctl.operators import PairStencil, StateStencil, trilinear_b
 
 
 def apply_B(p: SpectralField, q: SpectralField) -> SpectralField:
@@ -95,6 +97,44 @@ def adjoint_forchheimer(m1: SpectralField, m2: SpectralField, q: SpectralField, 
     s = m1v + m2v
     out = 0.5 * beta * (w * qv + np.sum(s * qv, axis=0) * s)
     return SpectralField(g, g.project_coeffs(g.from_physical(out)))
+
+
+def state_apply(st: StateStencil, x: np.ndarray) -> np.ndarray:
+    """StateStencil.apply from fresh arrays: the public transforms and the
+    stencil's frozen arrays, every operation in the stencil's order."""
+    g = st.grid
+    jx = g.grad_physical(x)
+    xv, gx = jx[0], jx[1:]
+    out = np.einsum("i...,ij...->j...", st._mv, gx) + st._bw * xv
+    return g.project_coeffs(g.from_physical(out))
+
+
+def _forch(st: PairStencil, qv: np.ndarray) -> np.ndarray:
+    return 0.5 * st.beta * (st._w * qv + np.add.reduce(st._s * qv, axis=-(st.grid.d + 1)) * st._s)
+
+
+def pair_apply(st: PairStencil, v: np.ndarray) -> np.ndarray:
+    """PairStencil.apply from fresh arrays, in the stencil's order."""
+    g = st.grid
+    jv = g.grad_physical(v)
+    vv, gv = jv[0], jv[1:]
+    out = np.einsum("i...,ij...->j...", st._m1v, gv)
+    out += np.einsum("i...,ij...->j...", vv, st._gm2)
+    out += _forch(st, vv)
+    return g.project_coeffs(g.from_physical(out))
+
+
+def pair_apply_transpose(st: PairStencil, q: np.ndarray, extra_weight: np.ndarray | None = None) -> np.ndarray:
+    """PairStencil.apply_transpose from fresh arrays, in the stencil's order."""
+    g = st.grid
+    jq = g.grad_physical(q)
+    qv, gq = jq[0], jq[1:]
+    out = -np.einsum("i...,ij...->j...", st._m1v, gq)
+    out += np.einsum("ij...,j...->i...", st._gm2, qv)
+    out += _forch(st, qv)
+    if extra_weight is not None:
+        out += extra_weight * qv
+    return g.project_coeffs(g.from_physical(out))
 
 
 def b_tensor(system: DenseSystem) -> np.ndarray:

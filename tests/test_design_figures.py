@@ -7,7 +7,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cbfctl"
 
-DEFAULTED_PARAMETERS = 27
+DEFAULTED_PARAMETERS = 28
 EXPORTS = 53
 
 
