@@ -95,7 +95,7 @@ class AdjointReport:
     kappa: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdjointRun:
     """A solved backward run q^delta with its inputs and report.
 

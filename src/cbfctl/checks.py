@@ -30,7 +30,7 @@ from .fields import (
     spectral_norms, speed_squared, time_l2_inner, time_l2_norm, zero_field,
 )
 from .harness import DenseSystem, ProblemConfig, build_tracking_problem
-from .operators import PairStencil, apply_A, cubic_coeffs, gap_of_values, trilinear_b
+from .operators import PairStencil, cubic_coeffs, gap_of_values, trilinear_b
 from .optimizer import (
     IOCPoint, OptimizeResult, cost, gradient, gradient_scale, ioc_ladder, make_probe_bank, optimize,
     vi_residual, vi_scale,
@@ -295,8 +295,9 @@ def dense_agreement(
     for u in fields:
         x = system.field_to_vec(u)
         dense = M_diff @ x
-        lu = SpectralField(u.grid, stencil.apply(u.coeffs))
-        spectral = x + dt * system.field_to_vec(params.mu * apply_A(u) + params.alpha * u + lu)
+        c = u.coeffs
+        step = params.mu * (system.grid.k_sq * c) + params.alpha * c + stencil.apply(c)
+        spectral = x + dt * system.field_to_vec(SpectralField(system.grid, step))
         worst = max(worst, float(np.max(np.abs(dense - spectral))) / max(float(np.max(np.abs(dense))), 1e-30))
     return transpose, worst
 
@@ -342,7 +343,7 @@ def energy(p: Profile, ledger: MarginLedger) -> None:
     f_fn = random_forcing(grid, rng, l2=fit.f_l2, t_scale=fit.t_end)
     residuals, dts = [], []
     for nt in ladder(fit.nt, 4):
-        f = Trajectory.from_callable(grid, fit.t_end, nt, f_fn)
+        f = Trajectory(grid, fit.t_end, f_fn(np.linspace(0.0, fit.t_end, nt + 1)))
         residuals.append(_solve(p.config, m0, f).report.energy_equality_residual)
         dts.append(fit.t_end / nt)
     ledger.order("energy_equality_order", observed_order(dts, residuals))
@@ -393,7 +394,7 @@ def duality(p: Profile, ledger: MarginLedger) -> None:
     residuals = []
     nts = ladder(max(fit.nt, DUALITY_LADDER_MIN_NT), 3)
     for nt in nts:
-        f1, f2, h = (Trajectory.from_callable(grid, fit.t_end, nt, fn) for fn in fns)
+        f1, f2, h = (Trajectory(grid, fit.t_end, fn(np.linspace(0.0, fit.t_end, nt + 1))) for fn in fns)
         _, _, dual = pair_duality(p.config, _solve(p.config, m0, f1), _solve(p.config, m0, f2), h, 0.1)
         residuals.append(dual.delta_form)
     ledger.order("duality_delta_0.1_order", observed_order([fit.t_end / nt for nt in nts], residuals))
@@ -422,10 +423,7 @@ def _gradient_setup(p: Profile, nt: int):
     s = p.gradient.setup
     grid, rng = s.grid(), s.rng()
     m0 = _m0(s, rng)
-    target, f = (
-        Trajectory.from_callable(grid, s.t_end, nt, fn)
-        for fn in [random_forcing(grid, rng, l2=s.f_l2, t_scale=s.t_end) for _ in range(2)]
-    )
+    target, f = (random_trajectory(grid, s.t_end, nt, rng, l2=s.f_l2) for _ in range(2))
     adj = solve_adjoint_noc(_solve(p.config, m0, f), target, kappa=p.config.kappa_effective, **p.config.picard)
     return m0, target, f, gradient(adj.solution, f, p.gradient.lam), rng
 
@@ -518,7 +516,7 @@ def optimality(p: Profile, ledger: MarginLedger) -> None:
 def reference_errors(
     system: DenseSystem,
     m0: SpectralField,
-    f_fn: Callable[[float], SpectralField],
+    f_fn: Callable[[Sequence[float]], np.ndarray],
     t_end: float,
     nts: Sequence[int],
     **picard,
@@ -528,7 +526,7 @@ def reference_errors(
     ref = system.state_reference(m0, f_fn, t_end, nts[-1], refine=64)
     dts, errors = [], []
     for nt in nts:
-        f = Trajectory.from_callable(system.grid, t_end, nt, f_fn)
+        f = Trajectory(system.grid, t_end, f_fn(np.linspace(0.0, t_end, nt + 1)))
         run = solve_state(m0, f, system.params, **picard)
         gaps = run.solution.coeffs - ref.coeffs[:: nts[-1] // nt]
         errors.append(float(np.max(np.sqrt(parseval_pairing(system.grid, gaps, gaps)))))

@@ -3,9 +3,9 @@
     cbfctl simulate|adjoint|optimize|verify|delta-sweep|oracle
            --config <file> --out <dir> [--seed N]
 
-Exit codes: 0 pass, 1 invariant violation, 2 solver failure, 3 config or
-command-line argument error.  Any other exception propagates
-with its traceback.
+Exit codes: 0 pass, 1 invariant violation (the status line names the failed
+records), 2 solver failure, 3 config or command-line argument error.  Any
+other exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -69,8 +69,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, HypothesisViolatedError) as exc:
         print(f"cbfctl: config error: {exc}", file=sys.stderr)
         return 3
+    failed = [name for name, rec in result.summary["checks"].items() if not rec["pass"]]
     status = "pass" if result.exit_code == 0 else "INVARIANT VIOLATION"
-    print(f"cbfctl {config.experiment}: {status} ({len(result.summary['checks'])} checks, out={args.out})")
+    listed = f", {len(failed)} failed: {', '.join(failed)}" if failed else ""
+    print(f"cbfctl {config.experiment}: {status} ({len(result.summary['checks'])} checks{listed}, out={args.out})")
     return result.exit_code
 
 

@@ -31,7 +31,8 @@ a stencil keeps, are fresh arrays (a jet goes to a buffer only if passed).
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d) + Grid.shape; ``traj[n]`` is a SpectralField over row n, without a
-copy.  Trajectory arithmetic is one array operation.  Every spatial integral
+copy.  Trajectory arithmetic is one array operation, and a random forcing
+samples a whole time grid in one array expression.  Every spatial integral
 goes through the three reductions of the space quadrature section, the only
 sums that weight the half (1 on the k_last = 0 plane, 2 elsewhere for a slot
 and its mirror); every time integral goes through running_integral.
@@ -353,9 +354,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
     def divergence_defect(self) -> float:
         """max_k |k . c(k)| / (|k| |c(k)|), 0 for the zero field."""
         g = self.grid
@@ -468,7 +466,7 @@ def random_field(
     amp, _ = spectral_norms(u)
     if amp == 0.0 or l2 == 0.0:
         return zero_field(grid)
-    return u * (l2 / amp)
+    return SpectralField(grid, u.coeffs * (l2 / amp))
 
 
 @dataclass(frozen=True)
@@ -533,11 +531,6 @@ class Trajectory:
                 raise GridMismatchError("all samples must share the trajectory grid")
             coeffs[i] = s.coeffs
         return Trajectory(grid, t_end, coeffs)
-
-    @staticmethod
-    def from_callable(grid: Grid, t_end: float, nt: int, fn: Callable[[float], SpectralField]) -> "Trajectory":
-        ts = np.linspace(0.0, t_end, nt + 1)
-        return Trajectory.from_fields(grid, t_end, [fn(float(t)) for t in ts])
 
     @staticmethod
     def zero(grid: Grid, t_end: float, nt: int) -> "Trajectory":
@@ -660,22 +653,26 @@ def random_forcing(
     *,
     l2: float = 1.0,
     t_scale: float,
-) -> Callable[[float], SpectralField]:
-    """Smooth-in-time random forcing t -> field, resolution-independent.
+) -> Callable[[Sequence[float]], np.ndarray]:
+    """Smooth-in-time random forcing, resolution-independent, as a sampler:
+    a sequence of times goes in, the coefficient rows at those times come
+    out as one array of shape (len(times), d) + grid.shape.  Sample it at
+    np.linspace(0, t_end, nt + 1) for a Trajectory at any nt, at [t] for
+    one time.
 
-    Combines three random fields (random_field's default spectrum) with
-    low-frequency cosine profiles; sample with Trajectory.from_callable at
-    any nt to study dt refinement.
+    f(t) = sum_i cos(freq_i t + phase_i) u_i over three random fields u_i
+    (random_field's default spectrum), added from i = 0 on.  Each cosine is
+    Python's math.cos, which numpy's vectorized cos can differ from in the
+    last bit; a row depends only on its time, bit for bit.
     """
-    fields = [random_field(grid, rng, l2=l2) for _ in range(3)]
-    freqs = rng.uniform(0.5, 2.5, size=3) * math.pi / t_scale
-    phases = rng.uniform(0.0, TAU, size=3)
+    fields = np.stack([random_field(grid, rng, l2=l2).coeffs for _ in range(3)])
+    freqs = (rng.uniform(0.5, 2.5, size=3) * math.pi / t_scale).tolist()
+    phases = rng.uniform(0.0, TAU, size=3).tolist()
 
-    def fn(t: float) -> SpectralField:
-        acc = fields[0] * math.cos(freqs[0] * t + phases[0])
-        for i in range(1, len(fields)):
-            acc = acc + fields[i] * math.cos(freqs[i] * t + phases[i])
-        return acc
+    def fn(times: Sequence[float]) -> np.ndarray:
+        cos = np.array([[math.cos(w * t + p) for w, p in zip(freqs, phases)] for t in times])
+        terms = fields * cos.reshape(cos.shape + (1,) * (grid.d + 1))
+        return terms[:, 0] + terms[:, 1] + terms[:, 2]
 
     return fn
 
@@ -689,7 +686,7 @@ def random_trajectory(
     l2: float = 1.0,
 ) -> Trajectory:
     fn = random_forcing(grid, rng, l2=l2, t_scale=t_end)
-    return Trajectory.from_callable(grid, t_end, nt, fn)
+    return Trajectory(grid, t_end, fn(np.linspace(0.0, t_end, nt + 1)))
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -268,14 +268,14 @@ class DenseSystem:
     def state_reference(
         self,
         m0: SpectralField,
-        forcing_fn: Callable[[float], SpectralField],
+        forcing: Callable[[Sequence[float]], np.ndarray],
         t_end: float,
         nt: int,
         refine: int,
     ) -> Trajectory:
         """Fine-step dense integration (dt_ref = dt / refine), sampled on the
-        coarse time grid; per fine step the implicit matrix is rebuilt from
-        the current state and solved exactly."""
+        coarse time grid; per fine step the forcing sampler is read at its
+        start and the implicit matrix is rebuilt and solved exactly."""
         dt = t_end / nt
         dt_ref = dt / refine
         x = self.field_to_vec(m0)
@@ -284,7 +284,7 @@ class DenseSystem:
             for r in range(refine):
                 t = n * dt + r * dt_ref
                 M = self.step_matrix(StateStencil(self.grid, self.vec_to_field(x).coeffs, self.params).apply, dt_ref)
-                rhs = x + dt_ref * self.field_to_vec(forcing_fn(t))
+                rhs = x + dt_ref * parseval_pairing(self.grid, forcing([t])[0], self._stacked)
                 x = np.linalg.solve(M, rhs)
             samples.append(self.vec_to_field(x))
         return Trajectory.from_fields(self.grid, t_end, samples)

@@ -188,7 +188,7 @@ class SolveReport:
     energy_bound_K: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateRun:
     """A solved state trajectory together with its inputs and report."""
 

@@ -10,12 +10,17 @@ residual use.  state_apply, pair_apply and pair_apply_transpose are the
 stencil applies written with fresh arrays, the references for the applies
 that form their products in the Grid's workspace.  full_cube expands the
 stored half cube into the whole retained cube, slot by slot, for sums and
-transforms that ignore the storage.
+transforms that ignore the storage.  random_trajectory_by_sample is
+random_trajectory in field arithmetic, one time at a time.
 """
+
+import math
 
 import numpy as np
 
-from cbfctl.fields import Grid, SpectralField, _check_same_grid, quadrature, speed_squared
+from cbfctl.fields import (
+    TAU, Grid, SpectralField, Trajectory, _check_same_grid, quadrature, random_field, speed_squared,
+)
 from cbfctl.harness import DenseSystem
 from cbfctl.operators import PairStencil, StateStencil, trilinear_b
 
@@ -160,3 +165,20 @@ def full_cube(g: Grid, half: np.ndarray) -> np.ndarray:
         else:
             out[(Ellipsis,) + idx] = np.conj(half[(Ellipsis,) + g.position(tuple(-ki for ki in k))])
     return out
+
+
+def random_trajectory_by_sample(
+    grid: Grid, t_end: float, nt: int, rng: np.random.Generator, *, l2: float = 1.0
+) -> Trajectory:
+    """random_trajectory with the same draws, each sample a SpectralField
+    sum of the three fields scaled by math.cos, from mode 0 on."""
+    fields = [random_field(grid, rng, l2=l2) for _ in range(3)]
+    freqs = rng.uniform(0.5, 2.5, size=3) * math.pi / t_end
+    phases = rng.uniform(0.0, TAU, size=3)
+    samples = []
+    for t in np.linspace(0.0, t_end, nt + 1):
+        acc = fields[0] * math.cos(freqs[0] * float(t) + phases[0])
+        for i in range(1, len(fields)):
+            acc = acc + fields[i] * math.cos(freqs[i] * float(t) + phases[i])
+        samples.append(acc)
+    return Trajectory.from_fields(grid, t_end, samples)

@@ -70,6 +70,20 @@ def test_duality_provenance_check(grid2d, params, rng):
         duality_residual(adj, other1, other2, difference=solve_difference(other1, other2).trajectory)
 
 
+def test_solver_results_are_frozen(grid2d, params, rng):
+    # duality_residual tells an adjoint's runs by identity, so a run's solution must not be rebound
+    run1, run2, h = _pair(grid2d, params, rng, nt=4)
+    adj = solve_adjoint((run1.solution, run2.solution), h, 0.0, params, kappa=params.kappa_star())
+    for result in (run1, adj):
+        with pytest.raises(FrozenInstanceError):
+            result.solution = run2.solution
+    moved = dataclasses.replace(run1, solution=run2.solution)
+    assert moved.solution is run2.solution and moved.report is run1.report
+    assert dataclasses.replace(adj, delta=0.1).delta == 0.1 and adj.delta == 0.0
+    with pytest.raises(ValueError, match="coefficient trajectories"):
+        duality_residual(adj, moved, run2, difference=solve_difference(run1, run2).trajectory)
+
+
 def test_duality_delta_positive_first_order(params, rng):
     g = Grid(d=2, n=12)
     m0 = random_field(g, rng, l2=0.5)
@@ -78,9 +92,9 @@ def test_duality_delta_positive_first_order(params, rng):
     h_fn = random_forcing(g, rng, l2=1.0, t_scale=0.5)
     residuals, dts = [], []
     for nt in (16, 32, 64):
-        f1 = Trajectory.from_callable(g, 0.5, nt, f1_fn)
-        f2 = Trajectory.from_callable(g, 0.5, nt, f2_fn)
-        h = Trajectory.from_callable(g, 0.5, nt, h_fn)
+        f1 = Trajectory(g, 0.5, f1_fn(np.linspace(0.0, 0.5, nt + 1)))
+        f2 = Trajectory(g, 0.5, f2_fn(np.linspace(0.0, 0.5, nt + 1)))
+        h = Trajectory(g, 0.5, h_fn(np.linspace(0.0, 0.5, nt + 1)))
         run1 = solve_state(m0, f1, params)
         run2 = solve_state(m0, f2, params)
         diff = solve_difference(run1, run2)

@@ -20,8 +20,10 @@ from cbfctl import (
     write_trajectory,
     zero_field,
 )
-from cbfctl.fields import TAU, CBFTFormatError, mode_sq, parseval_pairing, parseval_sum
-from oracles import full_cube
+from cbfctl.checks import dense_agreement
+from cbfctl.fields import TAU, CBFTFormatError, mode_sq, parseval_pairing, parseval_sum, random_forcing
+from cbfctl.harness import DenseSystem
+from oracles import full_cube, random_trajectory_by_sample
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 4), (3, 8)])
@@ -377,8 +379,6 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
     other = random_field(Grid(d=2, n=8), rng)
     with pytest.raises(GridMismatchError, match="share the trajectory grid"):
         Trajectory.from_fields(grid2d, 1.0, [u, other, u])
-    with pytest.raises(GridMismatchError, match="share the trajectory grid"):
-        Trajectory.from_callable(grid2d, 1.0, 2, lambda t: other)
     with pytest.raises(ValueError, match="at least 2 samples"):
         Trajectory.from_fields(grid2d, 1.0, [u])
     with pytest.raises(ValueError, match="at least 2 samples"):
@@ -467,3 +467,39 @@ def test_hermitian_weights_match_full_cube_sums(d, n):
     assert np.max(np.abs(parseval_sum(g, g.k_sq * mode_sq(g, a), d) - v_sq) / v_sq) <= 1e-15
     assert np.max(np.abs(parseval_pairing(g, a, a) - sq) / sq) <= 1e-15
     assert np.max(np.abs(parseval_pairing(g, a, b) - pairing) / scale) <= 1e-15
+
+
+@pytest.mark.parametrize("d, n, nt", [(2, 8, 384), (3, 6, 8)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_trajectory_bitwise_per_sample(d, n, nt, seed):
+    # one array expression over the time grid gives the bits of the per-sample field sums
+    g = Grid(d=d, n=n)
+    traj = random_trajectory(g, 0.5, nt, np.random.default_rng(seed), l2=0.7)
+    ref = random_trajectory_by_sample(g, 0.5, nt, np.random.default_rng(seed), l2=0.7)
+    assert np.array_equal(_bits(traj.coeffs), _bits(ref.coeffs))
+    fn = random_forcing(g, np.random.default_rng(seed), l2=0.7, t_scale=0.5)
+    for i in (0, 1, nt // 2, nt):
+        row = fn([traj.times[i]])
+        assert row.shape == (1, d) + g.shape
+        assert np.array_equal(_bits(row[0]), _bits(traj.coeffs[i]))
+
+
+def test_forcings_and_solvers_run_without_field_arithmetic(monkeypatch, params):
+    import cbfctl as c
+
+    def refuse(*args):
+        raise AssertionError("SpectralField arithmetic ran")
+
+    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(SpectralField, name, refuse)
+    g, rng = Grid(d=2, n=4), np.random.default_rng(5)
+    m0 = random_field(g, rng, l2=0.5)
+    f1, f2, h = (random_trajectory(g, 0.25, 4, rng) for _ in range(3))
+    run1, run2 = c.solve_state(m0, f1, params), c.solve_state(m0, f2, params)
+    diff = c.solve_difference(run1, run2)
+    for delta in (0.0, 0.1):
+        adj = c.solve_adjoint((run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star())
+        c.duality_residual(adj, run1, run2, difference=diff.trajectory)
+    fields = [random_field(g, rng) for _ in range(2)]
+    defect, gap = dense_agreement(DenseSystem(g, params), m0, fields[0], 0.05, fields)
+    assert defect <= 1e-12 and gap <= 1e-12

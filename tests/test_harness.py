@@ -259,7 +259,7 @@ def test_state_matches_dense_reference_order(tiny_system, rng):
     ref = s.state_reference(m0, f_fn, 0.5, nts[-1], refine=64)
     errors, dts = [], []
     for nt in nts:
-        f = Trajectory.from_callable(s.grid, 0.5, nt, f_fn)
+        f = Trajectory(s.grid, 0.5, f_fn(np.linspace(0.0, 0.5, nt + 1)))
         run = solve_state(m0, f, s.params)
         stride = nts[-1] // nt
         err = max(
@@ -330,7 +330,7 @@ def test_same_dt_dense_matches_spectral(tiny_system, rng):
     f_fn = random_forcing(s.grid, rng, l2=1.0, t_scale=0.5)
     nt = 8
     ref = s.state_reference(m0, f_fn, 0.5, nt, refine=1)
-    f = Trajectory.from_callable(s.grid, 0.5, nt, f_fn)
+    f = Trajectory(s.grid, 0.5, f_fn(np.linspace(0.0, 0.5, nt + 1)))
     run = solve_state(m0, f, s.params, picard_tol=1e-13, max_iters=400)
     worst = max(
         math.sqrt(max(inner_product(run.solution[i] - ref[i], run.solution[i] - ref[i]), 0.0))
@@ -407,6 +407,20 @@ def test_cli_exit_3_only_for_input_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", raising(ValueError("internal")))
     with pytest.raises(ValueError, match="internal"):
         main(argv)
+
+
+def test_cli_status_names_failing_records(tmp_path, monkeypatch, capsys):
+    import cbfctl.experiments as experiments
+
+    def runner(config, out_dir, ledger):
+        ledger.margin("kept_margin", 1.0, 0.0)
+        ledger.margin("broken_margin", -1.0, 0.0)
+
+    monkeypatch.setitem(experiments._RUNNERS, "simulate", runner)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(_write_config(tmp_path)), "--out", str(out)]) == 1
+    line = capsys.readouterr().out.strip()
+    assert line == f"cbfctl simulate: INVARIANT VIOLATION (2 checks, 1 failed: broken_margin, out={out})"
 
 
 def test_cli_verify_hypothesis_violation_exit_3(tmp_path, capsys):

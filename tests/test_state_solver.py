@@ -159,7 +159,7 @@ def test_energy_equality_first_order(params, rng):
     fn = random_forcing(g, rng, l2=1.0, t_scale=0.5)
     residuals, dts = [], []
     for nt in (16, 32, 64, 128):
-        f = Trajectory.from_callable(g, 0.5, nt, fn)
+        f = Trajectory(g, 0.5, fn(np.linspace(0.0, 0.5, nt + 1)))
         run = solve_state(zero_field(g), f, params)
         residuals.append(run.report.energy_equality_residual)
         dts.append(0.5 / nt)
@@ -213,8 +213,8 @@ def test_solve_difference_consistency_order(params, rng):
     f2_fn = random_forcing(g, rng, l2=1.0, t_scale=0.5)
     defects, dts = [], []
     for nt in (16, 32, 64):
-        f1 = Trajectory.from_callable(g, 0.5, nt, f1_fn)
-        f2 = Trajectory.from_callable(g, 0.5, nt, f2_fn)
+        f1 = Trajectory(g, 0.5, f1_fn(np.linspace(0.0, 0.5, nt + 1)))
+        f2 = Trajectory(g, 0.5, f2_fn(np.linspace(0.0, 0.5, nt + 1)))
         run1 = solve_state(m0, f1, params)
         run2 = solve_state(m0, f2, params)
         defects.append(solve_difference(run1, run2).defect)
