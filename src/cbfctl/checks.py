@@ -200,7 +200,7 @@ def verify_profile(config: ProblemConfig) -> Profile:
         config=config,
         trilinear=Samples(((2, 12, 120, s + 2), (3, 8, 60, s + 3)), (1.0, 1.0), spawn=True),
         forchheimer=Samples(((d, n, 100, s + 11),), (1.0, 1.0), spawn=True),
-        energy=(Draw(d, n, t_end, nt // 4, a, a, s), Draw(d, n, t_end, nt, 0.0, a, s + 23, 20)),
+        energy=(Draw(d, n, t_end, max(nt // 4, 1), a, a, s), Draw(d, n, t_end, nt, 0.0, a, s + 23, 20)),
         lipschitz=(Draw(d, n, t_end, nt, a, a, s + 31, 20), Draw(d, n, t_end, nt, a, a, s + 37)),
         duality=(Draw(d, n, t_end, nt, a, a, s + 41, 5), Draw(d, n, t_end, nt, a, a, s + 43)),
         adjoint=(Draw(d, n, t_end, nt, a, a, s + 41, 5), Draw(d, n, t_end, nt, a, a, s + 47)),
@@ -522,7 +522,10 @@ def reference_errors(
     **picard,
 ) -> tuple[list[float], list[float]]:
     """(dt, sup_n ||m_n - m_ref(t_n)||) for every nt of the ladder, against
-    one dense fine-step reference sampled at the finest nt."""
+    one dense fine-step reference sampled at the finest nt, which every nt
+    must divide."""
+    if any(nts[-1] % nt for nt in nts):
+        raise ValueError(f"reference_errors: every step count of {tuple(nts)} must divide the finest")
     ref = system.state_reference(m0, f_fn, t_end, nts[-1], refine=64)
     dts, errors = [], []
     for nt in nts:

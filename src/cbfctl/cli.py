@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import NoReturn
 
 from .experiments import run_experiment
-from .harness import EXPERIMENTS, ConfigError, config_from_dict, config_to_dict, parse_config
+from .harness import EXPERIMENTS, ConfigError, parse_config
 from .optimizer import LineSearchFailure
 from .state_solver import HypothesisViolatedError, NonConvergenceError
 
@@ -51,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     try:
-        config = config_from_dict({**config_to_dict(config), **overrides})
+        config = replace(config, **overrides)
     except ConfigError as exc:
         # only --seed can fail here; the message starts with its field name
         parser.error(f"argument --{exc}")

@@ -46,7 +46,7 @@ from .fields import (
     write_trajectory,
     zero_field,
 )
-from .harness import DenseSystem, ProblemConfig, config_to_dict
+from .harness import ConfigError, DenseSystem, ProblemConfig, config_to_dict
 from .state_solver import solve_state
 from .svg import write_line_chart
 
@@ -71,14 +71,9 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_summary(out_dir: str, config: ProblemConfig, ledger: MarginLedger) -> dict:
-    summary = {
-        "experiment": config.experiment,
-        "config": config_to_dict(config),
-        "hypothesis": config.hypothesis_report(),
-        "checks": ledger.records,
-        "all_pass": ledger.all_pass,
-    }
+def _write_summary(out_dir: str, config: ProblemConfig, **record) -> dict:
+    """Write summary.json: the experiment, its config and the record's keys."""
+    summary = {"experiment": config.experiment, "config": config_to_dict(config), **record}
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -211,6 +206,9 @@ def run_optimize(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> N
 
 
 def run_oracle(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
+    nts = (max(config.nt // 4, 4), max(config.nt // 2, 8), config.nt)
+    if any(config.nt % nt for nt in nts):
+        raise ConfigError(f"nt: the reference ladder {nts} must divide nt={config.nt}; use 8 or a multiple of 4 from 16")
     grid = config.grid()
     rng = config.rng()
     system = DenseSystem(grid, config.operator_params())
@@ -233,7 +231,6 @@ def run_oracle(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> Non
     # fine-step reference vs spectral state solve, O(dt) with order >= 0.9
     m0 = random_field(grid, rng, l2=config.amplitude)
     f_fn = random_forcing(grid, rng, l2=config.amplitude, t_scale=config.t_end)
-    nts = [max(config.nt // 4, 4), max(config.nt // 2, 8), config.nt]
     dts, errors = reference_errors(system, m0, f_fn, config.t_end, nts, **config.picard)
     order = observed_order(dts, errors)
     ledger.order("state_reference_order", order)
@@ -287,16 +284,10 @@ def run_experiment(config: ProblemConfig, out_dir) -> ExperimentResult:
     ledger = MarginLedger()
     try:
         _RUNNERS[config.experiment](config, out_dir, ledger)
-        summary = _write_summary(out_dir, config, ledger)
+        summary = _write_summary(
+            out_dir, config, hypothesis=config.hypothesis_report(), checks=ledger.records, all_pass=ledger.all_pass
+        )
     except Exception as exc:
-        failure = {
-            "experiment": config.experiment,
-            "config": config_to_dict(config),
-            "error": f"{type(exc).__name__}: {exc}",
-            "partial_outputs": True,
-        }
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(failure, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_summary(out_dir, config, error=f"{type(exc).__name__}: {exc}", partial_outputs=True)
         raise
     return ExperimentResult(0 if ledger.all_pass else 1, summary)

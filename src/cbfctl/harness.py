@@ -1,8 +1,8 @@
 """Configuration and the dense Galerkin oracle.
 
-ProblemConfig is the flat JSON schema every CLI run consumes; parse_config
-validates it field by field and evaluates the coefficient hypothesis up front
-(recorded, never fatal).
+ProblemConfig is the flat JSON schema every CLI run consumes; it validates
+itself field by field on every construction, and its coefficient hypothesis
+is evaluated up front (recorded, never fatal).
 
 DenseSystem realizes the solvers' finite-dimensional systems literally: an
 orthonormal real basis of the retained divergence-free modes is built once,
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Sequence
@@ -44,10 +45,50 @@ class ConfigError(ValueError):
     """Schema violation; the message names the offending field."""
 
 
+# Per field: a lower bound (comparison, bound) and the one rule a bound
+# cannot state (test, message).
+_RULES = {
+    "experiment": (None, (lambda v: v in EXPERIMENTS, f"must be one of {', '.join(EXPERIMENTS)}")),
+    "d": ((">=", 2), (lambda v: v in (2, 3), "must be 2 or 3")),
+    "n": ((">=", 4), (lambda v: v % 2 == 0, "must be even")),
+    "nt": ((">=", 1), None),
+    "t_end": ((">", 0.0), None),
+    "mu": ((">", 0.0), None),
+    "alpha": ((">=", 1e-12), None),
+    "beta": ((">", 0.0), None),
+    "kappa": (None, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+    "lam": ((">", 0.0), None),
+    "delta": ((">=", 0.0), None),
+    "radius": ((">", 0.0), None),
+    "amplitude": ((">", 0.0), None),
+    "seed": ((">=", 0), None),
+    "picard_tol": ((">", 0.0), None),
+    "picard_max_iters": ((">=", 1), None),
+    "tol_vi": ((">", 0.0), None),
+    "tol_duality": ((">", 0.0), None),
+}
+_BOUNDS = {">": operator.gt, ">=": operator.ge}
+
+
+def _expect(cond: bool, field: str, message: str) -> None:
+    if not cond:
+        raise ConfigError(f"{field}: {message}")
+
+
+def _json_name(field: str) -> str:
+    """The JSON key of a ProblemConfig field: lam is "lambda"."""
+    return "lambda" if field == "lam" else field
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Validated flat configuration, each field with its schema default;
-    kappa None is the midpoint choice."""
+    kappa None is the midpoint choice.
+
+    Every construction (config_from_dict, dataclasses.replace, a direct
+    call) checks each field's JSON kind, given by its annotation, stores
+    numbers as floats and applies _RULES; the first failing field in
+    declaration order is named by its JSON key."""
 
     experiment: str = "verify"
     d: int = 2
@@ -68,6 +109,29 @@ class ProblemConfig:
     tol_vi: float = 1e-6
     tol_duality: float = 1e-10
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            key, val = _json_name(f.name), getattr(self, f.name)
+            if val is None and f.type == "float | None":
+                continue
+            if f.type == "int":
+                _expect(isinstance(val, int) and not isinstance(val, bool), key, "must be an integer")
+            elif f.type != "str":
+                _expect(isinstance(val, (int, float)) and not isinstance(val, bool), key, "must be a number")
+                try:
+                    val = float(val)
+                except OverflowError:  # an integer beyond the float range
+                    val = math.inf
+                _expect(math.isfinite(val), key, "must be finite")
+                object.__setattr__(self, f.name, val)
+            bound, rule = _RULES[f.name]
+            if bound is not None:
+                op, lo = bound
+                _expect(_BOUNDS[op](val, lo), key, f"must be {op} {lo}")
+            if rule is not None:
+                test, message = rule
+                _expect(test(val), key, message)
+
     def operator_params(self) -> OperatorParams:
         return OperatorParams(mu=self.mu, alpha=self.alpha, beta=self.beta)
 
@@ -80,10 +144,6 @@ class ProblemConfig:
     @property
     def hypothesis_satisfied(self) -> bool:
         return self.operator_params().hypothesis_holds(self.kappa_effective)
-
-    @property
-    def wellposed(self) -> bool:
-        return self.operator_params().wellposed()
 
     @property
     def picard(self) -> dict:
@@ -101,74 +161,16 @@ class ProblemConfig:
             "kappa": self.kappa_effective,
             "two_beta_mu": 2.0 * self.beta * self.mu,
             "hypothesis_satisfied": self.hypothesis_satisfied,
-            "wellposed_2bm_ge_1": self.wellposed,
+            "wellposed_2bm_ge_1": self.operator_params().wellposed(),
         }
 
 
-def _expect(cond: bool, field: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{field}: {message}")
-
-
-def _json_name(field: str) -> str:
-    """The JSON key of a ProblemConfig field: lam is "lambda"."""
-    return "lambda" if field == "lam" else field
-
-
 def config_from_dict(raw: dict) -> ProblemConfig:
-    defaults = {_json_name(f.name): f.default for f in fields(ProblemConfig)}
-    unknown = set(raw) - set(defaults)
-    _expect(not unknown, sorted(unknown)[0] if unknown else "", "unknown field")
-    merged = {**defaults, **raw}
-
-    def num(fieldname, lo=None, strict=True, allow_none=False):
-        val = merged[fieldname]
-        if val is None and allow_none:
-            return None
-        _expect(isinstance(val, (int, float)) and not isinstance(val, bool), fieldname, "must be a number")
-        val = float(val)
-        _expect(math.isfinite(val), fieldname, "must be finite")
-        if lo is not None:
-            _expect(val > lo if strict else val >= lo, fieldname, f"must be {'>' if strict else '>='} {lo}")
-        return val
-
-    def integer(fieldname, lo):
-        val = merged[fieldname]
-        _expect(isinstance(val, int) and not isinstance(val, bool), fieldname, "must be an integer")
-        _expect(val >= lo, fieldname, f"must be >= {lo}")
-        return val
-
-    experiment = merged["experiment"]
-    _expect(experiment in EXPERIMENTS, "experiment", f"must be one of {', '.join(EXPERIMENTS)}")
-    d = integer("d", 2)
-    _expect(d in (2, 3), "d", "must be 2 or 3")
-    n = integer("n", 4)
-    _expect(n % 2 == 0, "n", "must be even")
-    nt = integer("nt", 1)
-    kappa = num("kappa", allow_none=True)
-    if kappa is not None:
-        _expect(0.0 < kappa < 1.0, "kappa", "must lie in (0, 1)")
-    cfg = ProblemConfig(
-        experiment=experiment,
-        d=d,
-        n=n,
-        nt=nt,
-        t_end=num("t_end", 0.0),
-        mu=num("mu", 0.0),
-        alpha=num("alpha", 1e-12, strict=False),
-        beta=num("beta", 0.0),
-        kappa=kappa,
-        lam=num("lambda", 0.0),
-        delta=num("delta", 0.0, strict=False),
-        radius=num("radius", 0.0),
-        amplitude=num("amplitude", 0.0),
-        seed=integer("seed", 0),
-        picard_tol=num("picard_tol", 0.0),
-        picard_max_iters=integer("picard_max_iters", 1),
-        tol_vi=num("tol_vi", 0.0),
-        tol_duality=num("tol_duality", 0.0),
-    )
-    return cfg
+    """The config of a JSON object: unknown keys are errors, "lambda" is lam."""
+    names = {_json_name(f.name): f.name for f in fields(ProblemConfig)}
+    unknown = sorted(set(raw) - set(names))
+    _expect(not unknown, unknown[0] if unknown else "", "unknown field")
+    return ProblemConfig(**{names[key]: val for key, val in raw.items()})
 
 
 def parse_config(path) -> ProblemConfig:
@@ -178,7 +180,7 @@ def parse_config(path) -> ProblemConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, an undecodable byte or an over-long integer literal
         raise ConfigError(f"config: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")

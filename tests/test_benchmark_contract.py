@@ -106,7 +106,7 @@ def test_solver_results_carry_what_the_hooks_read():
 
 
 # Kept without a reader: the per-step Picard sweeps are for the run counters
-# planned in ROADMAP.md (item 4, observability).
+# planned in ROADMAP.md (item 9, one set of counters into summary.json).
 UNREAD_FIELDS = {"picard_sweeps"}
 
 

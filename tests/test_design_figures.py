@@ -8,8 +8,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cbfctl"
 
-SRC_LINES = 3487
-DEFAULTED_PARAMETERS = 28
+SRC_LINES = 3484
+DEFAULTED_PARAMETERS = 25
 EXPORTS = 53
 
 

@@ -22,10 +22,18 @@ from cbfctl import (
     solve_state,
     zero_field,
 )
-from cbfctl.checks import MarginLedger, duality, observed_order, verify_profile
+from cbfctl.checks import MarginLedger, duality, energy, observed_order, reference_errors, verify_profile
 from cbfctl.cli import main
 from cbfctl.fields import random_forcing
-from cbfctl.harness import DenseSystem, ProblemConfig, build_tracking_problem, config_from_dict, config_to_dict
+from cbfctl.harness import (
+    _RULES,
+    EXPERIMENTS,
+    DenseSystem,
+    ProblemConfig,
+    build_tracking_problem,
+    config_from_dict,
+    config_to_dict,
+)
 from cbfctl.operators import PairStencil, StateStencil, trilinear_b
 from oracles import b_tensor
 
@@ -68,11 +76,11 @@ def test_parse_config_hypothesis_flag(tmp_path):
     cfg = parse_config(path)
     # 2 beta mu = 2 > 1/0.75
     assert cfg.hypothesis_satisfied
-    assert cfg.wellposed
     rep = cfg.hypothesis_report()
+    assert rep["wellposed_2bm_ge_1"]
     assert rep["two_beta_mu"] == pytest.approx(2.0)
     weak = config_from_dict({"mu": 0.2, "beta": 1.0})
-    assert not weak.wellposed
+    assert not weak.hypothesis_report()["wellposed_2bm_ge_1"]
 
 
 def test_parse_config_errors_name_field(tmp_path):
@@ -92,6 +100,54 @@ def test_parse_config_errors_name_field(tmp_path):
     bad.write_text("{")
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config(bad)
+    # an integer literal over Python's digit limit, and a byte that is not UTF-8
+    for text in (b'{"seed": 1' + b"0" * 5000 + b"}", b"\xff{}"):
+        bad.write_bytes(text)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            parse_config(bad)
+
+
+def test_every_config_field_has_one_rule():
+    # __post_init__ reads each field's kind from its annotation and its rules from _RULES
+    names = [f.name for f in dataclasses.fields(ProblemConfig)]
+    assert list(_RULES) == names
+    assert {f.type for f in dataclasses.fields(ProblemConfig)} <= {"str", "int", "float", "float | None"}
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("n", 5, "n: must be even"),
+        ("kappa", 1.5, "kappa: must lie in (0, 1)"),
+        ("picard_max_iters", 0, "picard_max_iters: must be >= 1"),
+        ("mu", math.nan, "mu: must be finite"),
+        ("seed", True, "seed: must be an integer"),
+        ("lam", 0.0, "lambda: must be > 0.0"),
+    ],
+)
+def test_every_construction_validates(field, value, message):
+    # a direct call and dataclasses.replace apply the rules a JSON config gets
+    with pytest.raises(ConfigError) as json_error:
+        config_from_dict({"lambda" if field == "lam" else field: value})
+    assert str(json_error.value) == message
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ProblemConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(config_from_dict({}), **{field: value})
+
+
+def test_config_stores_numbers_as_floats():
+    assert type(ProblemConfig(t_end=1).t_end) is float and ProblemConfig(t_end=1).t_end == 1.0
+    assert type(dataclasses.replace(ProblemConfig(), mu=2).mu) is float
+
+
+def test_experiments_named_once():
+    # the schema's experiments, the runners and the CLI's subcommands agree
+    from cbfctl.cli import build_parser
+    from cbfctl.experiments import _RUNNERS
+
+    subcommands = re.search(r"\{([^}]*)\}", build_parser().format_usage()).group(1).split(",")
+    assert set(EXPERIMENTS) == set(_RUNNERS) == set(subcommands)
 
 
 NUMBER_FIELDS = (
@@ -100,10 +156,11 @@ NUMBER_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("literal", ["Infinity", "1e400"])
+@pytest.mark.parametrize("literal", ["Infinity", "1e400", pytest.param("1" + "0" * 400, id="int1e400")])
 @pytest.mark.parametrize("field", NUMBER_FIELDS)
 def test_config_rejects_non_finite(tmp_path, field, literal):
-    # JSON's Infinity and an overflowing literal both parse to inf
+    # JSON's Infinity and an overflowing literal both parse to inf; an
+    # integer literal beyond the float range is no finite number either
     path = tmp_path / "inf.json"
     path.write_text(f'{{"n": 8, "nt": 4, "{field}": {literal}}}')
     with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
@@ -560,6 +617,23 @@ def test_cli_oracle_default_config_exit_3(tmp_path, capsys):
     assert "config error: n: dense dimension 120 at n=16 exceeds the cap 64" in err
 
 
+@pytest.mark.parametrize("nt", [12, 18])
+def test_cli_oracle_misaligned_ladder_exit_3(tmp_path, capsys, nt):
+    # the ladder (nt/4, nt/2, nt) with floors 4 and 8 must divide nt: (4, 8, 12) and (4, 9, 18) do not
+    cfg = _write_config(tmp_path, n=6, nt=nt)
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "config error: nt: the reference ladder" in capsys.readouterr().err
+
+
+def test_reference_errors_rejects_misaligned_ladder():
+    # the nt = 4 run would be compared with the reference at every 4th of 18 steps
+    system = DenseSystem(Grid(d=2, n=4), OperatorParams(mu=1.0, alpha=0.1, beta=1.0))
+    rng = np.random.default_rng(7)
+    f_fn = random_forcing(system.grid, rng, l2=1.0, t_scale=0.5)
+    with pytest.raises(ValueError, match="must divide the finest"):
+        reference_errors(system, random_field(system.grid, rng, l2=1.0), f_fn, 0.5, (4, 9, 18))
+
+
 def test_cli_delta_sweep_experiment(tmp_path):
     cfg = _write_config(tmp_path, n=8, nt=8, t_end=0.25)
     out = tmp_path / "outsweep"
@@ -607,6 +681,13 @@ def test_verify_duality_order_at_small_nt():
     ledger = MarginLedger()
     duality(verify_profile(config_from_dict({"d": 2, "n": 8, "nt": 8, "t_end": 0.5, "seed": 7})), ledger)
     assert ledger.records["duality_delta_0.1_order"]["value"] >= 0.9
+
+
+def test_verify_energy_check_at_nt_2():
+    # the energy-fit draw takes nt // 4 steps, at least one
+    ledger = MarginLedger()
+    energy(verify_profile(config_from_dict({"d": 2, "n": 8, "nt": 2, "t_end": 0.5, "seed": 7})), ledger)
+    assert {"energy_equality_order", "energy_bound_margin_rel_min_t_pos"} <= set(ledger.records)
 
 
 def test_cli_optimize_experiment(tmp_path):
