@@ -35,7 +35,6 @@ from .fields import (
 )
 from .operators import (
     OperatorParams,
-    apply_A,
     trilinear_b,
 )
 from .state_solver import (

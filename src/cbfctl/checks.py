@@ -11,7 +11,8 @@ Random inputs: a ``Draw`` names the seed of one family of instances.  With a
 count, each instance draws from its own child generator of the seed, so its
 numbers do not depend on how many instances came before it.  A time-step
 ladder is always (nt, 2 nt, 4 nt, ...) from the Draw's nt; the delta > 0
-duality ladder starts at no fewer than DUALITY_LADDER_MIN_NT steps.
+duality ladder starts at no fewer than DUALITY_LADDER_MIN_NT steps, the oracle
+experiment's reference ladder at no fewer than ORACLE_LADDER_MIN_NT.
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ ORDER_FLOOR = 0.9
 # The delta > 0 duality residual is pre-asymptotic below 32 steps: on (8, 16, 32)
 # at 2D n=8, t_end=0.5 its order reads 0.80, on (32, 64, 128) 0.95.
 DUALITY_LADDER_MIN_NT = 32
+# The oracle experiment's state-reference error is pre-asymptotic below 4 steps:
+# at seed 7, t_end=0.5 its order reads 0.841 on (2, 4, 8) at 2D n=4 and 0.563
+# on (1, 2, 4) at n=6.
+ORACLE_LADDER_MIN_NT = 4
 
 
 class MarginLedger:
@@ -203,7 +208,8 @@ def verify_profile(config: ProblemConfig) -> Profile:
         energy=(Draw(d, n, t_end, max(nt // 4, 1), a, a, s), Draw(d, n, t_end, nt, 0.0, a, s + 23, 20)),
         lipschitz=(Draw(d, n, t_end, nt, a, a, s + 31, 20), Draw(d, n, t_end, nt, a, a, s + 37)),
         duality=(Draw(d, n, t_end, nt, a, a, s + 41, 5), Draw(d, n, t_end, nt, a, a, s + 43)),
-        adjoint=(Draw(d, n, t_end, nt, a, a, s + 41, 5), Draw(d, n, t_end, nt, a, a, s + 47)),
+        # delta acts through the previous backward step's |q|^2: one step starts from q(T) = 0
+        adjoint=(Draw(d, n, t_end, nt, a, a, s + 41, 5), Draw(d, n, t_end, max(nt, 2), a, a, s + 47)),
         delta_ladder=(1e-1, 1e-2, 1e-3),
         gradient=Gradient(
             Draw(2, 8, 0.25, 512, 0.3 * a, 0.3 * a, s + 53), config.lam, 3, None,
@@ -283,21 +289,20 @@ def pair_sweep(
 
 
 def dense_agreement(
-    system: DenseSystem, m1: SpectralField, m2: SpectralField, dt: float, fields: Sequence[SpectralField]
+    system: DenseSystem, m1: np.ndarray, m2: np.ndarray, dt: float, fields: Sequence[np.ndarray]
 ) -> tuple[float, float]:
-    """(transpose defect, operator gap) of one slab: the largest entry of
-    M_adj - M_diff^T, and the worst relative gap between the dense
-    difference-step matrix and the spectral step applied to each field."""
+    """(transpose defect, operator gap) of one slab, all coefficient arrays: the
+    largest entry of M_adj - M_diff^T, and the worst relative gap between the
+    dense difference-step matrix and the spectral step applied to each field."""
     params = system.params
-    stencil, worst = PairStencil(system.grid, m1.coeffs, m2.coeffs, params), 0.0
+    stencil, worst = PairStencil(system.grid, m1, m2, params), 0.0
     M_diff = system.step_matrix(stencil.apply, dt)
     transpose = float(np.max(np.abs(system.step_matrix(stencil.apply_transpose, dt) - M_diff.T)))
-    for u in fields:
-        x = system.field_to_vec(u)
+    for c in fields:
+        x = system.coords(c)
         dense = M_diff @ x
-        c = u.coeffs
         step = params.mu * (system.grid.k_sq * c) + params.alpha * c + stencil.apply(c)
-        spectral = x + dt * system.field_to_vec(SpectralField(system.grid, step))
+        spectral = x + dt * system.coords(step)
         worst = max(worst, float(np.max(np.abs(dense - spectral))) / max(float(np.max(np.abs(dense))), 1e-30))
     return transpose, worst
 
@@ -526,7 +531,7 @@ def reference_errors(
     must divide."""
     if any(nts[-1] % nt for nt in nts):
         raise ValueError(f"reference_errors: every step count of {tuple(nts)} must divide the finest")
-    ref = system.state_reference(m0, f_fn, t_end, nts[-1], refine=64)
+    ref = system.state_reference(m0.coeffs, f_fn, t_end, nts[-1], refine=64)
     dts, errors = [], []
     for nt in nts:
         f = Trajectory(system.grid, t_end, f_fn(np.linspace(0.0, t_end, nt + 1)))
@@ -547,8 +552,8 @@ def oracle(p: Profile, ledger: MarginLedger) -> None:
     transpose = operator = 0.0
     for n in s.ns:
         system = DenseSystem(Grid(d=2, n=n), params)
-        m1, m2 = (random_field(system.grid, rng, l2=1.0) for _ in range(2))
-        fields = [random_field(system.grid, rng, l2=1.0) for _ in range(s.probes)]
+        m1, m2 = (random_field(system.grid, rng, l2=1.0).coeffs for _ in range(2))
+        fields = [random_field(system.grid, rng, l2=1.0).coeffs for _ in range(s.probes)]
         defect, gap = dense_agreement(system, m1, m2, s.dt, fields)
         transpose, operator = max(transpose, defect), max(operator, gap)
     ledger.residual("oracle_transpose_defect", transpose, 1e-12)

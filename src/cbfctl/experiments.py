@@ -23,12 +23,14 @@ import numpy as np
 from .adjoint_solver import derivative_bound_check
 from .checks import (
     CHECKS,
+    ORACLE_LADDER_MIN_NT,
     Draw,
     MarginLedger,
     certify_optimum,
     decreasing,
     delta_ladder_converges,
     dense_agreement,
+    ladder,
     observed_order,
     optimize_certificate,
     pair_duality,
@@ -38,10 +40,13 @@ from .checks import (
     verify_profile,
 )
 from .fields import (
+    l2_series,
+    mode_sq,
+    parseval_sum,
     random_field,
     random_forcing,
     random_trajectory,
-    spectral_norms,
+    running_integral,
     time_l2_norm,
     write_trajectory,
     zero_field,
@@ -71,11 +76,20 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _strict(v):
+    """v with every non-finite float as None, JSON's null."""
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_summary(out_dir: str, config: ProblemConfig, **record) -> dict:
-    """Write summary.json: the experiment, its config and the record's keys."""
+    """Write summary.json: the experiment, its config and the record's keys, in strict JSON."""
     summary = {"experiment": config.experiment, "config": config_to_dict(config), **record}
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_strict(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 
@@ -140,13 +154,17 @@ def run_adjoint(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> No
     ledger.residual("duality_delta_form", dual.delta_form, tol)
     ledger.residual("duality_limit_form", dual.limit_form, 20.0 * dt * dual.scale)
     ledger.margin("adjoint_energy_margin", adj.report.energy_margin, 1e-8 * max(adj.report.energy_K, 1e-30))
-    ledger.residual("difference_defect", diff.defect, 20.0 * dt * max(time_l2_norm(run1.solution - run2.solution), 1e-30))
+    # scaled by the right-endpoint norm of m1 - m2 over n >= 1, the samples the defect is taken on
+    right = math.sqrt(float(running_integral(l2_series(run1.solution - run2.solution)[1:] ** 2, dt)[-1]))
+    ledger.residual("difference_defect", diff.defect, 20.0 * dt * max(right, 1e-30))
     bound = derivative_bound_check(adj)
     ledger.margin("derivative_bound_margin", bound.margin, 1e-8 * bound.bound)
     ledger.note("derivative_bound_slack", bound.bound / max(bound.norm, 1e-30))
 
 
 def run_delta_sweep(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
+    if config.nt < 2:
+        raise ConfigError("nt: delta-sweep needs nt >= 2; at one step delta acts on q(T) = 0 and every distance is 0")
     base, ladder = pair_sweep(config, *_adjoint_instance(config), DELTA_LADDER)
     write_csv(os.path.join(out_dir, "delta_sweep.csv"), ["delta", "q_dist"], ladder)
     write_line_chart(
@@ -206,24 +224,20 @@ def run_optimize(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> N
 
 
 def run_oracle(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> None:
-    nts = (max(config.nt // 4, 4), max(config.nt // 2, 8), config.nt)
-    if any(config.nt % nt for nt in nts):
-        raise ConfigError(f"nt: the reference ladder {nts} must divide nt={config.nt}; use 8 or a multiple of 4 from 16")
     grid = config.grid()
     rng = config.rng()
     system = DenseSystem(grid, config.operator_params())
-    D = system.dim
-    ledger.note("dense_dimension", D)
+    ledger.note("dense_dimension", system.dim)
 
     # A is diagonal in the eigenbasis with |k|^2 entries, symmetric PD
     A = system.a_matrix
-    eigs = np.array([spectral_norms(e)[1] ** 2 for e in system.basis])
+    # each basis field's squared V norm, bitwise spectral_norms(e)[1] ** 2
+    eigs = np.sqrt(parseval_sum(grid, grid.k_sq * mode_sq(grid, system.basis), grid.d)) ** 2
     ledger.residual("a_matrix_diag_defect", float(np.max(np.abs(A - np.diag(eigs)))), 1e-12 * float(np.max(eigs)))
     ledger.flag("a_matrix_spd", bool(np.all(np.diag(A) > 0)))
 
-    m1 = random_field(grid, rng, l2=config.amplitude)
-    m2 = random_field(grid, rng, l2=config.amplitude)
-    fields = [random_field(grid, rng, l2=1.0) for _ in range(5)]
+    m1, m2 = (random_field(grid, rng, l2=config.amplitude).coeffs for _ in range(2))
+    fields = [random_field(grid, rng, l2=1.0).coeffs for _ in range(5)]
     defect, gap = dense_agreement(system, m1, m2, config.t_end / config.nt, fields)
     ledger.residual("adjoint_matrix_transpose_defect", defect, 1e-12)
     ledger.residual("dense_vs_spectral_operator", gap, 1e-12)
@@ -231,6 +245,7 @@ def run_oracle(config: ProblemConfig, out_dir: str, ledger: MarginLedger) -> Non
     # fine-step reference vs spectral state solve, O(dt) with order >= 0.9
     m0 = random_field(grid, rng, l2=config.amplitude)
     f_fn = random_forcing(grid, rng, l2=config.amplitude, t_scale=config.t_end)
+    nts = ladder(max(config.nt // 4, ORACLE_LADDER_MIN_NT), 3)
     dts, errors = reference_errors(system, m0, f_fn, config.t_end, nts, **config.picard)
     order = observed_order(dts, errors)
     ledger.order("state_reference_order", order)

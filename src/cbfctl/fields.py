@@ -451,15 +451,14 @@ def random_field(
     rng: np.random.Generator,
     *,
     l2: float = 1.0,
-    decay: float = 0.35,
 ) -> SpectralField:
-    """Seeded random divergence-free field with e^{-decay |k|} spectral envelope,
+    """Seeded random divergence-free field with e^{-0.35 |k|} spectral envelope,
     rescaled to the requested L2 norm (zero field if l2 == 0)."""
     shape = (grid.d,) + (grid.n,) * grid.d
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     slots = np.arange(-grid.kmax, grid.kmax + 1) % grid.n  # the retained cube in the draws' FFT order
     cube = raw[(slice(None),) + np.ix_(*([slots] * grid.d))]
-    envelope = np.exp(-decay * np.sqrt(grid.k_sq))
+    envelope = np.exp(-0.35 * np.sqrt(grid.k_sq))
     # the Hermitian part 0.5 * (c(k) + conj(c(-k))) of the enveloped draws, on the half
     c, c_neg = (x[..., grid.kmax :] * envelope for x in (cube, cube[(Ellipsis,) + (slice(None, None, -1),) * grid.d]))
     u = leray_project(grid, 0.5 * (c + np.conj(c_neg)))
@@ -521,16 +520,6 @@ class Trajectory:
         return Trajectory(self.grid, self.t_end, self.coeffs * float(c))
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def from_fields(grid: Grid, t_end: float, fields: Sequence[SpectralField]) -> "Trajectory":
-        """The trajectory with the given samples, copied into one array."""
-        coeffs = np.empty((len(fields), grid.d) + grid.shape, dtype=np.complex128)
-        for i, s in enumerate(fields):
-            if s.grid != grid:
-                raise GridMismatchError("all samples must share the trajectory grid")
-            coeffs[i] = s.coeffs
-        return Trajectory(grid, t_end, coeffs)
 
     @staticmethod
     def zero(grid: Grid, t_end: float, nt: int) -> "Trajectory":
@@ -661,7 +650,7 @@ def random_forcing(
     one time.
 
     f(t) = sum_i cos(freq_i t + phase_i) u_i over three random fields u_i
-    (random_field's default spectrum), added from i = 0 on.  Each cosine is
+    (random_field's spectrum), added from i = 0 on.  Each cosine is
     Python's math.cos, which numpy's vectorized cos can differ from in the
     last bit; a row depends only on its time, bit for bit.
     """

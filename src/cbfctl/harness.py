@@ -26,7 +26,6 @@ import numpy as np
 
 from .fields import (
     Grid,
-    SpectralField,
     Trajectory,
     make_field,
     parseval_pairing,
@@ -34,7 +33,7 @@ from .fields import (
     random_trajectory,
     time_l2_norm,
 )
-from .operators import OperatorParams, StateStencil, apply_A
+from .operators import OperatorParams, StateStencil
 from .optimizer import ControlProblem
 from .state_solver import PICARD_MAX_ITERS, PICARD_TOL, StateRun, solve_state
 
@@ -215,7 +214,8 @@ class DenseSystem:
 
     The basis is orthonormal in L2: for every half-space representative k,
     every real tangent direction of k-perp, and both phases {1, i}, one unit
-    field.  D = 2 (d-1) (number of representatives); capped at 64.
+    field; basis stacks them as one (D, d) + grid.shape coefficient array.
+    D = 2 (d-1) (number of representatives); capped at 64.
     """
 
     MAX_DIM = 64
@@ -224,72 +224,68 @@ class DenseSystem:
         self.grid = grid
         self.params = params
         reps = [k for k in grid.retained_modes() if k > tuple(0 for _ in k)]
-        basis: list[SpectralField] = []
         vol = grid.volume**0.5
-        for k in reps:
-            for t in _tangent_basis(k):
-                for phase in (1.0, 1.0j):
-                    amp = phase * t / (math.sqrt(2.0) * vol)
-                    basis.append(make_field(grid, [(k, amp)]))
+        basis = [
+            make_field(grid, [(k, phase * t / (math.sqrt(2.0) * vol))]).coeffs
+            for k in reps for t in _tangent_basis(k) for phase in (1.0, 1.0j)
+        ]
         if len(basis) > self.MAX_DIM:
             raise ConfigError(
                 f"n: dense dimension {len(basis)} at n={grid.n} exceeds the cap {self.MAX_DIM}; shrink the grid"
             )
-        self.basis = basis
-        self._stacked = np.stack([e.coeffs for e in basis])
+        self.basis = np.stack(basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def field_to_vec(self, u: SpectralField) -> np.ndarray:
-        """The coordinates inner_product(u, e) over the basis, in one pairing."""
-        return parseval_pairing(self.grid, u.coeffs, self._stacked)
+    def coords(self, c: np.ndarray) -> np.ndarray:
+        """The coordinates of the coefficient array c, in one pairing with the basis."""
+        return parseval_pairing(self.grid, c, self.basis)
 
-    def vec_to_field(self, x: np.ndarray) -> SpectralField:
-        coeffs = sum(float(xi) * e.coeffs for xi, e in zip(x, self.basis))
-        return SpectralField(self.grid, np.asarray(coeffs))
+    def from_coords(self, x: np.ndarray) -> np.ndarray:
+        """The coefficient array with coordinates x, summed in basis order."""
+        return sum(float(xi) * e for xi, e in zip(x, self.basis))
 
-    def assemble(self, op: Callable[[SpectralField], SpectralField]) -> np.ndarray:
-        """The matrix (inner_product(op(e_j), e_i))_ij, in one pairing."""
-        cols = np.stack([op(e).coeffs for e in self.basis])
-        return parseval_pairing(self.grid, cols, self._stacked[:, None])
+    def assemble(self, op: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """The matrix of the coefficient-array map op, (op(e_j), e_i)_ij, in one pairing."""
+        cols = np.stack([op(e) for e in self.basis])
+        return parseval_pairing(self.grid, cols, self.basis[:, None])
 
     @cached_property
     def a_matrix(self) -> np.ndarray:
-        return self.assemble(apply_A)
+        return self.assemble(lambda c: self.grid.k_sq * c)
 
     def step_matrix(self, op: Callable[[np.ndarray], np.ndarray], dt: float) -> np.ndarray:
         """Dense implicit matrix I + dt (mu A + alpha I + L) of one slab, L the
         coefficient-array apply op: a PairStencil's apply (difference step) or
         apply_transpose (adjoint step, the transpose to round-off), or a
         StateStencil's apply (state step)."""
-        L = self.assemble(lambda e: SpectralField(self.grid, op(e.coeffs)))
+        L = self.assemble(op)
         return np.eye(self.dim) + dt * (self.params.mu * self.a_matrix + self.params.alpha * np.eye(self.dim) + L)
 
     def state_reference(
         self,
-        m0: SpectralField,
+        m0: np.ndarray,
         forcing: Callable[[Sequence[float]], np.ndarray],
         t_end: float,
         nt: int,
         refine: int,
     ) -> Trajectory:
-        """Fine-step dense integration (dt_ref = dt / refine), sampled on the
-        coarse time grid; per fine step the forcing sampler is read at its
-        start and the implicit matrix is rebuilt and solved exactly."""
+        """Fine-step dense integration from the coefficient array m0 (dt_ref =
+        dt / refine), sampled on the coarse time grid; per fine step the forcing
+        sampler is read at its start and the implicit matrix rebuilt and solved."""
         dt = t_end / nt
         dt_ref = dt / refine
-        x = self.field_to_vec(m0)
-        samples = [self.vec_to_field(x)]
+        x = self.coords(m0)
+        samples = [self.from_coords(x)]
         for n in range(nt):
             for r in range(refine):
                 t = n * dt + r * dt_ref
-                M = self.step_matrix(StateStencil(self.grid, self.vec_to_field(x).coeffs, self.params).apply, dt_ref)
-                rhs = x + dt_ref * parseval_pairing(self.grid, forcing([t])[0], self._stacked)
-                x = np.linalg.solve(M, rhs)
-            samples.append(self.vec_to_field(x))
-        return Trajectory.from_fields(self.grid, t_end, samples)
+                M = self.step_matrix(StateStencil(self.grid, self.from_coords(x), self.params).apply, dt_ref)
+                x = np.linalg.solve(M, x + dt_ref * self.coords(forcing([t])[0]))
+            samples.append(self.from_coords(x))
+        return Trajectory(self.grid, t_end, np.stack(samples))
 
 
 # ----------------------------------------------------------------------

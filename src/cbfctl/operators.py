@@ -79,11 +79,6 @@ class OperatorParams:
         return 2.0 * self.beta * self.mu >= 1.0
 
 
-def apply_A(u: SpectralField) -> SpectralField:
-    """Stokes operator: coefficientwise multiplication by |k|^2."""
-    return SpectralField(u.grid, u.grid.k_sq * u.coeffs)
-
-
 def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
     """b(p, q, r) = integral of (p . grad) q . r, exact quadrature."""
     _check_same_grid(p, q)

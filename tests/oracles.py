@@ -4,14 +4,16 @@ Each function below evaluates one term of the difference and adjoint
 operators on its own, straight from its definition, with fresh transforms of
 every argument.  The solvers never call them: PairStencil and StateStencil
 compute the same terms from frozen coefficient transforms, and the tests check
-the stencils against these forms; apply_C and monotonicity_gap are the
+the stencils against these forms; apply_A is the Stokes operator the dense
+oracle assembles as k_sq * c, and apply_C and monotonicity_gap are the
 field-level forms of the batched M-grid kernels the checks and the duality
 residual use.  state_apply, pair_apply and pair_apply_transpose are the
 stencil applies written with fresh arrays, the references for the applies
 that form their products in the Grid's workspace.  full_cube expands the
 stored half cube into the whole retained cube, slot by slot, for sums and
-transforms that ignore the storage.  random_trajectory_by_sample is
-random_trajectory in field arithmetic, one time at a time.
+transforms that ignore the storage.  trajectory_from_fields stacks fields
+into a Trajectory, and random_trajectory_by_sample is random_trajectory in
+field arithmetic, one time at a time.
 """
 
 import math
@@ -19,10 +21,15 @@ import math
 import numpy as np
 
 from cbfctl.fields import (
-    TAU, Grid, SpectralField, Trajectory, _check_same_grid, quadrature, random_field, speed_squared,
+    TAU, Grid, GridMismatchError, SpectralField, Trajectory, _check_same_grid, quadrature, random_field, speed_squared,
 )
 from cbfctl.harness import DenseSystem
 from cbfctl.operators import PairStencil, StateStencil, trilinear_b
+
+
+def apply_A(u: SpectralField) -> SpectralField:
+    """Stokes operator: coefficientwise multiplication by |k|^2."""
+    return SpectralField(u.grid, u.grid.k_sq * u.coeffs)
 
 
 def apply_B(p: SpectralField, q: SpectralField) -> SpectralField:
@@ -146,9 +153,10 @@ def b_tensor(system: DenseSystem) -> np.ndarray:
     """T[i, j, k] = b(e_i, e_j, e_k) over the dense basis; skew in its last two indices."""
     D = system.dim
     T = np.empty((D, D, D))
-    for i, ei in enumerate(system.basis):
-        for j, ej in enumerate(system.basis):
-            for k, ek in enumerate(system.basis):
+    basis = [SpectralField(system.grid, e) for e in system.basis]
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            for k, ek in enumerate(basis):
                 T[i, j, k] = trilinear_b(ei, ej, ek)
     return T
 
@@ -167,6 +175,16 @@ def full_cube(g: Grid, half: np.ndarray) -> np.ndarray:
     return out
 
 
+def trajectory_from_fields(grid: Grid, t_end: float, fields) -> Trajectory:
+    """The trajectory with the given samples, copied into one array."""
+    coeffs = np.empty((len(fields), grid.d) + grid.shape, dtype=np.complex128)
+    for i, s in enumerate(fields):
+        if s.grid != grid:
+            raise GridMismatchError("all samples must share the trajectory grid")
+        coeffs[i] = s.coeffs
+    return Trajectory(grid, t_end, coeffs)
+
+
 def random_trajectory_by_sample(
     grid: Grid, t_end: float, nt: int, rng: np.random.Generator, *, l2: float = 1.0
 ) -> Trajectory:
@@ -181,4 +199,4 @@ def random_trajectory_by_sample(
         for i in range(1, len(fields)):
             acc = acc + fields[i] * math.cos(freqs[i] * float(t) + phases[i])
         samples.append(acc)
-    return Trajectory.from_fields(grid, t_end, samples)
+    return trajectory_from_fields(grid, t_end, samples)

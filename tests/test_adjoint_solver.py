@@ -27,6 +27,7 @@ from cbfctl import (
 )
 from cbfctl.fields import random_forcing
 from cbfctl.checks import observed_order
+from oracles import trajectory_from_fields
 
 
 def _pair(grid, params, rng, t_end=1.0, nt=32, amp=1.0):
@@ -137,7 +138,7 @@ def test_step_adjoint_scalar_cubic_oracle(params):
         return make_field(g, [(k, (0.0, a))])
 
     zero_traj = Trajectory.zero(g, dt * nt, nt)
-    h = Trajectory.from_fields(g, dt * nt, [unit(amp0)] * (nt + 1))
+    h = trajectory_from_fields(g, dt * nt, [unit(amp0)] * (nt + 1))
     adj = solve_adjoint((zero_traj, zero_traj), h, delta, params, kappa=params.kappa_star())
 
     # reversed-time scalar reference; physical amplitude of mode (a cos form)
@@ -206,7 +207,7 @@ def _trajectories(grid, params, rng, t_end, nt):
     run1, run2, h = _pair(grid, params, rng, t_end=t_end, nt=nt, amp=0.5)
     yield run1, run2, h, _bound_adjoint(run1, run2, h, 0.0, params).solution
     yield run1, run2, h, random_trajectory(grid, t_end, nt, rng)
-    yield run1, run2, h, Trajectory.from_fields(grid, t_end, [random_field(grid, rng) for _ in range(nt + 1)])
+    yield run1, run2, h, trajectory_from_fields(grid, t_end, [random_field(grid, rng) for _ in range(nt + 1)])
 
 
 @pytest.mark.parametrize("d,n", [(2, 8), (3, 6)])

@@ -8,9 +8,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cbfctl"
 
-SRC_LINES = 3484
-DEFAULTED_PARAMETERS = 25
-EXPORTS = 53
+SRC_LINES = 3483
+DEFAULTED_PARAMETERS = 24
+EXPORTS = 52
 
 
 def _src_lines() -> int:

@@ -23,7 +23,7 @@ from cbfctl import (
 from cbfctl.checks import dense_agreement
 from cbfctl.fields import TAU, CBFTFormatError, mode_sq, parseval_pairing, parseval_sum, random_forcing
 from cbfctl.harness import DenseSystem
-from oracles import full_cube, random_trajectory_by_sample
+from oracles import full_cube, random_trajectory_by_sample, trajectory_from_fields
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 4), (3, 8)])
@@ -171,10 +171,17 @@ def test_inner_product_grid_mismatch(rng):
         inner_product(u, w)
 
 
+def _enveloped(g, rng, *, l2, decay):
+    """A random field of L2 norm l2 under the envelope e^{-decay |k|}: random_field's draw
+    with its own envelope e^{-0.35 |k|} traded for that one."""
+    c = random_field(g, rng).coeffs * np.exp((0.35 - decay) * np.sqrt(g.k_sq))
+    return SpectralField(g, c * (l2 / np.sqrt(parseval_sum(g, mode_sq(g, c), g.d))))
+
+
 def test_poincare_many_random_fields(rng):
     for g in (Grid(d=2, n=16), Grid(d=3, n=8)):
         for _ in range(500):
-            u = random_field(g, rng, l2=rng.uniform(0.1, 3.0), decay=rng.uniform(0.1, 1.0))
+            u = _enveloped(g, rng, l2=rng.uniform(0.1, 3.0), decay=rng.uniform(0.1, 1.0))
             nm = norms(u)
             assert nm.l2 <= nm.v * (1.0 + 1e-12)
 
@@ -184,7 +191,7 @@ def test_ladyzhenskaya_inequality(d, n, rng):
     g = Grid(d=d, n=n)
     const = 2.0 ** ((d - 1) / 4.0)
     for _ in range(200):
-        u = random_field(g, rng, l2=rng.uniform(0.1, 2.0), decay=rng.uniform(0.2, 1.0))
+        u = _enveloped(g, rng, l2=rng.uniform(0.1, 2.0), decay=rng.uniform(0.2, 1.0))
         nm = norms(u)
         bound = const * nm.l2 ** (1.0 - d / 4.0) * nm.v ** (d / 4.0)
         assert nm.l4 <= bound * (1.0 + 1e-12)
@@ -354,7 +361,7 @@ def test_trajectory_is_one_read_only_array(grid2d, rng):
     with pytest.raises(ValueError):
         s.coeffs[0, 1, 1] = 1.0
     assert [np.array_equal(x.coeffs, a.coeffs[n]) for n, x in enumerate(a)] == [True] * 5
-    const = Trajectory.from_fields(grid2d, 1.0, [s] * 4)
+    const = trajectory_from_fields(grid2d, 1.0, [s] * 4)
     assert const.nt == 3 and np.array_equal(const[3].coeffs, s.coeffs)
     with pytest.raises(ValueError):
         const.coeffs[0, 0, 1, 1] = 1.0
@@ -378,13 +385,13 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
     u = random_field(grid2d, rng)
     other = random_field(Grid(d=2, n=8), rng)
     with pytest.raises(GridMismatchError, match="share the trajectory grid"):
-        Trajectory.from_fields(grid2d, 1.0, [u, other, u])
+        trajectory_from_fields(grid2d, 1.0, [u, other, u])
     with pytest.raises(ValueError, match="at least 2 samples"):
-        Trajectory.from_fields(grid2d, 1.0, [u])
+        trajectory_from_fields(grid2d, 1.0, [u])
     with pytest.raises(ValueError, match="at least 2 samples"):
         Trajectory(grid2d, 1.0, u.coeffs[None])
     with pytest.raises(ValueError, match="t_end must be positive"):
-        Trajectory.from_fields(grid2d, 0.0, [u, u])
+        trajectory_from_fields(grid2d, 0.0, [u, u])
     with pytest.raises(ValueError, match="array must have shape"):
         Trajectory(grid2d, 1.0, np.stack([other.coeffs] * 3))
 
@@ -415,7 +422,7 @@ def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message)
         c[(slice(None),) + pos] += 1e-3 * np.array([1.0, 2.0])
     elif defect == "nan":
         c[(0,) + pos] = np.nan
-    bad = Trajectory.from_fields(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
+    bad = trajectory_from_fields(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
     path = tmp_path / "bad.cbft"
     write_trajectory(path, bad)
     if defect in ("outside", "mirror", "mirror-nan"):
@@ -442,7 +449,7 @@ def test_trajectory_io_payload_layout(tmp_path, d, n, k, amp):
     g = Grid(d=d, n=n)
     u = make_field(g, [(k, amp)])
     path = tmp_path / "one.cbft"
-    write_trajectory(path, Trajectory.from_fields(g, 0.5, [u, zero_field(g)]))
+    write_trajectory(path, trajectory_from_fields(g, 0.5, [u, zero_field(g)]))
     lattice = np.zeros((2, d) + (n,) * d, dtype="<c16")
     lattice[(0, slice(None)) + tuple(ki + n // 2 for ki in k)] = amp
     lattice[(0, slice(None)) + tuple(n // 2 - ki for ki in k)] = np.conj(amp)
@@ -500,6 +507,6 @@ def test_forcings_and_solvers_run_without_field_arithmetic(monkeypatch, params):
     for delta in (0.0, 0.1):
         adj = c.solve_adjoint((run1.solution, run2.solution), h, delta, params, kappa=params.kappa_star())
         c.duality_residual(adj, run1, run2, difference=diff.trajectory)
-    fields = [random_field(g, rng) for _ in range(2)]
-    defect, gap = dense_agreement(DenseSystem(g, params), m0, fields[0], 0.05, fields)
+    fields = [random_field(g, rng).coeffs for _ in range(2)]
+    defect, gap = dense_agreement(DenseSystem(g, params), m0.coeffs, fields[0], 0.05, fields)
     assert defect <= 1e-12 and gap <= 1e-12

@@ -14,7 +14,6 @@ from cbfctl import (
     OperatorParams,
     SpectralField,
     Trajectory,
-    apply_A,
     inner_product,
     parse_config,
     random_field,
@@ -22,7 +21,9 @@ from cbfctl import (
     solve_state,
     zero_field,
 )
-from cbfctl.checks import MarginLedger, duality, energy, observed_order, reference_errors, verify_profile
+from cbfctl.checks import (
+    MarginLedger, adjoint_bounds, duality, energy, observed_order, reference_errors, verify_profile,
+)
 from cbfctl.cli import main
 from cbfctl.fields import random_forcing
 from cbfctl.harness import (
@@ -35,7 +36,7 @@ from cbfctl.harness import (
     config_to_dict,
 )
 from cbfctl.operators import PairStencil, StateStencil, trilinear_b
-from oracles import b_tensor
+from oracles import apply_A, b_tensor
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -205,20 +206,30 @@ def tiny_system():
     return DenseSystem(grid, params)
 
 
+def _basis_fields(s):
+    """The dense basis, one SpectralField per row."""
+    return [SpectralField(s.grid, e) for e in s.basis]
+
+
+def _apply_A(s):
+    """The Stokes operator as the coefficient-array map DenseSystem assembles."""
+    return lambda c: apply_A(SpectralField(s.grid, c)).coeffs
+
+
 def test_dense_basis_orthonormal(tiny_system):
     D = tiny_system.dim
     assert D == 8
-    G = np.array([
-        [inner_product(a, b) for b in tiny_system.basis] for a in tiny_system.basis
-    ])
+    assert tiny_system.basis.shape == (D, 2) + tiny_system.grid.shape
+    basis = _basis_fields(tiny_system)
+    G = np.array([[inner_product(a, b) for b in basis] for a in basis])
     assert np.allclose(G, np.eye(D), atol=1e-12)
 
 
 def test_dense_roundtrip(tiny_system, rng):
     u = random_field(tiny_system.grid, rng)
-    x = tiny_system.field_to_vec(u)
-    back = tiny_system.vec_to_field(x)
-    assert np.allclose(back.coeffs, u.coeffs, atol=1e-13)
+    x = tiny_system.coords(u.coeffs)
+    back = tiny_system.from_coords(x)
+    assert np.allclose(back, u.coeffs, atol=1e-13)
 
 
 def test_dense_a_matrix_diagonal_spd(tiny_system):
@@ -230,7 +241,7 @@ def test_dense_a_matrix_diagonal_spd(tiny_system):
     assert float(np.max(np.abs(A - np.diag(eigs)))) <= 1e-12 * float(np.max(eigs))
     # column test: dense column = spectral application of the basis field
     for j, e in enumerate(tiny_system.basis):
-        col = tiny_system.field_to_vec(apply_A(e))
+        col = tiny_system.coords(_apply_A(tiny_system)(e))
         assert np.allclose(col, A[:, j], atol=1e-13)
 
 
@@ -244,7 +255,7 @@ def test_trilinear_matches_dense_contraction(tiny_system, rng):
     s = tiny_system
     for _ in range(3):
         p, q, r = (random_field(s.grid, rng) for _ in range(3))
-        xp, xq, xr = s.field_to_vec(p), s.field_to_vec(q), s.field_to_vec(r)
+        xp, xq, xr = s.coords(p.coeffs), s.coords(q.coeffs), s.coords(r.coeffs)
         dense_val = float(np.einsum("i,j,k,ijk->", xp, xq, xr, T))
         assert dense_val == pytest.approx(trilinear_b(p, q, r), rel=1e-11, abs=1e-12)
 
@@ -262,28 +273,24 @@ def test_dense_operator_equivalence(tiny_system, rng):
     # dense matrix application == direct spectral application, for every block
     s = tiny_system
     m1, m2 = random_field(s.grid, rng), random_field(s.grid, rng)
-
-    def on_fields(apply):  # the stencil applies map coefficient arrays
-        return lambda u: SpectralField(s.grid, apply(u.coeffs))
-
-    pair = on_fields(PairStencil(s.grid, m1.coeffs, m2.coeffs, s.params).apply)
-    state = on_fields(StateStencil(s.grid, m1.coeffs, s.params).apply)
+    pair = PairStencil(s.grid, m1.coeffs, m2.coeffs, s.params).apply
+    state = StateStencil(s.grid, m1.coeffs, s.params).apply
     L_pair = s.assemble(pair)
     L_state = s.assemble(state)
     for _ in range(5):
         u = random_field(s.grid, rng)
-        x = s.field_to_vec(u)
-        for M, op in ((s.a_matrix, apply_A), (L_pair, pair), (L_state, state)):
+        x = s.coords(u.coeffs)
+        for M, op in ((s.a_matrix, _apply_A(s)), (L_pair, pair), (L_state, state)):
             dense = M @ x
-            spectral = s.field_to_vec(op(u))
+            spectral = s.coords(op(u.coeffs))
             scale = max(float(np.max(np.abs(dense))), 1e-30)
             assert float(np.max(np.abs(dense - spectral))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 6), (3, 4)])
 def test_dense_pairings_match_inner_product_loop(d, n):
-    # field_to_vec and assemble each make one pairing against the stacked
-    # basis; every entry is bitwise the inner_product of the per-basis loop
+    # coords and assemble each make one pairing against the stacked basis;
+    # every entry is bitwise the inner_product of the per-basis loop
     s = DenseSystem(Grid(d=d, n=n), OperatorParams(mu=1.0, alpha=0.1, beta=1.0))
     rng = np.random.default_rng(611)
     u, m1, m2 = (random_field(s.grid, rng) for _ in range(3))
@@ -292,10 +299,11 @@ def test_dense_pairings_match_inner_product_loop(d, n):
     def bits(x):
         return np.ascontiguousarray(x).view(np.uint64)
 
-    loop = np.array([inner_product(u, e) for e in s.basis])
-    assert np.array_equal(bits(s.field_to_vec(u)), bits(loop))
-    for op in (apply_A, lambda e: SpectralField(s.grid, pair.apply(e.coeffs))):
-        cols = [np.array([inner_product(op(e), b) for b in s.basis]) for e in s.basis]
+    basis = _basis_fields(s)
+    loop = np.array([inner_product(u, e) for e in basis])
+    assert np.array_equal(bits(s.coords(u.coeffs)), bits(loop))
+    for op in (_apply_A(s), pair.apply):
+        cols = [np.array([inner_product(SpectralField(s.grid, op(e)), b) for b in basis]) for e in s.basis]
         assert np.array_equal(bits(s.assemble(op)), bits(np.column_stack(cols)))
 
 
@@ -313,7 +321,7 @@ def test_state_matches_dense_reference_order(tiny_system, rng):
     m0 = random_field(s.grid, rng, l2=0.5)
     f_fn = random_forcing(s.grid, rng, l2=1.0, t_scale=0.5)
     nts = [4, 8, 16]
-    ref = s.state_reference(m0, f_fn, 0.5, nts[-1], refine=64)
+    ref = s.state_reference(m0.coeffs, f_fn, 0.5, nts[-1], refine=64)
     errors, dts = [], []
     for nt in nts:
         f = Trajectory(s.grid, 0.5, f_fn(np.linspace(0.0, 0.5, nt + 1)))
@@ -346,9 +354,9 @@ def test_difference_and_adjoint_match_dense(tiny_system, rng):
     x = np.zeros(s.dim)
     for n in range(nt):
         M = s.step_matrix(PairStencil(s.grid, run1.solution.coeffs[n], run2.solution.coeffs[n], s.params).apply, dt)
-        g = s.field_to_vec(f1[n] - f2[n])
+        g = s.coords(f1.coeffs[n] - f2.coeffs[n])
         x = np.linalg.solve(M, x + dt * g)
-        got = s.field_to_vec(diff.trajectory[n + 1])
+        got = s.coords(diff.trajectory.coeffs[n + 1])
         assert np.allclose(got, x, atol=1e-10)
 
     adj = c.solve_adjoint(
@@ -359,8 +367,8 @@ def test_difference_and_adjoint_match_dense(tiny_system, rng):
     for n in reversed(range(nt)):
         pair = PairStencil(s.grid, run1.solution.coeffs[n], run2.solution.coeffs[n], s.params)
         M = s.step_matrix(pair.apply_transpose, dt)
-        q = np.linalg.solve(M, q + dt * s.field_to_vec(h[n + 1]))
-        got = s.field_to_vec(adj.solution[n])
+        q = np.linalg.solve(M, q + dt * s.coords(h.coeffs[n + 1]))
+        got = s.coords(adj.solution.coeffs[n])
         assert np.allclose(got, q, atol=1e-10)
 
 
@@ -386,7 +394,7 @@ def test_same_dt_dense_matches_spectral(tiny_system, rng):
     m0 = random_field(s.grid, rng, l2=0.5)
     f_fn = random_forcing(s.grid, rng, l2=1.0, t_scale=0.5)
     nt = 8
-    ref = s.state_reference(m0, f_fn, 0.5, nt, refine=1)
+    ref = s.state_reference(m0.coeffs, f_fn, 0.5, nt, refine=1)
     f = Trajectory(s.grid, 0.5, f_fn(np.linspace(0.0, 0.5, nt + 1)))
     run = solve_state(m0, f, s.params, picard_tol=1e-13, max_iters=400)
     worst = max(
@@ -617,12 +625,15 @@ def test_cli_oracle_default_config_exit_3(tmp_path, capsys):
     assert "config error: n: dense dimension 120 at n=16 exceeds the cap 64" in err
 
 
-@pytest.mark.parametrize("nt", [12, 18])
-def test_cli_oracle_misaligned_ladder_exit_3(tmp_path, capsys, nt):
-    # the ladder (nt/4, nt/2, nt) with floors 4 and 8 must divide nt: (4, 8, 12) and (4, 9, 18) do not
+@pytest.mark.parametrize("nt", [8, 12, 18])
+def test_cli_oracle_runs_at_any_nt(tmp_path, nt):
+    # the order study's ladder (max(nt // 4, 4), ...) doubles, so it aligns at every nt: here (4, 8, 16)
     cfg = _write_config(tmp_path, n=6, nt=nt)
-    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "config error: nt: the reference ladder" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "oracle_order.csv").read_text().splitlines()
+    assert rows[0] == "dt,error"
+    assert [float(row.split(",")[0]) for row in rows[1:]] == [0.5 / 4, 0.5 / 8, 0.5 / 16]
 
 
 def test_reference_errors_rejects_misaligned_ladder():
@@ -688,6 +699,56 @@ def test_verify_energy_check_at_nt_2():
     ledger = MarginLedger()
     energy(verify_profile(config_from_dict({"d": 2, "n": 8, "nt": 2, "t_end": 0.5, "seed": 7})), ledger)
     assert {"energy_equality_order", "energy_bound_margin_rel_min_t_pos"} <= set(ledger.records)
+
+
+def test_verify_delta_ladder_at_nt_1():
+    # delta acts through the previous backward step's |q|^2, and one step starts from q(T) = 0:
+    # the delta-ladder draw takes max(nt, 2) steps, so it is the config's own at nt >= 2
+    profile = verify_profile(config_from_dict({"d": 2, "n": 8, "nt": 1, "t_end": 0.5, "seed": 7}))
+    assert profile.adjoint[0].nt == 1 and profile.adjoint[1].nt == 2
+    for nt in (2, 3, 16):
+        assert verify_profile(config_from_dict({"nt": nt})).adjoint[1].nt == nt
+    ledger = MarginLedger()
+    adjoint_bounds(profile, ledger)
+    ladder = ledger.records["delta_ladder_monotone"]
+    assert ladder["pass"] is True and min(ladder["value"]) > 0.0
+    assert ledger.all_pass
+
+
+def test_cli_delta_sweep_at_nt_1_exit_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, nt=1)
+    assert main(["delta-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "config error: nt: delta-sweep needs nt >= 2" in capsys.readouterr().err
+
+
+def test_cli_adjoint_at_nt_1(tmp_path):
+    # the difference defect is taken on the samples n >= 1 and scaled by the right-endpoint
+    # norm of m1 - m2 over them; the left-endpoint norm sees only m1 - m2 = 0 at n = 0
+    cfg = _write_config(tmp_path, nt=1)
+    out = tmp_path / "o"
+    assert main(["adjoint", "--config", str(cfg), "--out", str(out)]) == 0
+    defect = json.loads((out / "summary.json").read_text())["checks"]["difference_defect"]
+    assert defect["pass"] is True and 0.0 < defect["value"] <= defect["tolerance"]
+    assert defect["tolerance"] > 1e-3
+
+
+def test_summary_is_strict_json_with_undefined_margins(tmp_path):
+    # 2*beta*mu = 0.6 < 1/kappa: the adjoint margins are undefined (NaN), written as null
+    cfg = _write_config(tmp_path, nt=8, beta=0.3)
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning):
+        assert main(["adjoint", "--config", str(cfg), "--out", str(out)]) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    checks = summary["checks"]
+    assert checks["adjoint_energy_margin"]["value"] is None
+    assert checks["derivative_bound_margin"]["value"] is None and checks["derivative_bound_margin"]["tolerance"] is None
+    assert checks["adjoint_energy_margin"]["pass"] is False and checks["derivative_bound_margin"]["pass"] is False
+    assert checks["derivative_bound_slack"]["value"] is None
+    assert summary["all_pass"] is False
 
 
 def test_cli_optimize_experiment(tmp_path):

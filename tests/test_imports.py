@@ -81,3 +81,19 @@ def test_half_layout_lives_in_fields():
     uses = {p.name: _half_layout_uses(ast.parse(p.read_text())) for p in others}
     assert not any(uses.values()), uses
     assert _half_layout_uses(ast.parse((SRC / "fields.py").read_text()))
+
+
+def test_drivers_build_no_fields():
+    # the checks, the experiments and the dense oracle work on coefficient arrays:
+    # none of them wraps an array in a SpectralField
+    def calls(tree: ast.Module) -> list[int]:
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "SpectralField":
+                    found.append(node.lineno)
+        return found
+
+    assert calls(ast.parse("u = SpectralField(g, c); w = fields.SpectralField(g, c)")) == [1, 1]
+    found = {name: calls(ast.parse((SRC / name).read_text())) for name in ("harness.py", "checks.py", "experiments.py")}
+    assert not any(found.values()), found

@@ -6,7 +6,6 @@ from cbfctl import (
     GridMismatchError,
     OperatorParams,
     SpectralField,
-    apply_A,
     inner_product,
     norms,
     random_field,
@@ -15,7 +14,7 @@ from cbfctl import (
 )
 from cbfctl.fields import quadrature, speed_squared
 from cbfctl.operators import PairStencil
-from oracles import adjoint_convection, adjoint_forchheimer, apply_B, apply_C, b_dual_norm, monotonicity_gap
+from oracles import adjoint_convection, adjoint_forchheimer, apply_A, apply_B, apply_C, b_dual_norm, monotonicity_gap
 
 
 def test_operator_params_validation():

@@ -31,6 +31,7 @@ from cbfctl.checks import certify_optimum, optimize_certificate
 from cbfctl.fields import TAU, time_l2_inner, time_l2_norm
 from cbfctl.harness import config_from_dict
 from cbfctl.optimizer import vi_scale
+from oracles import trajectory_from_fields
 
 
 def _problem(grid, params, rng, *, t_end=0.5, nt=32, lam=0.1, radius=20.0, amp=0.5):
@@ -56,7 +57,7 @@ def test_cost_constant_unit_error():
     amp = 1.0 / (math.sqrt(2.0) * TAU)
     unit = make_field(g, [((1, 0), (0.0, amp))])
     assert inner_product(unit, unit) == pytest.approx(1.0, rel=1e-13)
-    m = Trajectory.from_fields(g, 1.0, [unit] * 17)
+    m = trajectory_from_fields(g, 1.0, [unit] * 17)
     target = Trajectory.zero(g, 1.0, 16)
     f = Trajectory.zero(g, 1.0, 16)
     assert cost(f, m, target, 0.7) == pytest.approx(0.5, rel=1e-12)
