@@ -78,7 +78,9 @@ class MarginLedger:
         return bool(ok)
 
     def note(self, name: str, value) -> None:
-        self.records[name] = {"kind": "note", "value": value, "pass": True}
+        """Record a value with no bound; it fails only as a non-finite float."""
+        ok = not isinstance(value, float) or math.isfinite(value)
+        self.records[name] = {"kind": "note", "value": value, "pass": ok}
 
     @property
     def all_pass(self) -> bool:

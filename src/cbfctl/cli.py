@@ -11,6 +11,7 @@ other exception propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import NoReturn
@@ -56,6 +57,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         # only --seed can fail here; the message starts with its field name
         parser.error(f"argument --{exc}")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"argument --out: cannot create directory {args.out} ({exc.strerror or exc})")
     if not config.hypothesis_satisfied:
         print(
             "cbfctl: warning: coefficient hypothesis 2*beta*mu > 1/kappa fails "

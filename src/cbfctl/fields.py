@@ -6,12 +6,14 @@ retained half cube, the half-complex layout of a real field (kmax = n//3,
 2/3-rule dealiasing): k = -kmax..kmax at index k + kmax on each of the first
 d - 1 axes, k_last = 0..kmax at index k_last on the last.  The k_last < 0
 modes, conjugates of stored ones, and the modes outside the dealiased range
-have no slot.  Two invariants are enforced everywhere:
+have no slot.  Every field satisfies two invariants:
 
 * Hermitian symmetry  c(-k) = conj(c(k))   (real values; binds k_last = 0),
 * c(0) = 0                                  (zero spatial mean),
 
-plus discrete incompressibility  k . c(k) = 0  for every retained mode.  With
+plus discrete incompressibility  k . c(k) = 0  for every retained mode.  The
+constructors establish them; invariant_defects measures them on a coefficient
+array, per leading row, and CBFT ingest checks every sample with it.  With
 the mean removed the smallest Laplacian eigenvalue on the torus is 1, so the
 gradient seminorm dominates the L2 norm (Poincare with constant 1) and is used
 as the H1-type norm throughout.
@@ -327,7 +329,10 @@ class FieldNorms(NamedTuple):
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable divergence-free, zero-mean velocity field on a Grid."""
+    """A velocity field on a Grid as a plain (grid, coeffs) record: the
+    read-only complex128 half-cube array of one sample.  It does no
+    arithmetic and checks only the array's shape; its invariants are
+    measured on the array by invariant_defects."""
 
     grid: Grid
     coeffs: np.ndarray
@@ -340,48 +345,20 @@ class SpectralField:
             object.__setattr__(self, "coeffs", self.coeffs.astype(np.complex128))
         self.coeffs.setflags(write=False)
 
-    # value-type arithmetic (new immutable fields)
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, c: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * float(c))
-
-    __rmul__ = __mul__
-
-    def divergence_defect(self) -> float:
-        """max_k |k . c(k)| / (|k| |c(k)|), 0 for the zero field."""
-        g = self.grid
-        dot = np.abs(np.sum(g.k * self.coeffs, axis=0))
-        mag = np.sqrt(g.k_sq) * np.sqrt(mode_sq(g, self.coeffs))
-        rel = np.where(mag > 0, dot / np.where(mag > 0, mag, 1.0), 0.0)
-        return float(np.max(rel))
-
-    def hermitian_defect(self) -> float:
-        """max |c(k) - conj(c(-k))| on the k_last = 0 plane over max |c|, 0 for zero c."""
-        plane = self.coeffs[..., 0]
-        scale = float(np.max(np.abs(self.coeffs)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(plane - np.conj(plane[self.grid._plane_slots[1]]))) / scale)
-
-    def validate(self) -> None:
-        """Assert the class invariants, the two symmetry defects to 1e-12
-        (used by tests and file ingest)."""
-        g = self.grid
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("non-finite coefficient")
-        if np.any(self.coeffs[(slice(None),) + g.position((0,) * g.d)] != 0):
-            raise ValueError("nonzero mean coefficient c(0)")
-        if self.hermitian_defect() > 1e-12:
-            raise ValueError("Hermitian symmetry violated")
-        if self.divergence_defect() > 1e-12:
-            raise ValueError("divergence-free constraint violated")
+def invariant_defects(grid: Grid, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (Hermitian, divergence) defects of a half-cube array per leading row:
+    max |c(k) - conj(c(-k))| over the k_last = 0 plane relative to max |c|, 0
+    for zero c; and max over modes of |k . c(k)| / (|k| |c(k)|), a mode with
+    |k| |c(k)| = 0 counting 0."""
+    plane = c[..., 0]
+    asym = np.max(np.abs(plane - np.conj(plane[grid._plane_slots[1]])), axis=_TRAILING[grid.d])
+    scale = np.max(np.abs(c), axis=_TRAILING[grid.d + 1])
+    hermitian = asym / np.where(scale == 0.0, 1.0, scale)  # zero c: asym is 0
+    dot = np.abs(np.add.reduce(grid.k * c, axis=-(grid.d + 1)))
+    mag = np.sqrt(grid.k_sq) * np.sqrt(mode_sq(grid, c))
+    divergence = np.max(np.where(mag > 0, dot / np.where(mag > 0, mag, 1.0), 0.0), axis=_TRAILING[grid.d])
+    return hermitian, divergence
 
 
 def zero_field(grid: Grid) -> SpectralField:
@@ -710,9 +687,11 @@ def read_trajectory(path) -> Trajectory:
     """Read a CBFT file written by write_trajectory.
 
     The header's sizes are checked against the file length before anything
-    is allocated.  Every sample must be zero outside the retained cube, pass
-    SpectralField.validate on its half (which is kept) and be Hermitian over
-    the whole cube; any defect raises CBFTFormatError naming it.
+    is allocated.  Every sample must be zero outside the retained cube, have
+    a finite half with c(0) = 0 and invariant_defects at most 1e-12, and be
+    Hermitian over the whole cube; the rules run in that order over all
+    samples at once, and CBFTFormatError names the first failing sample and
+    its first failed rule.  The half is kept.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CBFT_HEADER.size)
@@ -739,15 +718,24 @@ def read_trajectory(path) -> Trajectory:
     lattice = data.reshape((nt + 1, d) + (n,) * d)
     cube = lattice[_lex_block(grid)]
     half = cube[..., grid.kmax :]
-    for i, c in enumerate(cube):
-        try:
-            if np.count_nonzero(lattice[i]) > np.count_nonzero(c):
-                raise ValueError("nonzero coefficient outside the dealiased range")
-            SpectralField(grid, half[i]).validate()
-            # NaN-safe: a non-finite k_last < 0 mode fails here too
-            if not np.max(np.abs(c - _full_cube(grid, half[i]))) <= 1e-12 * np.max(np.abs(c)):
-                raise ValueError("Hermitian symmetry violated")
-        except ValueError as exc:
-            raise CBFTFormatError(f"CBFT sample {i}: {exc}") from None
+    sample = _TRAILING[d + 1]
+    # a non-finite or huge sample's defects may be nan or inf: its rules decide, without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        hermitian, divergence = invariant_defects(grid, half)
+        mirror = np.max(np.abs(cube - _full_cube(grid, half)), axis=sample)
+    rules = (
+        (np.count_nonzero(lattice, axis=sample) > np.count_nonzero(cube, axis=sample),
+         "nonzero coefficient outside the dealiased range"),
+        (~np.all(np.isfinite(half), axis=sample), "non-finite coefficient"),
+        (np.any(half[(Ellipsis,) + grid.position((0,) * d)] != 0, axis=1), "nonzero mean coefficient c(0)"),
+        (hermitian > 1e-12, "Hermitian symmetry violated"),
+        (divergence > 1e-12, "divergence-free constraint violated"),
+        # NaN-safe: a non-finite k_last < 0 mode fails here too
+        (~(mirror <= 1e-12 * np.max(np.abs(cube), axis=sample)), "Hermitian symmetry violated"),
+    )
+    failed = np.array([bad for bad, _ in rules])  # (rule, sample)
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        raise CBFTFormatError(f"CBFT sample {i}: {rules[int(np.argmax(failed[:, i]))][1]}")
     return Trajectory(grid, t_end, grid.reduce_coeffs(half))
 

@@ -179,6 +179,8 @@ def parse_config(path) -> ProblemConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config: file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path} ({exc.strerror or exc})") from None
     except ValueError as exc:  # bad JSON, an undecodable byte or an over-long integer literal
         raise ConfigError(f"config: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):

@@ -12,8 +12,8 @@ stencil applies written with fresh arrays, the references for the applies
 that form their products in the Grid's workspace.  full_cube expands the
 stored half cube into the whole retained cube, slot by slot, for sums and
 transforms that ignore the storage.  trajectory_from_fields stacks fields
-into a Trajectory, and random_trajectory_by_sample is random_trajectory in
-field arithmetic, one time at a time.
+into a Trajectory, and random_trajectory_by_sample is random_trajectory
+summed one time at a time.
 """
 
 import math
@@ -188,15 +188,15 @@ def trajectory_from_fields(grid: Grid, t_end: float, fields) -> Trajectory:
 def random_trajectory_by_sample(
     grid: Grid, t_end: float, nt: int, rng: np.random.Generator, *, l2: float = 1.0
 ) -> Trajectory:
-    """random_trajectory with the same draws, each sample a SpectralField
-    sum of the three fields scaled by math.cos, from mode 0 on."""
+    """random_trajectory with the same draws, each sample the sum of the
+    three fields' coefficient arrays scaled by math.cos, from mode 0 on."""
     fields = [random_field(grid, rng, l2=l2) for _ in range(3)]
     freqs = rng.uniform(0.5, 2.5, size=3) * math.pi / t_end
     phases = rng.uniform(0.0, TAU, size=3)
     samples = []
     for t in np.linspace(0.0, t_end, nt + 1):
-        acc = fields[0] * math.cos(freqs[0] * float(t) + phases[0])
+        acc = fields[0].coeffs * math.cos(freqs[0] * float(t) + phases[0])
         for i in range(1, len(fields)):
-            acc = acc + fields[i] * math.cos(freqs[i] * float(t) + phases[i])
+            acc = acc + fields[i].coeffs * math.cos(freqs[i] * float(t) + phases[i])
         samples.append(acc)
-    return trajectory_from_fields(grid, t_end, samples)
+    return Trajectory(grid, t_end, np.stack(samples))

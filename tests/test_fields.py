@@ -21,7 +21,9 @@ from cbfctl import (
     zero_field,
 )
 from cbfctl.checks import dense_agreement
-from cbfctl.fields import TAU, CBFTFormatError, mode_sq, parseval_pairing, parseval_sum, random_forcing
+from cbfctl.fields import (
+    TAU, CBFTFormatError, invariant_defects, mode_sq, parseval_pairing, parseval_sum, random_forcing,
+)
 from cbfctl.harness import DenseSystem
 from oracles import full_cube, random_trajectory_by_sample, trajectory_from_fields
 
@@ -74,7 +76,8 @@ def test_make_field_shear_mode():
     u = make_field(g, [((1, 0), (0.0, 1.0))])
     for k in ((1, 0), (-1, 0)):
         assert np.allclose(u.coeffs[(slice(None),) + g.position(k)], [0.0, 1.0])
-    u.validate()
+    assert np.all(np.isfinite(u.coeffs)) and np.all(u.coeffs[(slice(None),) + g.position((0, 0))] == 0)
+    assert invariant_defects(g, u.coeffs) == (0.0, 0.0)
     # field is (0, 2 cos x): l2^2 = 2 (2 pi)^2
     assert norms(u).l2 == pytest.approx(math.sqrt(2.0) * TAU, rel=1e-13)
 
@@ -114,10 +117,12 @@ def test_leray_idempotent_and_orthogonal(grid2d, rng):
 
 
 def test_divergence_free_after_projection(grid2d, rng):
-    for _ in range(10):
-        u = random_field(grid2d, rng)
-        assert u.divergence_defect() <= 1e-12
-        assert u.hermitian_defect() <= 1e-13
+    c = np.stack([random_field(grid2d, rng).coeffs for _ in range(10)])
+    hermitian, divergence = invariant_defects(grid2d, c)
+    assert hermitian.shape == divergence.shape == (10,)
+    assert np.all(divergence <= 1e-12) and np.all(hermitian <= 1e-13)
+    # one row per leading index, each its one-sample value
+    assert all(invariant_defects(grid2d, c[i]) == (hermitian[i], divergence[i]) for i in range(10))
 
 
 def test_norms_zero_field(grid2d):
@@ -333,7 +338,7 @@ def test_from_physical_exactly_hermitian_with_positive_zeros(d, n):
     # k_last = 0 plane, the one plane of the half cube that holds both k and -k
     g = Grid(d=d, n=n)
     c = g.from_physical(np.random.default_rng(14).standard_normal((d,) + (g.pad_n,) * d))
-    assert SpectralField(g, c).hermitian_defect() == 0.0
+    assert invariant_defects(g, c)[0] == 0.0
     off = c[(slice(None),) + g.position((0,) * d)]  # k = 0, the half's one slot outside the retained modes
     assert off.size == d * (len(c[0].ravel()) - len([k for k in g.retained_modes() if k[-1] >= 0]))
     for part in (off.real, off.imag):
@@ -377,8 +382,8 @@ def test_trajectory_arithmetic_leaves_operands(grid2d, rng):
     assert np.array_equal(_bits(f.coeffs), _bits(f0)) and np.array_equal(_bits(d.coeffs), _bits(d0))
     assert not np.shares_memory(g.coeffs, f.coeffs) and not np.shares_memory(h.coeffs, d.coeffs)
     for n in range(5):
-        assert np.array_equal(_bits(g[n].coeffs), _bits((f[n] + eps * d[n]).coeffs))
-        assert np.array_equal(_bits(h[n].coeffs), _bits((f[n] - eps * d[n]).coeffs))
+        assert np.array_equal(_bits(g[n].coeffs), _bits(f.coeffs[n] + eps * d.coeffs[n]))
+        assert np.array_equal(_bits(h[n].coeffs), _bits(f.coeffs[n] - eps * d.coeffs[n]))
 
 
 def test_trajectory_rejects_bad_samples(grid2d, rng):
@@ -396,6 +401,34 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
         Trajectory(grid2d, 1.0, np.stack([other.coeffs] * 3))
 
 
+def _cbft_with_defects(path, grid, traj, defects):
+    """Write traj to path with each {sample: defect names} applied: "mean",
+    "hermitian", "divergence" and "nan" to the stored half; "outside",
+    "mirror" and "mirror-nan" to the file's lattice, component 0."""
+    coeffs, pos = traj.coeffs.copy(), grid.position((1, 2))
+    for i, names in defects.items():
+        c = coeffs[i]
+        if "mean" in names:
+            c[(0,) + grid.position((0, 0))] = 1.0
+        if "hermitian" in names:
+            # the k_last = 0 plane holds both k and -k; component 1 keeps k = (1, 0) divergence-free
+            c[(1,) + grid.position((1, 0))] += 1e-3j
+        if "divergence" in names:
+            # the file holds the mirror (-1, -2) as the conjugate
+            c[(slice(None),) + pos] += 1e-3 * np.array([1.0, 2.0])
+        if "nan" in names:
+            c[(0,) + pos] = np.nan
+    write_trajectory(path, Trajectory(grid, traj.t_end, coeffs))
+    raw, n = bytearray(path.read_bytes()), grid.n
+    for i, names in defects.items():
+        for name in {"outside", "mirror", "mirror-nan"}.intersection(names):
+            # no field holds k = (kmax + 1, 0), and the file's (-1, -2) must be the conjugate of the stored (1, 2)
+            k = (grid.kmax + 1, 0) if name == "outside" else (-1, -2)
+            offset = CBFT_HEADER + 16 * ((i * 2 + 0) * n**2 + (k[0] + n // 2) * n + k[1] + n // 2)
+            raw[offset : offset + 16] = struct.pack("<dd", np.nan if name == "mirror-nan" else 1.0, 0.0)
+    path.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize(
     "defect,message",
     [
@@ -409,34 +442,30 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
     ],
 )
 def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message):
-    traj = random_trajectory(grid2d, 1.0, 2, rng)
-    c = traj[1].coeffs.copy()
-    pos = grid2d.position((1, 2))
-    if defect == "mean":
-        c[(0,) + grid2d.position((0, 0))] = 1.0
-    elif defect == "hermitian":
-        # the k_last = 0 plane holds both k and -k; component 1 keeps k = (1, 0) divergence-free
-        c[(1,) + grid2d.position((1, 0))] += 1e-3j
-    elif defect == "divergence":
-        # the file holds the mirror (-1, -2) as the conjugate
-        c[(slice(None),) + pos] += 1e-3 * np.array([1.0, 2.0])
-    elif defect == "nan":
-        c[(0,) + pos] = np.nan
-    bad = trajectory_from_fields(grid2d, 1.0, (traj[0], SpectralField(grid2d, c), traj[2]))
     path = tmp_path / "bad.cbft"
-    write_trajectory(path, bad)
-    if defect in ("outside", "mirror", "mirror-nan"):
-        # no field holds k = (kmax + 1, 0), and the file's (-1, -2) must be the conjugate of the stored (1, 2):
-        # patch component 0 of sample 1 at its lex-order lattice slot
-        n = grid2d.n
-        k = (grid2d.kmax + 1, 0) if defect == "outside" else (-1, -2)
-        slot = (1 * 2 + 0) * n**2 + (k[0] + n // 2) * n + k[1] + n // 2
-        raw = bytearray(path.read_bytes())
-        offset = CBFT_HEADER + 16 * slot
-        raw[offset : offset + 16] = struct.pack("<dd", np.nan if defect == "mirror-nan" else 1.0, 0.0)
-        path.write_bytes(bytes(raw))
+    _cbft_with_defects(path, grid2d, random_trajectory(grid2d, 1.0, 2, rng), {1: (defect,)})
     with pytest.raises(CBFTFormatError, match=f"sample 1: {message}"):
         read_trajectory(path)
+
+
+@pytest.mark.parametrize(
+    "defects,message",
+    [
+        # the first failing sample is named, even when a later one fails an earlier rule
+        ({1: ("mirror",), 3: ("outside",)}, "CBFT sample 1: Hermitian symmetry violated"),
+        ({2: ("divergence",), 3: ("nan", "mean")}, "CBFT sample 2: divergence-free constraint violated"),
+        # within a sample, the first rule in order: outside, non-finite, c(0), Hermitian plane, divergence, mirror
+        ({1: ("divergence", "mean"), 2: ("outside",)}, "CBFT sample 1: nonzero mean coefficient c(0)"),
+        ({2: ("mirror-nan", "divergence")}, "CBFT sample 2: divergence-free constraint violated"),
+        ({1: ("nan", "outside")}, "CBFT sample 1: nonzero coefficient outside the dealiased range"),
+    ],
+)
+def test_trajectory_io_names_first_sample_and_rule(tmp_path, grid2d, rng, defects, message):
+    path = tmp_path / "bad.cbft"
+    _cbft_with_defects(path, grid2d, random_trajectory(grid2d, 1.0, 3, rng), defects)
+    with pytest.raises(CBFTFormatError) as err:
+        read_trajectory(path)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -491,14 +520,13 @@ def test_random_trajectory_bitwise_per_sample(d, n, nt, seed):
         assert np.array_equal(_bits(row[0]), _bits(traj.coeffs[i]))
 
 
-def test_forcings_and_solvers_run_without_field_arithmetic(monkeypatch, params):
+def test_forcings_and_solvers_run_without_field_arithmetic(params):
     import cbfctl as c
 
-    def refuse(*args):
-        raise AssertionError("SpectralField arithmetic ran")
-
-    for name in ("__add__", "__sub__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(SpectralField, name, refuse)
+    # a field is a (grid, coeffs) record, without arithmetic or validators: the solvers and the
+    # dense agreement below run on arrays, and invariant_defects checks arrays
+    methods = ("__add__", "__sub__", "__mul__", "__rmul__", "validate", "divergence_defect", "hermitian_defect")
+    assert [name for name in methods if hasattr(SpectralField, name)] == []
     g, rng = Grid(d=2, n=4), np.random.default_rng(5)
     m0 = random_field(g, rng, l2=0.5)
     f1, f2, h = (random_trajectory(g, 0.25, 4, rng) for _ in range(3))

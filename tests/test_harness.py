@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from cbfctl.checks import (
     MarginLedger, adjoint_bounds, duality, energy, observed_order, reference_errors, verify_profile,
 )
 from cbfctl.cli import main
-from cbfctl.fields import random_forcing
+from cbfctl.fields import parseval_pairing, random_forcing
 from cbfctl.harness import (
     _RULES,
     EXPERIMENTS,
@@ -326,12 +328,8 @@ def test_state_matches_dense_reference_order(tiny_system, rng):
     for nt in nts:
         f = Trajectory(s.grid, 0.5, f_fn(np.linspace(0.0, 0.5, nt + 1)))
         run = solve_state(m0, f, s.params)
-        stride = nts[-1] // nt
-        err = max(
-            math.sqrt(max(inner_product(run.solution[i] - ref[i * stride], run.solution[i] - ref[i * stride]), 0.0))
-            for i in range(nt + 1)
-        )
-        errors.append(err)
+        e = run.solution.coeffs - ref.coeffs[:: nts[-1] // nt]
+        errors.append(float(np.max(np.sqrt(np.maximum(parseval_pairing(s.grid, e, e), 0.0)))))
         dts.append(0.5 / nt)
     assert observed_order(dts, errors) >= 0.9
 
@@ -397,11 +395,8 @@ def test_same_dt_dense_matches_spectral(tiny_system, rng):
     ref = s.state_reference(m0.coeffs, f_fn, 0.5, nt, refine=1)
     f = Trajectory(s.grid, 0.5, f_fn(np.linspace(0.0, 0.5, nt + 1)))
     run = solve_state(m0, f, s.params, picard_tol=1e-13, max_iters=400)
-    worst = max(
-        math.sqrt(max(inner_product(run.solution[i] - ref[i], run.solution[i] - ref[i]), 0.0))
-        for i in range(nt + 1)
-    )
-    assert worst <= 1e-9
+    e = run.solution.coeffs - ref.coeffs
+    assert np.max(np.sqrt(np.maximum(parseval_pairing(s.grid, e, e), 0.0))) <= 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +538,29 @@ def test_cli_unknown_flag_exit_3(tmp_path, capsys):
             main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), flag, "2"])
         assert exc.value.code == 3
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def test_cli_unreadable_config_exit_3(tmp_path, capsys):
+    # any OSError of the read, here a directory, is a config error that names its cause
+    assert main(["verify", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
+    assert f"config error: config: cannot read {tmp_path} ({os.strerror(errno.EISDIR)})" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_out_not_a_directory_exit_3(tmp_path, capsys, monkeypatch):
+    # --out naming an existing file is an argument error, raised before the experiment runs
+    import cbfctl.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    out = tmp_path / "taken"
+    out.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(_write_config(tmp_path, nt=8)), "--out", str(out)])
+    assert exc.value.code == 3
+    assert f"argument --out: cannot create directory {out} ({os.strerror(errno.EEXIST)})" in capsys.readouterr().err
 
 
 def test_cli_help_exit_0(capsys):
@@ -747,7 +765,7 @@ def test_summary_is_strict_json_with_undefined_margins(tmp_path):
     assert checks["adjoint_energy_margin"]["value"] is None
     assert checks["derivative_bound_margin"]["value"] is None and checks["derivative_bound_margin"]["tolerance"] is None
     assert checks["adjoint_energy_margin"]["pass"] is False and checks["derivative_bound_margin"]["pass"] is False
-    assert checks["derivative_bound_slack"]["value"] is None
+    assert checks["derivative_bound_slack"]["value"] is None and checks["derivative_bound_slack"]["pass"] is False
     assert summary["all_pass"] is False
 
 
