@@ -25,11 +25,14 @@ quadrature of their (up to quartic) integrals exact (Orszag's padding rule
 applied to cubic terms).  The transforms sum over the retained modes only,
 as tensor-product matrix products (sum factorization): a precomputed M x r
 matrix per full axis and, fields being real, a real matrix on the last
-axis's half spectrum.  Every Grid transform accepts leading batch axes.
-An unbatched transform runs its stages, and a stencil apply its jet and
-products, in one workspace its Grid owns, made on first use and freed with
-the Grid.  The rule: one apply at a time per Grid; results, and the arrays
-a stencil keeps, are fresh arrays (a jet goes to a buffer only if passed).
+axis's half spectrum.  A derivative is a transform factor too: d/dx_i
+scales the one axis factor it acts on by ik, so the 1-jet shares every stage
+that differs only in other axes and never forms ik c.  Every Grid transform
+accepts leading batch axes.  An unbatched transform runs its stages, and a
+stencil apply its jet and products, in one workspace its Grid owns, made on
+first use and freed with the Grid.  The rule: one apply at a time per Grid;
+results, and the arrays a stencil keeps, are fresh arrays (a jet goes to a
+buffer only if passed).
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d) + Grid.shape; ``traj[n]`` is a SpectralField over row n, without a
@@ -142,8 +145,8 @@ class Grid:
         return _frozen(ksq)
 
     @cached_property
-    def _matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (E, R, F, Rf) of the retained-mode transforms.
+    def _matrices(self) -> tuple[np.ndarray, ...]:
+        """Read-only (E, R, F, Rf, D, R') of the retained-mode transforms.
 
         E (M x r) = exp(2 pi i j k / M) takes a full axis from k = -kmax..kmax
         to the nodes j.  R (2(kmax+1) x M) takes the last axis from the
@@ -151,19 +154,20 @@ class Grid:
         the Hermitian k_last < 0 half adds the complex conjugate.  F = E^H / M
         and Rf (M x 2(kmax+1)), the (re, im) columns of conj(E) / M over
         k = 0..kmax, are the analysis pair; they give the half cube.  Phases
-        come from the integer (j k) mod M.
-        """
+        come from the integer (j k) mod M.  The derivative factors put d/dx
+        on the one axis it acts on: D stacks E and E' = E diag(ik), shape
+        (2,) + (1,) * (d - 1) + (M, r) to broadcast over the axes before, and
+        E is a view of D[0]; R' is R of ik c: R'[2k] = k R[2k+1] and
+        R'[2k+1] = -k R[2k]."""
         m, kx = self.pad_n, self.kmax
-        e = np.exp(1j * (TAU * (np.outer(np.arange(m), np.arange(-kx, kx + 1)) % m) / m))
-        r = np.conj(e[:, kx:] * self._hermitian_weights).view(np.float64).T
-        rf = np.conj(e[:, kx:]).view(np.float64) / m
-        mats = (e, np.ascontiguousarray(r), np.ascontiguousarray(np.conj(e).T) / m, rf)
+        ks = np.arange(-kx, kx + 1)
+        e = np.exp(1j * (TAU * (np.outer(np.arange(m), ks) % m) / m))
+        de = np.stack((e, e * (1j * ks))).reshape((2,) + (1,) * (self.d - 1) + e.shape)
+        r = np.ascontiguousarray(np.conj(e[:, kx:] * self._hermitian_weights).view(np.float64).T)
+        dr = np.empty_like(r)
+        dr[0::2], dr[1::2] = ks[kx:, None] * r[1::2], -ks[kx:, None] * r[0::2]
+        mats = (de[(0,) * self.d], r, np.ascontiguousarray(np.conj(e).T) / m, np.conj(e[:, kx:]).view(np.float64) / m, de, dr)
         return tuple(_frozen(a) for a in mats)
-
-    @cached_property
-    def _ik_half(self) -> np.ndarray:
-        """1j * k over the half cube."""
-        return _frozen(1j * self.k)
 
     @cached_property
     def _hermitian_weights(self) -> np.ndarray:
@@ -174,14 +178,6 @@ class Grid:
     def _plane_slots(self) -> tuple[tuple, tuple]:
         """Within the k_last = 0 plane: the index of k = 0 and the reflection k -> -k."""
         return (Ellipsis,) + (self.kmax,) * (self.d - 1), (Ellipsis,) + (slice(None, None, -1),) * (self.d - 1)
-
-    @cached_property
-    def _jet_slots(self) -> tuple[tuple, tuple, tuple]:
-        """Indices of a jet's value row, of its derivative rows and of the jet
-        axis inserted into a coefficient array; the jet axis is the (d + 2)-th
-        from the end, after any leading batch axes."""
-        tail = (slice(None),) * (self.d + 1)
-        return (Ellipsis, 0) + tail, (Ellipsis, slice(1, None)) + tail, (Ellipsis, None) + tail
 
     def position(self, k: Sequence[int]) -> tuple[int, ...]:
         """Array index of the wavenumber k, k_last >= 0, in the half cube."""
@@ -217,25 +213,26 @@ class Grid:
     def _workspace(self) -> SimpleNamespace:
         """The buffers of one unbatched apply, made on first use.  ``jet``
         takes the real 1-jet (rows ``value`` and ``grad``).  One scratch
-        array holds the rest in three phases, each from its start: the
-        coefficient jet and the synthesis stages (``value_stages``: one
-        field's); the products ``prod``, ``tmp``, ``pair``, ``dot``; ``prod``
-        again, then the analysis stages that transform it."""
+        array holds the rest in three phases, each from its start: the jet's
+        synthesis stages, one per full axis with a row per branch
+        (``value_stages``: row 0, to_physical's); the products ``prod``,
+        ``tmp``, ``pair``, ``dot``; ``prod`` again, then the analysis stages
+        that transform it."""
         m, d, kx, r = self.pad_n, self.d, self.kmax, 2 * self.kmax + 1
-        lead, vec, c, f = (1 + d, d), (d,) + (m,) * d, np.complex128, np.float64
+        vec, c, f = (d,) + (m,) * d, np.complex128, np.float64
         phases = (
-            [(lead + self.shape, c), (lead + (r,) * (d - 2) + (m, kx + 1), c)] + [(lead + (m, m * (kx + 1)), c)] * (d - 2),
+            [((2, d) + (r,) * (d - 2) + (m, kx + 1), c)] + [((d, d, m, m * (kx + 1)), c)] * (d - 2),
             [(vec, f)] * 3 + [(vec[1:], f)],
             [(vec, f), ((d, m ** (d - 1), 2 * (kx + 1)), f)] + [((d, r, m * (kx + 1)), c)] * (d - 2),
         )
         words = [[math.prod(shape) * np.dtype(t).itemsize // 8 for shape, t in p] for p in phases]
-        scratch, jet = np.empty(max(map(sum, words))), np.empty(lead + (m,) * d)
-        (coeff_jet, *stages), (prod, tmp, pair, dot), (_, *analysis) = (
+        scratch, jet = np.empty(max(map(sum, words))), np.empty((1 + d,) + vec)
+        stages, (prod, tmp, pair, dot), (_, *analysis) = (
             [scratch[a : a + w].view(t).reshape(shape) for (shape, t), a, w in zip(p, itertools.accumulate(ws, initial=0), ws)]
             for p, ws in zip(phases, words)
         )
         return SimpleNamespace(
-            jet=jet, value=jet[0], grad=jet[1:], coeff_jet=coeff_jet, synthesis=stages, value_stages=[s[0] for s in stages],
+            jet=jet, value=jet[0], grad=jet[1:], synthesis=stages, value_stages=[s[0] for s in stages],
             prod=prod, tmp=tmp, pair=pair, dot=dot, analysis=analysis,
         )
 
@@ -248,26 +245,18 @@ class Grid:
         head, tail = x.shape[:axis], x.shape[axis + 1 :]
         return np.matmul(mat, x.reshape(head + (x.shape[axis], -1)), out=out).reshape(head + (mat.shape[0],) + tail)
 
-    def _synthesize(self, half: np.ndarray, stages: Sequence, out: np.ndarray | None) -> np.ndarray:
-        """Real M-grid samples of a half-cube array (last d axes; the rest are
-        batch axes): E on every full axis, innermost first (axis -2 by e @
-        half) so the matmuls stack over retained rows, then R on the last.
-        The E stages go to ``stages`` (None: fresh), the samples to ``out``."""
-        e, r, _, _ = self._matrices
-        m, d, lead = self.pad_n, self.d, half.shape[: -self.d]
-        half = np.matmul(e, half, out=stages[0])
+    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
+        """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M),
+        any leading axes batch axes.  E on every full axis, innermost first
+        (axis -2 by e @ coeffs) so the matmuls stack over retained rows, then
+        R on the last; an unbatched input's E stages go to the workspace."""
+        e, r = self._matrices[:2]
+        m, d, lead = self.pad_n, self.d, coeffs.shape[: -self.d]
+        stages = self._workspace.value_stages if lead == (d,) else (None, None)
+        half = np.matmul(e, coeffs, out=stages[0])
         if d == 3:
             half = self._along(e, half, -3, stages[1])
-        flat = half.view(np.float64).reshape(lead + (m ** (d - 1), -1))
-        if out is None:
-            return (flat @ r).reshape(lead + (m,) * d)
-        np.matmul(flat, r, out=out.reshape(lead + (m ** (d - 1), m)))
-        return out
-
-    def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M)."""
-        unbatched = coeffs.shape[: -self.d] == (self.d,)
-        return self._synthesize(coeffs, self._workspace.value_stages if unbatched else (None, None), None)
+        return (half.view(np.float64).reshape(lead + (m ** (d - 1), -1)) @ r).reshape(lead + (m,) * d)
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
         """Half-cube coefficients of M-grid samples (exact, no aliasing for
@@ -275,7 +264,7 @@ class Grid:
         plane symmetrized; any leading axes are batch axes.  Rf on the last
         axis, then F on every full axis, outermost first so the matmuls stack
         over retained rows (axis -2 last, by matmul's own contraction, f @ x)."""
-        _, _, f, rf = self._matrices
+        f, rf = self._matrices[2:4]
         m, d, kx, lead = self.pad_n, self.d, self.kmax, values.shape[: -self.d]
         stages = self._workspace.analysis if lead == (d,) else (None, None)
         x = np.matmul(values.reshape(lead + (m ** (d - 1), m)), rf, out=stages[0]).view(np.complex128)
@@ -285,24 +274,35 @@ class Grid:
         return self._hermitian_plane(f @ x)
 
     def grad_physical(self, coeffs: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-        """The 1-jet of u on the M-grid from one stacked inverse transform:
-        out[0] = u and out[1 + i, j] = d u_j / d x_i, shape (1 + d, d, M, ..., M).
-        Leading batch axes come first: a (B, d) + shape input gives
-        (B, 1 + d, d, M, ..., M).  The jet goes to ``out`` if given, else to
-        a fresh array.
+        """The 1-jet of u on the M-grid: out[0] = u and out[1 + i, j] =
+        d u_j / d x_i, shape (1 + d, d, M, ..., M).  Leading batch axes come
+        first: a (B, d) + shape input gives (B, 1 + d, d, M, ..., M).  The jet
+        goes to ``out`` if given, else to a fresh array; an unbatched input's
+        stages go to the workspace.
 
-        out[0] is bitwise equal to to_physical(coeffs): every component is
-        the same matmuls of the same data.
+        Each derivative is a transform factor (_matrices), so stages that
+        differ only in other axes are shared: E and E' on axis -2 of the d
+        value components; in 3D, E and E' on axis -3 of the E branch and E of
+        the E' branch; last, R on the value and each full-axis derivative,
+        and R' on the value branch.  out[0] is bitwise equal to
+        to_physical(coeffs): every component is the same matmuls of the same
+        data.
         """
-        value, derivs, insert = self._jet_slots
-        if coeffs.shape[: -self.d] == (self.d,):
-            jet, stages = self._workspace.coeff_jet, self._workspace.synthesis
-        else:
-            jet = np.empty(coeffs.shape[: -self.d - 1] + (1 + self.d,) + coeffs.shape[-self.d - 1 :], dtype=np.complex128)
-            stages = (None, None)
-        jet[value] = coeffs
-        np.multiply(self._ik_half[:, None], coeffs[insert], out=jet[derivs])
-        return self._synthesize(jet, stages, out)
+        e, r, _, _, de, dr = self._matrices
+        m, d, kx, lead = self.pad_n, self.d, self.kmax, coeffs.shape[: -self.d - 1]
+        stages = self._workspace.synthesis if lead == () else (None, None)
+        x = np.matmul(de, coeffs.reshape(lead + (1,) + coeffs.shape[-d - 1 :]), out=stages[0])
+        if d == 3:
+            flat = x.reshape(lead + (2, d, 2 * kx + 1, -1))
+            x = np.empty(lead + (d, d, m, m * (kx + 1)), np.complex128) if stages[1] is None else stages[1]
+            np.matmul(de[:, 0], flat[..., :1, :, :, :], out=x[..., :2, :, :, :])
+            np.matmul(e, flat[..., 1, :, :, :], out=x[..., 2, :, :, :])
+        x = x.view(np.float64).reshape(lead + (d, d, m ** (d - 1), -1))
+        jet = np.empty(lead + (1 + d, d) + (m,) * d) if out is None else out
+        flat = jet.reshape(lead + (1 + d, d, m ** (d - 1), m))
+        np.matmul(x, r, out=flat[..., :d, :, :, :])
+        np.matmul(x[..., 0, :, :, :], dr, out=flat[..., d, :, :, :])
+        return jet
 
     def _hermitian_plane(self, c: np.ndarray) -> np.ndarray:
         """Set c(0) = 0 and replace the k_last = 0 plane of the half-cube array
@@ -730,8 +730,8 @@ def read_trajectory(path) -> Trajectory:
         (np.any(half[(Ellipsis,) + grid.position((0,) * d)] != 0, axis=1), "nonzero mean coefficient c(0)"),
         (hermitian > 1e-12, "Hermitian symmetry violated"),
         (divergence > 1e-12, "divergence-free constraint violated"),
-        # NaN-safe: a non-finite k_last < 0 mode fails here too
-        (~(mirror <= 1e-12 * np.max(np.abs(cube), axis=sample)), "Hermitian symmetry violated"),
+        # relative to the finite half, so a NaN or an inf k_last < 0 mode fails here too
+        (~(mirror <= 1e-12 * np.max(np.abs(half), axis=sample)), "Hermitian symmetry violated"),
     )
     failed = np.array([bad for bad, _ in rules])  # (rule, sample)
     if failed.any():

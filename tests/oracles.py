@@ -11,9 +11,11 @@ residual use.  state_apply, pair_apply and pair_apply_transpose are the
 stencil applies written with fresh arrays, the references for the applies
 that form their products in the Grid's workspace.  full_cube expands the
 stored half cube into the whole retained cube, slot by slot, for sums and
-transforms that ignore the storage.  trajectory_from_fields stacks fields
-into a Trajectory, and random_trajectory_by_sample is random_trajectory
-summed one time at a time.
+transforms that ignore the storage.  coefficient_jet is the 1-jet synthesized
+from the coefficient jet (c, ik c), every component through every stage, the
+reference for grad_physical's derivative factors.  trajectory_from_fields
+stacks fields into a Trajectory, and random_trajectory_by_sample is
+random_trajectory summed one time at a time.
 """
 
 import math
@@ -173,6 +175,12 @@ def full_cube(g: Grid, half: np.ndarray) -> np.ndarray:
         else:
             out[(Ellipsis,) + idx] = np.conj(half[(Ellipsis,) + g.position(tuple(-ki for ki in k))])
     return out
+
+
+def coefficient_jet(g: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The 1-jet of one field, (1 + d, d, M, ..., M): ik c multiplied into the
+    coefficients, then the (1 + d) d components as one batched to_physical."""
+    return g.to_physical(np.concatenate((coeffs[None], 1j * g.k[:, None] * coeffs[None])))
 
 
 def trajectory_from_fields(grid: Grid, t_end: float, fields) -> Trajectory:

@@ -350,8 +350,11 @@ def test_from_physical_exactly_hermitian_with_positive_zeros(d, n):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_transform_matrices_read_only(d):
+    # the derivative factors too: D stacks E and E', and E is its first slice
     g = Grid(d=d, n=8)
-    for mat in g._matrices + (g._ik_half,):
+    e, r, f, rf, de, dr = g._matrices
+    assert np.shares_memory(e, de)
+    for mat in (e, r, f, rf, de[1], dr):
         with pytest.raises(ValueError):
             mat[(0,) * mat.ndim] = 1.0
 
@@ -404,7 +407,7 @@ def test_trajectory_rejects_bad_samples(grid2d, rng):
 def _cbft_with_defects(path, grid, traj, defects):
     """Write traj to path with each {sample: defect names} applied: "mean",
     "hermitian", "divergence" and "nan" to the stored half; "outside",
-    "mirror" and "mirror-nan" to the file's lattice, component 0."""
+    "mirror", "mirror-nan" and "mirror-inf" to the file's lattice, component 0."""
     coeffs, pos = traj.coeffs.copy(), grid.position((1, 2))
     for i, names in defects.items():
         c = coeffs[i]
@@ -421,11 +424,11 @@ def _cbft_with_defects(path, grid, traj, defects):
     write_trajectory(path, Trajectory(grid, traj.t_end, coeffs))
     raw, n = bytearray(path.read_bytes()), grid.n
     for i, names in defects.items():
-        for name in {"outside", "mirror", "mirror-nan"}.intersection(names):
+        for name in {"outside", "mirror", "mirror-nan", "mirror-inf"}.intersection(names):
             # no field holds k = (kmax + 1, 0), and the file's (-1, -2) must be the conjugate of the stored (1, 2)
             k = (grid.kmax + 1, 0) if name == "outside" else (-1, -2)
             offset = CBFT_HEADER + 16 * ((i * 2 + 0) * n**2 + (k[0] + n // 2) * n + k[1] + n // 2)
-            raw[offset : offset + 16] = struct.pack("<dd", np.nan if name == "mirror-nan" else 1.0, 0.0)
+            raw[offset : offset + 16] = struct.pack("<dd", {"mirror-nan": np.nan, "mirror-inf": np.inf}.get(name, 1.0), 0.0)
     path.write_bytes(bytes(raw))
 
 
@@ -439,6 +442,7 @@ def _cbft_with_defects(path, grid, traj, defects):
         ("nan", "non-finite"),
         ("mirror", "Hermitian symmetry"),
         ("mirror-nan", "Hermitian symmetry"),
+        ("mirror-inf", "Hermitian symmetry"),
     ],
 )
 def test_trajectory_io_validates_samples(tmp_path, grid2d, rng, defect, message):

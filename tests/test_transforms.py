@@ -13,7 +13,7 @@ import pytest
 from cbfctl import Grid, norms, random_field
 from cbfctl.fields import TAU
 from cbfctl.operators import trilinear_b
-from oracles import full_cube
+from oracles import coefficient_jet, full_cube
 
 REL = 1e-12
 
@@ -92,3 +92,14 @@ def test_grad_physical_jet(d, n, rng):
     got = jet[1:][(Ellipsis,) + (slice(None, None, 3),) * d]
     assert got.shape == ref.shape == (d, d) + (n // 2,) * d
     assert float(np.max(np.abs(got - ref))) <= REL * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3) for n in (6, 8, 16)])
+def test_grad_physical_derivative_rows_match_coefficient_jet(d, n, rng):
+    # the derivative factors E' and R' against ik c synthesized component by
+    # component: multiplying by k rounds, so the rows agree to round-off, not bitwise
+    g = Grid(d=d, n=n)
+    u = random_field(g, rng, l2=1.3)
+    jet, ref = g.grad_physical(u.coeffs), coefficient_jet(g, u.coeffs)
+    for i in range(1, 1 + d):
+        assert float(np.max(np.abs(jet[i] - ref[i]))) <= 1e-14 * float(np.max(np.abs(ref[i]))), i

@@ -4,7 +4,8 @@ products in buffers the Grid owns, one apply at a time per Grid.
 The buffered applies must give the bits of the same operations on fresh
 arrays (the references in oracles.py), no result and no array a stencil
 keeps may live in the workspace, an apply must not allocate arrays of the
-jet's size, and the workspace must be freed with its Grid.
+jet's size, a jet written to a caller's buffer not an eighth of one, and
+the workspace must be freed with its Grid.
 """
 
 import gc
@@ -116,6 +117,22 @@ def test_an_apply_allocates_less_than_half_a_jet():
         finally:
             tracemalloc.stop()
         assert peak - start < jet_bytes // 2, (name, peak - start, jet_bytes // 2)
+
+
+def test_a_jet_into_a_buffer_allocates_less_than_an_eighth_of_a_jet():
+    # an unbatched 1-jet runs its synthesis stages in the workspace: warm, at
+    # 3D n=8, writing into a caller's buffer allocates next to nothing
+    grid, (x,) = _inputs(3, 8, 89, 1)
+    buf = np.empty((1 + grid.d, grid.d) + (grid.pad_n,) * grid.d)
+    grid.grad_physical(x, out=buf)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        grid.grad_physical(x, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < buf.nbytes // 8, (peak - start, buf.nbytes // 8)
 
 
 def test_workspace_dies_with_its_grid():
