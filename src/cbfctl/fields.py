@@ -211,29 +211,29 @@ class Grid:
 
     @cached_property
     def _workspace(self) -> SimpleNamespace:
-        """The buffers of one unbatched apply, made on first use.  ``jet``
-        takes the real 1-jet (rows ``value`` and ``grad``).  One scratch
-        array holds the rest in three phases, each from its start: the jet's
-        synthesis stages, one per full axis with a row per branch
-        (``value_stages``: row 0, to_physical's); the products ``prod``,
-        ``tmp``, ``pair``, ``dot``; ``prod`` again, then the analysis stages
-        that transform it."""
+        """The buffers of one unbatched apply or PairStencil build, made on
+        first use.  ``jet`` takes the real 1-jet (rows ``value`` and
+        ``grad``).  One scratch array holds the rest in three phases, each
+        from its start: the jet's synthesis stages, one per full axis with a
+        row per branch (``value_stages``: row 0, to_physical's); the products
+        ``prod``, ``tmp`` and the scalar field ``weight``; ``prod`` again,
+        then the analysis stages that transform it."""
         m, d, kx, r = self.pad_n, self.d, self.kmax, 2 * self.kmax + 1
         vec, c, f = (d,) + (m,) * d, np.complex128, np.float64
         phases = (
             [((2, d) + (r,) * (d - 2) + (m, kx + 1), c)] + [((d, d, m, m * (kx + 1)), c)] * (d - 2),
-            [(vec, f)] * 3 + [(vec[1:], f)],
+            [(vec, f)] * 2 + [(vec[1:], f)],
             [(vec, f), ((d, m ** (d - 1), 2 * (kx + 1)), f)] + [((d, r, m * (kx + 1)), c)] * (d - 2),
         )
         words = [[math.prod(shape) * np.dtype(t).itemsize // 8 for shape, t in p] for p in phases]
         scratch, jet = np.empty(max(map(sum, words))), np.empty((1 + d,) + vec)
-        stages, (prod, tmp, pair, dot), (_, *analysis) = (
+        stages, (prod, tmp, weight), (_, *analysis) = (
             [scratch[a : a + w].view(t).reshape(shape) for (shape, t), a, w in zip(p, itertools.accumulate(ws, initial=0), ws)]
             for p, ws in zip(phases, words)
         )
         return SimpleNamespace(
             jet=jet, value=jet[0], grad=jet[1:], synthesis=stages, value_stages=[s[0] for s in stages],
-            prod=prod, tmp=tmp, pair=pair, dot=dot, analysis=analysis,
+            prod=prod, tmp=tmp, weight=weight, analysis=analysis,
         )
 
     @staticmethod

@@ -22,17 +22,18 @@ and the backward-in-time systems apply its algebraic transpose
     L^T(q) = -B(m1, q) + P{ sum_j grad((m2)_j) q_j }  + same Forchheimer part,
 
 the Forchheimer part being self-adjoint.  PairStencil below evaluates both
-from one set of frozen coefficient transforms; it is the inner kernel of the
-time steppers, and the exactness of apply/apply_transpose as mutual
-transposes is what the discrete duality identity rests on.
+from one coupling matrix per M-grid node, formed once per slab; it is the
+inner kernel of the time steppers, and the exactness of apply/apply_transpose
+as mutual transposes is what the discrete duality identity rests on.
 
 The stencils map raw coefficient arrays to arrays, as a Picard sweep calls
 them.  Every field goes through the M-grid once per use: an apply takes the
 values and the gradient of its argument from one 1-jet transform, a stencil
 transforms its frozen arrays once and keeps |m1|^2 and |m2|^2 for the
 solvers' norms and weighted integrals.  |u|^2 and every integral are the
-fields reductions speed_squared and quadrature.  An apply forms its jet and
-products in its Grid's workspace and returns a fresh array.
+fields reductions speed_squared and quadrature.  An apply, and a PairStencil
+build, form their jets and products in the Grid's workspace; what they
+return or keep is fresh.
 """
 
 from __future__ import annotations
@@ -121,38 +122,35 @@ class PairStencil:
     on the retained divergence-free space (the quadrature pairing of each term
     is symmetric/alternating by construction).
 
-    Building it costs one 1-jet transform of m2 and one value transform of
-    m1, or the jet alone when m2 holds m1's bits.  It keeps w1 = |m1|^2 and
-    w2 = |m2|^2 on the M-grid (the adjoint energy weights) beside their sum.
+    The build forms one d x d matrix per M-grid node, K[i, j] = d_i (m2)_j +
+    (beta/2)((|m1|^2 + |m2|^2) delta_ij + s_i s_j), s = m1 + m2, from one
+    1-jet transform of m2 into the workspace and one value transform of m1,
+    or the jet alone when m2 holds m1's bits.  apply adds sum_i v_i K[i, j]
+    to B(m1, v), apply_transpose sum_j K[i, j] q_j to -B(m1, q).  It keeps K,
+    the values of m1, and w1 = |m1|^2 and w2 = |m2|^2 (the adjoint energy
+    weights; w1 is w2 when shared): (d^2 + d + 2) M^d words, one fewer shared.
     """
 
     def __init__(self, grid: Grid, m1: np.ndarray, m2: np.ndarray, params: OperatorParams):
-        self.grid = grid
-        self.beta = params.beta
+        self.grid, self._ws = grid, grid._workspace
         shared = m2 is m1 or np.array_equal(_bits(m1), _bits(m2))
-        jet2 = grid.grad_physical(m2)
-        m2v, self._gm2 = jet2[0], jet2[1:]
-        self._m1v = m2v if shared else grid.to_physical(m1)
+        m2v = grid.grad_physical(m2, out=self._ws.jet)[0]
+        self._m1v = m2v.copy() if shared else grid.to_physical(m1)
         self.w2 = speed_squared(grid, m2v)
         self.w1 = self.w2 if shared else speed_squared(grid, self._m1v)
-        self._w = self.w1 + self.w2
-        self._s = self._m1v + m2v
-        self._ws = grid._workspace
-
-    def _add_forch(self, qv: np.ndarray, out: np.ndarray) -> None:
-        """out += the Forchheimer part at the M-grid values qv, formed in the workspace."""
-        ws = self._ws
-        np.add.reduce(np.multiply(self._s, qv, out=ws.pair), axis=-(self.grid.d + 1), out=ws.dot)
-        np.add(np.multiply(self._w, qv, out=ws.tmp), np.multiply(ws.dot, self._s, out=ws.pair), out=ws.tmp)
-        out += np.multiply(0.5 * self.beta, ws.tmp, out=ws.tmp)
+        # s and w1 + w2 go to the product buffers, which to_physical's stages share
+        s = np.add(self._m1v, m2v, out=self._ws.prod)
+        k = np.multiply(s[:, None], s)
+        k.reshape((-1,) + self.w1.shape)[:: grid.d + 1] += np.add(self.w1, self.w2, out=self._ws.weight)
+        k *= 0.5 * params.beta
+        self._k = np.add(k, self._ws.grad, out=k)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """B(m1, v) + B(v, m2) + Forchheimer(v), v a coefficient array."""
         g, ws = self.grid, self._ws
         g.grad_physical(v, out=ws.jet)
         out = np.einsum("i...,ij...->j...", self._m1v, ws.grad, out=ws.prod)
-        out += np.einsum("i...,ij...->j...", ws.value, self._gm2, out=ws.tmp)
-        self._add_forch(ws.value, out)
+        out += np.einsum("i...,ij...->j...", ws.value, self._k, out=ws.tmp)
         return g.project_coeffs(g.from_physical(out))
 
     def apply_transpose(self, q: np.ndarray, extra_weight: np.ndarray | None = None) -> np.ndarray:
@@ -160,9 +158,8 @@ class PairStencil:
         [+ extra_weight * q pointwise, the adjoint's delta term]."""
         g, ws = self.grid, self._ws
         g.grad_physical(q, out=ws.jet)
-        out = np.negative(np.einsum("i...,ij...->j...", self._m1v, ws.grad, out=ws.prod), out=ws.prod)
-        out += np.einsum("ij...,j...->i...", self._gm2, ws.value, out=ws.tmp)
-        self._add_forch(ws.value, out)
+        out = np.einsum("ij...,j...->i...", self._k, ws.value, out=ws.prod)
+        out -= np.einsum("i...,ij...->j...", self._m1v, ws.grad, out=ws.tmp)
         if extra_weight is not None:
             out += np.multiply(extra_weight, ws.value, out=ws.tmp)
         return g.project_coeffs(g.from_physical(out))

@@ -8,14 +8,15 @@ the stencils against these forms; apply_A is the Stokes operator the dense
 oracle assembles as k_sq * c, and apply_C and monotonicity_gap are the
 field-level forms of the batched M-grid kernels the checks and the duality
 residual use.  state_apply, pair_apply and pair_apply_transpose are the
-stencil applies written with fresh arrays, the references for the applies
-that form their products in the Grid's workspace.  full_cube expands the
-stored half cube into the whole retained cube, slot by slot, for sums and
-transforms that ignore the storage.  coefficient_jet is the 1-jet synthesized
-from the coefficient jet (c, ik c), every component through every stage, the
-reference for grad_physical's derivative factors.  trajectory_from_fields
-stacks fields into a Trajectory, and random_trajectory_by_sample is
-random_trajectory summed one time at a time.
+stencil applies written with fresh arrays, and pair_coupling is the
+PairStencil build's coupling matrix so written: the references for the
+applies and the build that form their products in the Grid's workspace.
+full_cube expands the stored half cube into the whole retained cube, slot by
+slot, for sums and transforms that ignore the storage.  coefficient_jet is
+the 1-jet synthesized from the coefficient jet (c, ik c), every component
+through every stage, the reference for grad_physical's derivative factors.
+trajectory_from_fields stacks fields into a Trajectory, and
+random_trajectory_by_sample is random_trajectory summed one time at a time.
 """
 
 import math
@@ -123,8 +124,16 @@ def state_apply(st: StateStencil, x: np.ndarray) -> np.ndarray:
     return g.project_coeffs(g.from_physical(out))
 
 
-def _forch(st: PairStencil, qv: np.ndarray) -> np.ndarray:
-    return 0.5 * st.beta * (st._w * qv + np.add.reduce(st._s * qv, axis=-(st.grid.d + 1)) * st._s)
+def pair_coupling(g: Grid, m1: np.ndarray, m2: np.ndarray, beta: float) -> np.ndarray:
+    """PairStencil's coupling matrix K[i, j] = d_i (m2)_j + (beta/2)((|m1|^2 +
+    |m2|^2) delta_ij + s_i s_j), s = m1 + m2, from fresh transforms in the
+    stencil's order."""
+    jet, m1v = g.grad_physical(m2), g.to_physical(m1)
+    s, w = m1v + jet[0], speed_squared(g, m1v) + speed_squared(g, jet[0])
+    k = s[:, None] * s
+    for i in range(g.d):
+        k[i, i] += w
+    return 0.5 * beta * k + jet[1:]
 
 
 def pair_apply(st: PairStencil, v: np.ndarray) -> np.ndarray:
@@ -133,8 +142,7 @@ def pair_apply(st: PairStencil, v: np.ndarray) -> np.ndarray:
     jv = g.grad_physical(v)
     vv, gv = jv[0], jv[1:]
     out = np.einsum("i...,ij...->j...", st._m1v, gv)
-    out += np.einsum("i...,ij...->j...", vv, st._gm2)
-    out += _forch(st, vv)
+    out += np.einsum("i...,ij...->j...", vv, st._k)
     return g.project_coeffs(g.from_physical(out))
 
 
@@ -143,9 +151,8 @@ def pair_apply_transpose(st: PairStencil, q: np.ndarray, extra_weight: np.ndarra
     g = st.grid
     jq = g.grad_physical(q)
     qv, gq = jq[0], jq[1:]
-    out = -np.einsum("i...,ij...->j...", st._m1v, gq)
-    out += np.einsum("ij...,j...->i...", st._gm2, qv)
-    out += _forch(st, qv)
+    out = np.einsum("ij...,j...->i...", st._k, qv)
+    out -= np.einsum("i...,ij...->j...", st._m1v, gq)
     if extra_weight is not None:
         out += extra_weight * qv
     return g.project_coeffs(g.from_physical(out))

@@ -13,7 +13,7 @@ from cbfctl import (
     zero_field,
 )
 from cbfctl.fields import quadrature, speed_squared
-from cbfctl.operators import PairStencil
+from cbfctl.operators import PairStencil, StateStencil, cubic_coeffs
 from oracles import adjoint_convection, adjoint_forchheimer, apply_A, apply_B, apply_C, b_dual_norm, monotonicity_gap
 
 
@@ -176,16 +176,39 @@ def test_convection_difference_factorization(grid2d, rng):
     assert float(np.max(np.abs(lhs - rhs))) <= 1e-11 * scale
 
 
-def test_pair_stencil_matches_standalone_ops(grid2d, rng, params):
-    m1, m2, v = (random_field(grid2d, rng) for _ in range(3))
-    st = PairStencil(grid2d, m1.coeffs, m2.coeffs, params)
-    direct = apply_B(m1, v).coeffs + apply_B(v, m2).coeffs + adjoint_forchheimer(m1, m2, v, params.beta).coeffs
-    got = st.apply(v.coeffs)
-    assert np.allclose(got, direct, rtol=1e-12, atol=1e-14)
-    q = random_field(grid2d, rng)
-    direct_t = adjoint_convection(m1, m2, q).coeffs + adjoint_forchheimer(m1, m2, q, params.beta).coeffs
-    got_t = st.apply_transpose(q.coeffs)
-    assert np.allclose(got_t, direct_t, rtol=1e-12, atol=1e-14)
+def test_pair_stencil_matches_standalone_ops(grid2d, grid3d, rng, params):
+    for g in (grid2d, grid3d):
+        m1, b, v, q = (random_field(g, rng) for _ in range(4))
+        for m2 in (b, m1):
+            st = PairStencil(g, m1.coeffs, m2.coeffs, params)
+            direct = apply_B(m1, v).coeffs + apply_B(v, m2).coeffs + adjoint_forchheimer(m1, m2, v, params.beta).coeffs
+            assert np.allclose(st.apply(v.coeffs), direct, rtol=1e-12, atol=1e-14)
+            direct_t = adjoint_convection(m1, m2, q).coeffs + adjoint_forchheimer(m1, m2, q, params.beta).coeffs
+            assert np.allclose(st.apply_transpose(q.coeffs), direct_t, rtol=1e-12, atol=1e-14)
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (2, 16), (3, 8)])
+def test_pair_operator_is_the_secant_and_the_tangent(d, n):
+    # with N(m) = B(m, m) + beta P(|m|^2 m), the StateStencil of m applied to
+    # m, the symmetric split is exact: L_(m1,m2) (m1 - m2) = N(m1) - N(m2),
+    # and L_(m,m) v = (N(m + v) - N(m - v)) / 2 - beta C(v), the central
+    # difference of a cubic less its third-order term
+    g, params = Grid(d=d, n=n), OperatorParams(mu=0.7, alpha=0.3, beta=1.3)
+    rng = np.random.default_rng(11)
+
+    def N(m):
+        return StateStencil(g, m, params).apply(m)
+
+    for _ in range(5):
+        m1, m2 = (random_field(g, rng).coeffs for _ in range(2))
+        assert _max_rel(PairStencil(g, m1, m2, params).apply(m1 - m2), N(m1) - N(m2)) <= 1e-13
+        m, v = (random_field(g, rng).coeffs for _ in range(2))
+        tangent = 0.5 * (N(m + v) - N(m - v)) - params.beta * cubic_coeffs(g, g.to_physical(v))
+        assert _max_rel(PairStencil(g, m, m, params).apply(v), tangent) <= 1e-13
 
 
 def test_pair_stencil_exact_transpose(grid2d, grid3d, rng, params):

@@ -1,11 +1,13 @@
-"""The Grid's workspace: the stencil applies form their transform stages and
-products in buffers the Grid owns, one apply at a time per Grid.
+"""The Grid's workspace: the stencil applies and PairStencil's build form
+their transform stages and products in buffers the Grid owns, one apply or
+build at a time per Grid.
 
-The buffered applies must give the bits of the same operations on fresh
-arrays (the references in oracles.py), no result and no array a stencil
-keeps may live in the workspace, an apply must not allocate arrays of the
-jet's size, a jet written to a caller's buffer not an eighth of one, and
-the workspace must be freed with its Grid.
+The buffered applies and build must give the bits of the same operations on
+fresh arrays (the references in oracles.py), no result and no array a
+stencil keeps may live in the workspace, a PairStencil keeps no jet, an
+apply must not allocate arrays of the jet's size, a jet written to a
+caller's buffer not an eighth of one, and the workspace must be freed with
+its Grid.
 """
 
 import gc
@@ -18,10 +20,10 @@ import pytest
 from cbfctl import Grid, OperatorParams, random_field
 from cbfctl.fields import speed_squared
 from cbfctl.operators import PairStencil, StateStencil
-from oracles import pair_apply, pair_apply_transpose, state_apply
+from oracles import pair_apply, pair_apply_transpose, pair_coupling, state_apply
 
 PARAMS = OperatorParams(mu=0.7, alpha=0.3, beta=1.1)
-KEPT = ("_mv", "_m1v", "_gm2", "w1", "w2", "_w", "_s", "_bw")
+KEPT = ("_mv", "_m1v", "_k", "w1", "w2", "_bw")
 
 
 def _bits(a):
@@ -57,6 +59,43 @@ def test_buffered_applies_match_fresh_references(d, n):
     for shared in (False, True):
         for name, _, apply, reference in _applies(grid, m1, m1 if shared else m2):
             assert _same(apply(x), reference(x)), (name, shared)
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (2, 16), (3, 6)])
+def test_pair_build_matches_fresh_reference(d, n):
+    # the build forms m2's jet, s and |m1|^2 + |m2|^2 in the workspace
+    grid, (m1, m2) = _inputs(d, n, 100 * d + n + 1, 2)
+    for b in (m2, m1):
+        st = PairStencil(grid, m1, b, PARAMS)
+        assert _same(st._k, pair_coupling(grid, m1, b, PARAMS.beta))
+        assert _same(st._m1v, grid.to_physical(m1))
+        assert _same(st.w1, speed_squared(grid, grid.to_physical(m1)))
+        assert _same(st.w2, speed_squared(grid, grid.to_physical(b)))
+
+
+def _kept_bytes(obj):
+    """Bytes of the numpy arrays obj keeps, each base buffer counted once, so
+    that a view into a jet counts the whole jet."""
+    bases = {}
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            bases[id(value)] = value.nbytes
+    return sum(bases.values())
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (3, 6), (3, 16)])
+def test_pair_stencil_keeps_no_jet(d, n):
+    # K, the values of m1, w1 and w2: (d^2 + d + 2) M^d words, one fewer when
+    # m2 holds m1's bits (w1 is w2); a kept jet of m2 alone is (1 + d) d M^d
+    grid, (m1, m2) = _inputs(d, n, 17 * d + n, 2)
+    node = grid.pad_n**d * 8
+    for b, words in ((m2, d * d + d + 2), (m1, d * d + d + 1), (m1.copy(), d * d + d + 1)):
+        st = PairStencil(grid, m1, b, PARAMS)
+        assert _kept_bytes(st) <= words * node, (_kept_bytes(st), words * node)
+        kept = [a for a in vars(st).values() if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(a, grid._workspace.jet) for a in kept)
 
 
 @pytest.mark.parametrize("d,n", [(2, 8), (2, 16), (3, 6)])
