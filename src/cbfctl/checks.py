@@ -31,7 +31,7 @@ from .fields import (
     spectral_norms, speed_squared, time_l2_inner, time_l2_norm, zero_field,
 )
 from .harness import DenseSystem, ProblemConfig, build_tracking_problem
-from .operators import PairStencil, cubic_coeffs, gap_of_values, trilinear_b
+from .operators import PairStencil, StateStencil, cubic_coeffs, gap_of_values, trilinear_b
 from .optimizer import (
     IOCPoint, OptimizeResult, cost, gradient, gradient_scale, ioc_ladder, make_probe_bank, optimize,
     vi_residual, vi_scale,
@@ -305,8 +305,12 @@ def dense_agreement(
         dense = M_diff @ x
         step = params.mu * (system.grid.k_sq * c) + params.alpha * c + stencil.apply(c)
         spectral = x + dt * system.coords(step)
-        worst = max(worst, float(np.max(np.abs(dense - spectral))) / max(float(np.max(np.abs(dense))), 1e-30))
+        worst = max(worst, _max_rel(spectral, dense))
     return transpose, worst
+
+
+def _max_rel(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-30)
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +330,26 @@ def trilinear(p: Profile, ledger: MarginLedger) -> None:
 
 
 def forchheimer(p: Profile, ledger: MarginLedger) -> None:
-    """2. <C(p), p> = ||p||_4^4 and monotonicity of C on random pairs, one transform per sample."""
-    s = p.forchheimer
-    identity, gap = 0.0, math.inf
+    """2. <C(p), p> = ||p||_4^4 and monotonicity of C on random pairs (a, b), one transform per sample; on the
+    identity share, with N(m) = StateStencil(m).apply(m), the pair operator L as secant and tangent of N."""
+    s, params = p.forchheimer, p.config.operator_params()
+    identity, secant, tangent, gap = 0.0, 0.0, 0.0, math.inf
     for grid, i, count, rng in _samples(s):
-        a, b = _field(s, grid, rng), _field(s, grid, rng)
-        av, bv = grid.to_physical(a.coeffs), grid.to_physical(b.coeffs)
+        a, b = _field(s, grid, rng).coeffs, _field(s, grid, rng).coeffs
+        av, bv = grid.to_physical(a), grid.to_physical(b)
         if i < s.identity_share * count:
-            pairing = float(parseval_pairing(grid, cubic_coeffs(grid, av), a.coeffs))
+            pairing = float(parseval_pairing(grid, cubic_coeffs(grid, av), a))
             l4_4 = float(quadrature(grid, speed_squared(grid, av) ** 2, grid.d))
             identity = max(identity, abs(pairing - l4_4) / max(abs(pairing), 1e-30))
+            n = [StateStencil(grid, m, params).apply(m) for m in (a, b, a + b, a - b)]
+            secant = max(secant, _max_rel(PairStencil(grid, a, b, params).apply(a - b), n[0] - n[1]))
+            tangent_ref = 0.5 * (n[2] - n[3]) - params.beta * cubic_coeffs(grid, bv)
+            tangent = max(tangent, _max_rel(PairStencil(grid, a, a, params).apply(b), tangent_ref))
         gap = min(gap, gap_of_values(grid, av, bv))
     ledger.residual("forchheimer_identity_rel", identity, 1e-10)
     ledger.margin("monotonicity_gap_min", gap, 1e-10)
+    ledger.residual("pair_secant_rel", secant, 1e-12)
+    ledger.residual("pair_tangent_rel", tangent, 1e-12)
 
 
 def energy(p: Profile, ledger: MarginLedger) -> None:

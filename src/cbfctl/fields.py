@@ -28,19 +28,19 @@ matrix per full axis and, fields being real, a real matrix on the last
 axis's half spectrum.  A derivative is a transform factor too: d/dx_i
 scales the one axis factor it acts on by ik, so the 1-jet shares every stage
 that differs only in other axes and never forms ik c.  Every Grid transform
-accepts leading batch axes.  An unbatched transform runs its stages, and a
-stencil apply its jet and products, in one workspace its Grid owns, made on
-first use and freed with the Grid.  The rule: one apply at a time per Grid;
-results, and the arrays a stencil keeps, are fresh arrays (a jet goes to a
-buffer only if passed).
+accepts leading batch axes.  A stencil apply's jet and products, and an
+unbatched transform's stages and their views, live in one workspace its
+Grid makes once and frees with itself: an unbatched transform is just its
+matmuls.  The rule: one apply at a time per Grid; results, and the arrays a
+stencil keeps, are fresh arrays (a jet goes to a buffer only if passed).
 
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d) + Grid.shape; ``traj[n]`` is a SpectralField over row n, without a
 copy.  Trajectory arithmetic is one array operation, and a random forcing
 samples a whole time grid in one array expression.  Every spatial integral
-goes through the three reductions of the space quadrature section, the only
-sums that weight the half (1 on the k_last = 0 plane, 2 elsewhere for a slot
-and its mirror); every time integral goes through running_integral.
+goes through the space quadrature section, the only sums (the Picard stop
+norm too) that weight the half: 1 on the k_last = 0 plane, 2 elsewhere for
+a slot and its mirror.  Every time integral goes through running_integral.
 
 CBFT files keep the full n^d lattice in lexicographic k-order, in which the
 retained cube is the centred block n/2 - kmax .. n/2 + kmax of every axis.
@@ -200,31 +200,42 @@ class Grid:
         return self._hermitian_plane(np.array(coeffs, dtype=np.complex128))
 
     def project_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-mode Helmholtz projection c <- (I - k k^T / |k|^2) c; k . c
-        sums the component axis -(d + 1), so leading axes are batch axes.
+        """Per-mode Helmholtz projection c <- c - (k / |k|^2)(k . c), the factor
+        cached; k . c sums the axis -(d + 1), so leading axes are batch axes.
 
         ``coeffs`` must already be reduced (output of reduce_coeffs, or of
         from_physical): its k = 0 mode is +0, and the projection leaves it +0.
         """
         dot = np.add.reduce(self.k * coeffs, axis=-(self.d + 1), keepdims=True)
-        return coeffs - self.k * (dot / self.k_sq_safe)
+        return coeffs - self._k_by_k_sq * dot
+
+    @cached_property
+    def _k_by_k_sq(self) -> np.ndarray:
+        return _frozen(self.k / self.k_sq_safe)
+
+    @cached_property
+    def _stage_tails(self) -> tuple[list, list, list]:
+        """(shape after the leading axes, dtype) of each stage of to_physical, grad_physical and from_physical."""
+        m, d, kx, r, c = self.pad_n, self.d, self.kmax, 2 * self.kmax + 1, np.complex128
+        value = [((r,) * (d - 2) + (m, kx + 1), c), ((m, m * (kx + 1)), c)][: d - 1]
+        jet = [((2, d) + value[0][0], c)] + [((d, d) + s, t) for s, t in value[1:]]
+        return value, jet, [((m ** (d - 1), 2 * (kx + 1)), np.float64), ((r, m * (kx + 1)), c)][: d - 1]
 
     @cached_property
     def _workspace(self) -> SimpleNamespace:
-        """The buffers of one unbatched apply or PairStencil build, made on
-        first use.  ``jet`` takes the real 1-jet (rows ``value`` and
-        ``grad``).  One scratch array holds the rest in three phases, each
-        from its start: the jet's synthesis stages, one per full axis with a
-        row per branch (``value_stages``: row 0, to_physical's); the products
-        ``prod``, ``tmp`` and the scalar field ``weight``; ``prod`` again,
-        then the analysis stages that transform it."""
-        m, d, kx, r = self.pad_n, self.d, self.kmax, 2 * self.kmax + 1
-        vec, c, f = (d,) + (m,) * d, np.complex128, np.float64
-        phases = (
-            [((2, d) + (r,) * (d - 2) + (m, kx + 1), c)] + [((d, d, m, m * (kx + 1)), c)] * (d - 2),
-            [(vec, f)] * 2 + [(vec[1:], f)],
-            [(vec, f), ((d, m ** (d - 1), 2 * (kx + 1)), f)] + [((d, r, m * (kx + 1)), c)] * (d - 2),
-        )
+        """The buffers of one unbatched apply or PairStencil build, and the unbatched
+        transforms' plans over them, made on first use.  ``jet`` takes the real 1-jet
+        (rows ``value`` and ``grad``).  One scratch array holds the rest in three phases,
+        each from its start: the synthesis stages (row 0 of each is to_physical's); the
+        products ``prod``, ``tmp`` and the scalar ``weight``; ``prod`` again, then the
+        analysis stages.  A plan holds a transform's views over its stages (fresh ones if
+        given None) for leading axes ``lead``: the first matmul's output, the (matrix,
+        input, output) of each later full axis, the last matmul's input.  A full axis is
+        one matmul per index of the axes before it, so each batch member gets the matmuls
+        of its unbatched transform, and bitwise its result."""
+        m, d, f = self.pad_n, self.d, np.float64
+        vec, (_, synthesis, analysis) = (d,) + (m,) * d, self._stage_tails
+        phases = (synthesis, [(vec, f)] * 2 + [(vec[1:], f)], [(vec, f)] + [((d,) + s, t) for s, t in analysis])
         words = [[math.prod(shape) * np.dtype(t).itemsize // 8 for shape, t in p] for p in phases]
         scratch, jet = np.empty(max(map(sum, words))), np.empty((1 + d,) + vec)
         stages, (prod, tmp, weight), (_, *analysis) = (
@@ -232,76 +243,79 @@ class Grid:
             for p, ws in zip(phases, words)
         )
         return SimpleNamespace(
-            jet=jet, value=jet[0], grad=jet[1:], synthesis=stages, value_stages=[s[0] for s in stages],
-            prod=prod, tmp=tmp, weight=weight, analysis=analysis,
+            jet=jet, value=jet[0], grad=jet[1:], prod=prod, tmp=tmp, weight=weight, synthesis=stages,
+            to_plan=self._value_plan((d,), [s[0] for s in stages]), jet_plan=self._jet_plan((), stages, jet),
+            from_plan=self._analysis_plan((d,), analysis),
         )
 
-    @staticmethod
-    def _along(mat: np.ndarray, x: np.ndarray, axis: int, out: np.ndarray | None) -> np.ndarray:
-        """mat applied to ``axis`` (negative) of x: one matmul per index of the
-        axes before it, so each batch member gets the matmuls of its
-        unbatched transform, and bitwise its result.  ``out``, if given, has
-        the matmul's shape head + (rows of mat, size of the axes after)."""
-        head, tail = x.shape[:axis], x.shape[axis + 1 :]
-        return np.matmul(mat, x.reshape(head + (x.shape[axis], -1)), out=out).reshape(head + (mat.shape[0],) + tail)
+    def _value_plan(self, lead: tuple, stages: list | None) -> tuple:
+        """to_physical's plan, result shape: E on full axes innermost first (-2 by e @ c), R on the last."""
+        m, d, stages = self.pad_n, self.d, stages or [np.empty(lead + s, t) for s, t in self._stage_tails[0]]
+        later = [(self._matrices[0], stages[0].reshape(lead + (2 * self.kmax + 1, -1)), stages[1])] if d == 3 else []
+        return stages[0], later, stages[-1].view(np.float64).reshape(lead + (m ** (d - 1), -1)), lead + (m,) * d
+
+    def _jet_plan(self, lead: tuple, stages: list | None, jet: np.ndarray) -> tuple:
+        """grad_physical's plan into ``jet``: D on axis -2; in 3D, E and E' on axis -3 of the E
+        branch and E of the E' branch; last, R on every branch and R' on the value branch."""
+        m, d, e, de, later = self.pad_n, self.d, self._matrices[0], self._matrices[4], []
+        stages = stages or [np.empty(lead + s, t) for s, t in self._stage_tails[1]]
+        if d == 3:
+            flat = stages[0].reshape(lead + (2, d, 2 * self.kmax + 1, -1))
+            later = [(de[:, 0], flat[..., :1, :, :, :], stages[1][..., :2, :, :, :]), (e, flat[..., 1, :, :, :], stages[1][..., 2, :, :, :])]
+        x, rows = stages[-1].view(np.float64).reshape(lead + (d, d, m ** (d - 1), -1)), jet.reshape(lead + (1 + d, d, -1, m))
+        return stages[0], later, x, x[..., 0, :, :, :], rows[..., :d, :, :, :], rows[..., d, :, :, :]
+
+    def _analysis_plan(self, lead: tuple, stages: list | None) -> tuple:
+        """from_physical's plan, input shape: Rf on the last axis, F on full axes outermost first (-2 by f @ x)."""
+        stages = stages or [np.empty(lead + s, t) for s, t in self._stage_tails[2]]
+        m, d, x = self.pad_n, self.d, stages[0].view(np.complex128)
+        later = [(self._matrices[2], x.reshape(lead + (m, -1)), stages[1])] if d == 3 else []
+        last = stages[-1].view(np.complex128).reshape(lead + (-1,) * (d - 2) + (m, self.kmax + 1))
+        return stages[0], later, last, lead + (m ** (d - 1), m)
 
     def to_physical(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the retained modes on the M-grid; returns real (d, M, ..., M),
-        any leading axes batch axes.  E on every full axis, innermost first
-        (axis -2 by e @ coeffs) so the matmuls stack over retained rows, then
-        R on the last; an unbatched input's E stages go to the workspace."""
-        e, r = self._matrices[:2]
-        m, d, lead = self.pad_n, self.d, coeffs.shape[: -self.d]
-        stages = self._workspace.value_stages if lead == (d,) else (None, None)
-        half = np.matmul(e, coeffs, out=stages[0])
-        if d == 3:
-            half = self._along(e, half, -3, stages[1])
-        return (half.view(np.float64).reshape(lead + (m ** (d - 1), -1)) @ r).reshape(lead + (m,) * d)
+        any leading axes batch axes; an unbatched input runs the workspace's plan."""
+        lead = coeffs.shape[: -self.d]
+        first, later, x, shape = self._workspace.to_plan if lead == (self.d,) else self._value_plan(lead, None)
+        np.matmul(self._matrices[0], coeffs, out=first)
+        for mat, a, b in later:
+            np.matmul(mat, a, out=b)
+        return (x @ self._matrices[1]).reshape(shape)
 
     def from_physical(self, values: np.ndarray) -> np.ndarray:
         """Half-cube coefficients of M-grid samples (exact, no aliasing for
-        products of total degree <= 3 of retained modes), the k_last = 0
-        plane symmetrized; any leading axes are batch axes.  Rf on the last
-        axis, then F on every full axis, outermost first so the matmuls stack
-        over retained rows (axis -2 last, by matmul's own contraction, f @ x)."""
-        f, rf = self._matrices[2:4]
-        m, d, kx, lead = self.pad_n, self.d, self.kmax, values.shape[: -self.d]
-        stages = self._workspace.analysis if lead == (d,) else (None, None)
-        x = np.matmul(values.reshape(lead + (m ** (d - 1), m)), rf, out=stages[0]).view(np.complex128)
-        x = x.reshape(lead + (m,) * (d - 1) + (kx + 1,))
-        if d == 3:
-            x = self._along(f, x, -3, stages[1])
-        return self._hermitian_plane(f @ x)
+        products of total degree <= 3 of retained modes), the k_last = 0 plane
+        symmetrized; any leading axes batch axes, unbatched on the workspace's plan."""
+        lead = values.shape[: -self.d]
+        first, later, x, shape = self._workspace.from_plan if lead == (self.d,) else self._analysis_plan(lead, None)
+        np.matmul(values.reshape(shape), self._matrices[3], out=first)
+        for mat, a, b in later:
+            np.matmul(mat, a, out=b)
+        return self._hermitian_plane(self._matrices[2] @ x)
 
     def grad_physical(self, coeffs: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
         """The 1-jet of u on the M-grid: out[0] = u and out[1 + i, j] =
         d u_j / d x_i, shape (1 + d, d, M, ..., M).  Leading batch axes come
         first: a (B, d) + shape input gives (B, 1 + d, d, M, ..., M).  The jet
-        goes to ``out`` if given, else to a fresh array; an unbatched input's
-        stages go to the workspace.
-
-        Each derivative is a transform factor (_matrices), so stages that
-        differ only in other axes are shared: E and E' on axis -2 of the d
-        value components; in 3D, E and E' on axis -3 of the E branch and E of
-        the E' branch; last, R on the value and each full-axis derivative,
-        and R' on the value branch.  out[0] is bitwise equal to
+        goes to ``out`` if given, else to a fresh array; an unbatched input
+        runs the workspace's stages (_jet_plan).  out[0] is bitwise equal to
         to_physical(coeffs): every component is the same matmuls of the same
         data.
         """
-        e, r, _, _, de, dr = self._matrices
-        m, d, kx, lead = self.pad_n, self.d, self.kmax, coeffs.shape[: -self.d - 1]
-        stages = self._workspace.synthesis if lead == () else (None, None)
-        x = np.matmul(de, coeffs.reshape(lead + (1,) + coeffs.shape[-d - 1 :]), out=stages[0])
-        if d == 3:
-            flat = x.reshape(lead + (2, d, 2 * kx + 1, -1))
-            x = np.empty(lead + (d, d, m, m * (kx + 1)), np.complex128) if stages[1] is None else stages[1]
-            np.matmul(de[:, 0], flat[..., :1, :, :, :], out=x[..., :2, :, :, :])
-            np.matmul(e, flat[..., 1, :, :, :], out=x[..., 2, :, :, :])
-        x = x.view(np.float64).reshape(lead + (d, d, m ** (d - 1), -1))
-        jet = np.empty(lead + (1 + d, d) + (m,) * d) if out is None else out
-        flat = jet.reshape(lead + (1 + d, d, m ** (d - 1), m))
-        np.matmul(x, r, out=flat[..., :d, :, :, :])
-        np.matmul(x[..., 0, :, :, :], dr, out=flat[..., d, :, :, :])
+        d, lead = self.d, coeffs.shape[: -self.d - 1]
+        jet = np.empty(lead + (1 + d, d) + (self.pad_n,) * d) if out is None else out
+        if lead:
+            coeffs, plan = coeffs.reshape(lead + (1,) + coeffs.shape[-d - 1 :]), self._jet_plan(lead, None, jet)
+        else:
+            ws = self._workspace
+            plan = ws.jet_plan if jet is ws.jet else self._jet_plan((), ws.synthesis, jet)
+        first, later, x, x0, head, last = plan
+        np.matmul(self._matrices[4], coeffs, out=first)
+        for mat, a, b in later:
+            np.matmul(mat, a, out=b)
+        np.matmul(x, self._matrices[1], out=head)
+        np.matmul(x0, self._matrices[5], out=last)
         return jet
 
     def _hermitian_plane(self, c: np.ndarray) -> np.ndarray:
@@ -526,6 +540,11 @@ def parseval_pairing(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Hermitian weights); a and b broadcast."""
     prod = np.real(a * np.conj(b)) * grid._hermitian_weights
     return np.add.reduce(prod, axis=_TRAILING[grid.d + 1]) * grid.volume
+
+
+def parseval_norm_sq(grid: Grid, c: np.ndarray) -> float:
+    """The Picard stop test's Re <c, c> * volume of a whole array: twice every slot less the k_last = 0 plane."""
+    return grid.volume * (2.0 * np.vdot(c, c).real - np.vdot(c[..., 0], c[..., 0]).real)
 
 
 def mode_sq(grid: Grid, c: np.ndarray) -> np.ndarray:

@@ -29,11 +29,11 @@ as mutual transposes is what the discrete duality identity rests on.
 The stencils map raw coefficient arrays to arrays, as a Picard sweep calls
 them.  Every field goes through the M-grid once per use: an apply takes the
 values and the gradient of its argument from one 1-jet transform, a stencil
-transforms its frozen arrays once and keeps |m1|^2 and |m2|^2 for the
-solvers' norms and weighted integrals.  |u|^2 and every integral are the
-fields reductions speed_squared and quadrature.  An apply, and a PairStencil
-build, form their jets and products in the Grid's workspace; what they
-return or keep is fresh.
+transforms its frozen arrays once; a state apply is one contraction of that
+jet with the rows (beta |m|^2, m).  |u|^2 and every integral are the fields
+reductions speed_squared and quadrature.  An apply, and a PairStencil build,
+form their jets and products in the Grid's workspace; what they return or
+keep is fresh.
 """
 
 from __future__ import annotations
@@ -169,22 +169,21 @@ class StateStencil:
     """Frozen-coefficient implicit part of one state step:
     x -> B(m_ref, x) + beta P{|m_ref|^2 x}, on raw coefficient arrays.
 
-    Building it is the one transform of m_ref; its l4 is m_ref's ||.||_4,
-    bitwise norms(m_ref).l4.
+    Building it is the one transform of m_ref.  It keeps the 1 + d rows
+    C = (beta |m_ref|^2, m_ref) on the M-grid, so an apply is one
+    contraction of x's 1-jet with C, sum_a C[a] jet[a, j], then the
+    analysis.  Its l4 is m_ref's ||.||_4, bitwise norms(m_ref).l4.
     """
 
     def __init__(self, grid: Grid, m_ref: np.ndarray, params: OperatorParams):
-        self.grid = grid
-        self._mv = grid.to_physical(m_ref)
-        w = speed_squared(grid, self._mv)
-        self._bw = params.beta * w
+        self.grid, self._ws = grid, grid._workspace
+        mv = grid.to_physical(m_ref)
+        w = speed_squared(grid, mv)
+        self._c = np.concatenate((w[None], mv))
+        self._c[0] *= params.beta
         self.l4 = l4_from_speed_squared(grid, w)
-        self._ws = grid._workspace
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         g, ws = self.grid, self._ws
         g.grad_physical(x, out=ws.jet)
-        out = np.einsum("i...,ij...->j...", self._mv, ws.grad, out=ws.prod)
-        out += np.multiply(self._bw, ws.value, out=ws.tmp)
-        return g.project_coeffs(g.from_physical(out))
-
+        return g.project_coeffs(g.from_physical(np.einsum("a...,aj...->j...", self._c, ws.jet, out=ws.prod)))

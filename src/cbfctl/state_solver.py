@@ -50,6 +50,7 @@ from .fields import (
     inner_product_series,
     l2_series,
     norm_series,
+    parseval_norm_sq,
     parseval_pairing,
     running_integral,
     spectral_norm_series,
@@ -94,17 +95,17 @@ def picard_solve(
     """Solve (D + dt N) x = rhs with D diagonal per mode and N linear, and
     return (x, sweeps).
 
-    Fixed-point sweep x <- D^{-1}(rhs - dt N x); converged when the increment
-    drops below tol * ||rhs||_2 (absolute for a zero right-hand side).  The
-    right-hand side, the iterates, napply's argument and value and x are raw
-    coefficient arrays of shape (d,) + grid.shape.
+    Fixed-point sweep x <- b - (dt D^{-1}) N x from x = b = D^{-1} rhs, both
+    factors formed once; converged when the increment drops below tol *
+    ||rhs||_2 (absolute for a zero right-hand side), norms by parseval_norm_sq.
+    rhs, the iterates, napply's argument and value are (d,) + grid.shape arrays.
     """
-    scale = max(math.sqrt(parseval_pairing(grid, rhs, rhs)), 1e-300)
-    x = dinv * rhs
+    scale = max(math.sqrt(parseval_norm_sq(grid, rhs)), 1e-300)
+    x = b = dinv * rhs
+    dt_dinv = dt * dinv
     for it in range(max_iters):
-        x_new = dinv * (rhs - dt * napply(x))
-        dx = x_new - x
-        delta = math.sqrt(parseval_pairing(grid, dx, dx))
+        x_new = b - dt_dinv * napply(x)
+        delta = math.sqrt(parseval_norm_sq(grid, x_new - x))
         x = x_new
         if delta <= tol * scale:
             return x, it + 1

@@ -116,12 +116,9 @@ def adjoint_forchheimer(m1: SpectralField, m2: SpectralField, q: SpectralField, 
 
 def state_apply(st: StateStencil, x: np.ndarray) -> np.ndarray:
     """StateStencil.apply from fresh arrays: the public transforms and the
-    stencil's frozen arrays, every operation in the stencil's order."""
+    stencil's rows C, contracted with a fresh jet in the stencil's order."""
     g = st.grid
-    jx = g.grad_physical(x)
-    xv, gx = jx[0], jx[1:]
-    out = np.einsum("i...,ij...->j...", st._mv, gx) + st._bw * xv
-    return g.project_coeffs(g.from_physical(out))
+    return g.project_coeffs(g.from_physical(np.einsum("a...,aj...->j...", st._c, g.grad_physical(x))))
 
 
 def pair_coupling(g: Grid, m1: np.ndarray, m2: np.ndarray, beta: float) -> np.ndarray:

@@ -55,9 +55,13 @@ def test_criterion_1_trilinear_identities():
 
 
 def test_criterion_2_forchheimer_identities():
-    """<C(p),p> = ||p||_4^4 to 1e-10 rel; monotonicity gap >= -1e-10, 1000 pairs."""
+    """<C(p),p> = ||p||_4^4 to 1e-10 rel; monotonicity gap >= -1e-10, 1000 pairs; the pair operator
+    as the secant and the tangent of the state operator to 1e-12 on the 500 identity pairs."""
     ledger, v = _check(2)
-    detail = f"identity rel {v['forchheimer_identity_rel']:.3e} <= 1e-10, min gap {v['monotonicity_gap_min']:.3e} >= -1e-10"
+    detail = (
+        f"identity rel {v['forchheimer_identity_rel']:.3e} <= 1e-10, min gap {v['monotonicity_gap_min']:.3e} >= -1e-10, "
+        f"secant rel {v['pair_secant_rel']:.3e} <= 1e-12, tangent rel {v['pair_tangent_rel']:.3e} <= 1e-12"
+    )
     _report(2, ledger, detail)
 
 

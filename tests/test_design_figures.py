@@ -8,7 +8,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cbfctl"
 
-SRC_LINES = 3477
+SRC_LINES = 3507
 DEFAULTED_PARAMETERS = 24
 EXPORTS = 52
 

@@ -22,7 +22,8 @@ from cbfctl import (
 )
 from cbfctl.checks import dense_agreement
 from cbfctl.fields import (
-    TAU, CBFTFormatError, invariant_defects, mode_sq, parseval_pairing, parseval_sum, random_forcing,
+    TAU, CBFTFormatError, invariant_defects, mode_sq, parseval_norm_sq, parseval_pairing, parseval_sum,
+    random_forcing,
 )
 from cbfctl.harness import DenseSystem
 from oracles import full_cube, random_trajectory_by_sample, trajectory_from_fields
@@ -507,6 +508,19 @@ def test_hermitian_weights_match_full_cube_sums(d, n):
     assert np.max(np.abs(parseval_sum(g, g.k_sq * mode_sq(g, a), d) - v_sq) / v_sq) <= 1e-15
     assert np.max(np.abs(parseval_pairing(g, a, a) - sq) / sq) <= 1e-15
     assert np.max(np.abs(parseval_pairing(g, a, b) - pairing) / scale) <= 1e-15
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (2, 16), (3, 6)])
+def test_stop_norm_matches_parseval_pairing(d, n):
+    # the Picard stop test's two-vdot norm weights the half as parseval_pairing does, on any array,
+    # Hermitian or not, and reads exactly 0.0 on a zero array
+    g = Grid(d=d, n=n)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        c = rng.standard_normal((d,) + g.shape) + 1j * rng.standard_normal((d,) + g.shape)
+        want = float(parseval_pairing(g, c, c))
+        assert abs(parseval_norm_sq(g, c) - want) <= 1e-15 * want
+    assert parseval_norm_sq(g, np.zeros((d,) + g.shape, dtype=np.complex128)) == 0.0
 
 
 @pytest.mark.parametrize("d, n, nt", [(2, 8, 384), (3, 6, 8)])

@@ -674,6 +674,7 @@ def test_cli_delta_sweep_experiment(tmp_path):
 
 
 VERIFY_ROWS = """trilinear_bqq_rel trilinear_alternation_rel forchheimer_identity_rel monotonicity_gap_min
+    pair_secant_rel pair_tangent_rel
     energy_equality_order energy_bound_margin_rel_min_t_pos
     lipschitz_margin_rel_min lipschitz_rho_ratio_4 duality_delta0_rel_max duality_delta_0.1_order
     adjoint_energy_margin_rel_min derivative_bound_margin_rel_min gradient_fd_rel_max vi_residual_rel

@@ -80,11 +80,11 @@ def _reference_picard(grid, dinv, rhs, napply, dt, tol, max_iters):
     def l2(c):
         return math.sqrt(max(float(np.real(np.sum(c * np.conj(c))) * grid.volume), 0.0))
 
-    b = rhs.coeffs
-    scale = max(l2(b), 1e-300)
-    x = dinv * b
+    scale = max(l2(rhs.coeffs), 1e-300)
+    x = b = dinv * rhs.coeffs
+    dt_dinv = dt * dinv
     for it in range(max_iters):
-        x_new = dinv * (b - dt * napply(SpectralField(grid, x).coeffs))
+        x_new = b - dt_dinv * napply(SpectralField(grid, x).coeffs)
         delta = l2(x_new - x)
         x = x_new
         if delta <= tol * scale:

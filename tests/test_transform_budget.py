@@ -206,7 +206,9 @@ def test_field_wraps_do_not_grow_with_sweeps(d, n, nt, monkeypatch):
 def test_forchheimer_check_transforms_each_sample_once(monkeypatch):
     # check 2 feeds the identity, the ||a||_4^4 quadrature and the monotonicity
     # gap from one to_physical of each sample, and its rows are those of the
-    # field-level operators, bit for bit
+    # field-level operators, bit for bit; on an identity pair the secant and
+    # tangent rows add five: the state stencils of a, b, a + b and a - b and
+    # the pair build's values of a (the shared build of (a, a) takes a jet only)
     profile = verify_profile(ProblemConfig())._replace(
         forchheimer=Samples(((2, 8, 6, 5), (3, 6, 4, 6)), (0.5, 2.0), spawn=True, identity_share=0.5)
     )
@@ -228,6 +230,6 @@ def test_forchheimer_check_transforms_each_sample_once(monkeypatch):
     monkeypatch.setattr(Grid, "to_physical", counted)
     ledger = MarginLedger()
     forchheimer(profile, ledger)
-    assert calls[0] == 2 * (6 + 4)
+    assert calls[0] == 2 * (6 + 4) + 5 * (3 + 2)
     assert ledger.records["forchheimer_identity_rel"]["value"] == identity
     assert ledger.records["monotonicity_gap_min"]["value"] == gap

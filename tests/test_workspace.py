@@ -23,7 +23,7 @@ from cbfctl.operators import PairStencil, StateStencil
 from oracles import pair_apply, pair_apply_transpose, pair_coupling, state_apply
 
 PARAMS = OperatorParams(mu=0.7, alpha=0.3, beta=1.1)
-KEPT = ("_mv", "_m1v", "_k", "w1", "w2", "_bw")
+KEPT = ("_c", "_m1v", "_k", "w1", "w2")
 
 
 def _bits(a):
