@@ -21,8 +21,6 @@ from .fields import (
     SpectralField,
     Trajectory,
     inner_product,
-    leray_project,
-    make_field,
     norms,
     random_field,
     random_forcing,
@@ -33,10 +31,7 @@ from .fields import (
     write_trajectory,
     zero_field,
 )
-from .operators import (
-    OperatorParams,
-    trilinear_b,
-)
+from .operators import OperatorParams
 from .state_solver import (
     HypothesisViolatedError,
     NonConvergenceError,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .fields import (
     SpectralField, Trajectory, check_aligned, inner_product_series, l2_series, l4_from_speed_squared, mode_sq,
-    parseval_pairing, parseval_sum, quadrature, running_integral, spectral_norm_series, speed_squared, time_l2_inner,
+    parseval_pairing, parseval_sum, quadrature, running_integral, spectral_rows, speed_squared, time_l2_inner,
     time_l2_norm,
 )
 from .operators import OperatorParams, PairStencil, cubic_coeffs
@@ -177,7 +177,7 @@ def solve_adjoint(
     sweeps = march(grid, h.coeffs[::-1], m1.dt, params, operator, qc[::-1], picard_tol=picard_tol, max_iters=max_iters)
     record(qc[0])
     solution = Trajectory(grid, m1.t_end, qc)
-    q_l2, q_v = spectral_norm_series(solution)
+    q_l2, q_v = spectral_rows(grid, qc)
     q_l4 = np.array(rev_l4[::-1])
     K = math.exp(solution.t_end) * time_l2_inner(h, h)
     margin = math.nan

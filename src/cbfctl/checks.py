@@ -28,10 +28,10 @@ from .adjoint_solver import (
 )
 from .fields import (
     Grid, SpectralField, Trajectory, parseval_pairing, quadrature, random_field, random_forcing, random_trajectory,
-    spectral_norms, speed_squared, time_l2_inner, time_l2_norm, zero_field,
+    spectral_rows, speed_squared, time_l2_inner, time_l2_norm, zero_field,
 )
 from .harness import DenseSystem, ProblemConfig, build_tracking_problem
-from .operators import PairStencil, StateStencil, cubic_coeffs, gap_of_values, trilinear_b
+from .operators import PairStencil, StateStencil, cubic_coeffs, gap_of_values
 from .optimizer import (
     IOCPoint, OptimizeResult, cost, gradient, gradient_scale, ioc_ladder, make_probe_bank, optimize,
     vi_residual, vi_scale,
@@ -225,9 +225,9 @@ def verify_profile(config: ProblemConfig) -> Profile:
     )
 
 
-def _field(s: Samples, grid: Grid, rng: np.random.Generator) -> SpectralField:
+def _field(s: Samples, grid: Grid, rng: np.random.Generator) -> np.ndarray:
     lo, hi = s.l2
-    return random_field(grid, rng, l2=lo if lo == hi else rng.uniform(lo, hi))
+    return random_field(grid, rng, l2=lo if lo == hi else rng.uniform(lo, hi)).coeffs
 
 
 def _samples(s: Samples) -> Iterator[tuple[Grid, int, int, np.random.Generator]]:
@@ -318,13 +318,20 @@ def _max_rel(got: np.ndarray, want: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 
 def trilinear(p: Profile, ledger: MarginLedger) -> None:
-    """1. b(p, q, q) = 0 and b(p, q, r) = -b(p, r, q) on random triples."""
+    """1. b(p, q, q) = 0 and b(p, q, r) = -b(p, r, q) on random triples (a, b, c), where b(p, q, r) is
+    the exact quadrature of (p . grad) q . r: one transform of a and one 1-jet each of b and c, whose
+    value rows are bitwise their transforms, give all three forms."""
     zero = alt = 0.0
     for grid, _, _, rng in _samples(p.trilinear):
         a, b, c = (_field(p.trilinear, grid, rng) for _ in range(3))
-        na, nb, nc = spectral_norms(a)[1], spectral_norms(b)[1], spectral_norms(c)[1]
-        zero = max(zero, abs(trilinear_b(a, b, b)) / max(na * nb**2, 1e-30))
-        alt = max(alt, abs(trilinear_b(a, b, c) + trilinear_b(a, c, b)) / max(na * nb * nc, 1e-30))
+        na, nb, nc = (float(spectral_rows(grid, x)[1]) for x in (a, b, c))
+        av, jb, jc = grid.to_physical(a), grid.grad_physical(b), grid.grad_physical(c)
+        ab, ac = (np.einsum("i...,ij...->j...", av, jet[1:]) for jet in (jb, jc))
+        abb, abc, acb = (
+            float(quadrature(grid, conv * rv, grid.d + 1)) for conv, rv in ((ab, jb[0]), (ab, jc[0]), (ac, jb[0]))
+        )
+        zero = max(zero, abs(abb) / max(na * nb**2, 1e-30))
+        alt = max(alt, abs(abc + acb) / max(na * nb * nc, 1e-30))
     ledger.residual("trilinear_bqq_rel", zero, 1e-12)
     ledger.residual("trilinear_alternation_rel", alt, 1e-12)
 
@@ -335,7 +342,7 @@ def forchheimer(p: Profile, ledger: MarginLedger) -> None:
     s, params = p.forchheimer, p.config.operator_params()
     identity, secant, tangent, gap = 0.0, 0.0, 0.0, math.inf
     for grid, i, count, rng in _samples(s):
-        a, b = _field(s, grid, rng).coeffs, _field(s, grid, rng).coeffs
+        a, b = _field(s, grid, rng), _field(s, grid, rng)
         av, bv = grid.to_physical(a), grid.to_physical(b)
         if i < s.identity_share * count:
             pairing = float(parseval_pairing(grid, cubic_coeffs(grid, av), a))

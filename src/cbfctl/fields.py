@@ -34,6 +34,12 @@ Grid makes once and frees with itself: an unbatched transform is just its
 matmuls.  The rule: one apply at a time per Grid; results, and the arrays a
 stencil keeps, are fresh arrays (a jet goes to a buffer only if passed).
 
+Below the public entry points everything is a raw coefficient array: the
+SpectralField record (grid, coeffs) appears only where an entry point takes
+or returns one field (zero_field, random_field, traj[n], norms,
+inner_product, the one-step wrappers, a state solve's m0).  spectral_rows
+and norm_rows give the norms of every sample row of an array.
+
 A Trajectory holds its nt+1 samples as one read-only complex array of shape
 (nt+1, d) + Grid.shape; ``traj[n]`` is a SpectralField over row n, without a
 copy.  Trajectory arithmetic is one array operation, and a random forcing
@@ -55,7 +61,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -384,57 +390,17 @@ def _check_same_grid(u: SpectralField, w: SpectralField) -> None:
         raise GridMismatchError(f"grid mismatch: {u.grid} vs {w.grid}")
 
 
-def make_field(grid: Grid, mode_list: Iterable[tuple[Sequence[int], Sequence[complex]]]) -> SpectralField:
-    """Build a field from (wavenumber, amplitude) pairs.
-
-    Each entry (k, a) contributes a*exp(i k.x) + conj(a)*exp(-i k.x), of
-    which the half cube stores the term with k_last >= 0 (both on the k_last
-    = 0 plane); the result is Leray-projected, so every invariant holds on
-    return.  k = 0 and out-of-range wavenumbers are rejected.
-    """
-    coeffs = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
-    for k, amp in mode_list:
-        kt = tuple(int(ki) for ki in k)
-        if len(kt) != grid.d:
-            raise ValueError(f"wavenumber {kt} has wrong dimension for d={grid.d}")
-        if all(ki == 0 for ki in kt):
-            raise ValueError("k = 0 is not allowed: fields have zero spatial mean")
-        if any(abs(ki) > grid.kmax for ki in kt):
-            raise ValueError(f"wavenumber {kt} outside dealiased range |k_i| <= {grid.kmax}")
-        a = np.asarray(amp, dtype=np.complex128)
-        if a.shape != (grid.d,):
-            raise ValueError(f"amplitude must be a {grid.d}-vector")
-        for kk, ak in ((kt, a), (tuple(-ki for ki in kt), np.conj(a))):
-            if kk[-1] >= 0:
-                coeffs[(slice(None),) + grid.position(kk)] += ak
-    return leray_project(grid, coeffs)
-
-
-def leray_project(grid: Grid, coeffs: np.ndarray) -> SpectralField:
-    """Leray projection of a raw (Hermitian) coefficient array.
-
-    Idempotent; gradients are annihilated, divergence-free input is unchanged.
-    """
-    return SpectralField(grid, grid.project_coeffs(grid.reduce_coeffs(coeffs)))
-
-
 def inner_product(u: SpectralField, w: SpectralField) -> float:
     """L2(torus) inner product via Parseval."""
     _check_same_grid(u, w)
     return float(parseval_pairing(u.grid, u.coeffs, w.coeffs))
 
 
-def spectral_norms(u: SpectralField) -> tuple[float, float]:
-    """(||u||_2, ||grad u||_2) by Parseval; no transform."""
-    l2, v = _spectral_rows(u.grid, u.coeffs)
-    return float(l2), float(v)
-
-
 def norms(u: SpectralField) -> FieldNorms:
     """(||u||_2, ||grad u||_2, ||u||_4); l4 by exact padded-grid quadrature.
     Solvers that hold |u|^2 on the M-grid get the same bits from
-    spectral_norms and l4_from_speed_squared."""
-    return FieldNorms(*(float(x) for x in _norm_rows(u.grid, u.coeffs)))
+    spectral_rows and l4_from_speed_squared."""
+    return FieldNorms(*(float(x) for x in norm_rows(u.grid, u.coeffs)))
 
 
 def random_field(
@@ -452,11 +418,11 @@ def random_field(
     envelope = np.exp(-0.35 * np.sqrt(grid.k_sq))
     # the Hermitian part 0.5 * (c(k) + conj(c(-k))) of the enveloped draws, on the half
     c, c_neg = (x[..., grid.kmax :] * envelope for x in (cube, cube[(Ellipsis,) + (slice(None, None, -1),) * grid.d]))
-    u = leray_project(grid, 0.5 * (c + np.conj(c_neg)))
-    amp, _ = spectral_norms(u)
+    c = grid.project_coeffs(grid.reduce_coeffs(0.5 * (c + np.conj(c_neg))))
+    amp = spectral_rows(grid, c)[0]
     if amp == 0.0 or l2 == 0.0:
         return zero_field(grid)
-    return SpectralField(grid, u.coeffs * (l2 / amp))
+    return SpectralField(grid, c * (l2 / amp))
 
 
 @dataclass(frozen=True)
@@ -577,13 +543,17 @@ def l4_from_speed_squared(grid: Grid, mag2: np.ndarray) -> float | np.ndarray:
     return s**0.25 if isinstance(s, float) else np.array([x**0.25 for x in s])
 
 
-def _spectral_rows(grid: Grid, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spectral_rows(grid: Grid, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(||u||_2, ||grad u||_2) per sample row of the coefficient array c, by
+    Parseval; no transform."""
     sq = mode_sq(grid, c)
     return np.sqrt(parseval_sum(grid, sq, grid.d)), np.sqrt(parseval_sum(grid, grid.k_sq * sq, grid.d))
 
 
-def _norm_rows(grid: Grid, c: np.ndarray) -> FieldNorms:
-    l2, v = _spectral_rows(grid, c)
+def norm_rows(grid: Grid, c: np.ndarray) -> FieldNorms:
+    """The FieldNorms of every sample row of c, as arrays; the l4 row comes
+    from one batched transform of the whole array."""
+    l2, v = spectral_rows(grid, c)
     return FieldNorms(l2, v, l4_from_speed_squared(grid, speed_squared(grid, grid.to_physical(c))))
 
 
@@ -594,20 +564,9 @@ def inner_product_series(a: Trajectory, b: Trajectory) -> np.ndarray:
 
 
 def l2_series(traj: Trajectory) -> np.ndarray:
-    """spectral_norms(traj[n])[0] for every sample n, without the V series."""
+    """spectral_rows(grid, traj.coeffs)[0], without the V row."""
     g = traj.grid
     return np.sqrt(parseval_sum(g, mode_sq(g, traj.coeffs), g.d))
-
-
-def spectral_norm_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """spectral_norms(traj[n]) for every sample n, as (l2, v) arrays."""
-    return _spectral_rows(traj.grid, traj.coeffs)
-
-
-def norm_series(traj: Trajectory) -> FieldNorms:
-    """norms(traj[n]) for every sample n, as a FieldNorms of arrays; the l4
-    series comes from one batched transform of the whole trajectory."""
-    return _norm_rows(traj.grid, traj.coeffs)
 
 
 def running_integral(values: np.ndarray | Sequence[float], dt: float) -> np.ndarray:

@@ -27,7 +27,6 @@ import numpy as np
 from .fields import (
     Grid,
     Trajectory,
-    make_field,
     parseval_pairing,
     random_field,
     random_trajectory,
@@ -227,15 +226,20 @@ class DenseSystem:
         self.params = params
         reps = [k for k in grid.retained_modes() if k > tuple(0 for _ in k)]
         vol = grid.volume**0.5
-        basis = [
-            make_field(grid, [(k, phase * t / (math.sqrt(2.0) * vol))]).coeffs
-            for k in reps for t in _tangent_basis(k) for phase in (1.0, 1.0j)
+        modes = [
+            (k, phase * t / (math.sqrt(2.0) * vol)) for k in reps for t in _tangent_basis(k) for phase in (1.0, 1.0j)
         ]
-        if len(basis) > self.MAX_DIM:
+        if len(modes) > self.MAX_DIM:
             raise ConfigError(
-                f"n: dense dimension {len(basis)} at n={grid.n} exceeds the cap {self.MAX_DIM}; shrink the grid"
+                f"n: dense dimension {len(modes)} at n={grid.n} exceeds the cap {self.MAX_DIM}; shrink the grid"
             )
-        self.basis = np.stack(basis)
+        # a mode a exp(i k.x) + conj(a) exp(-i k.x) is stored at whichever of k, -k has k_last >= 0 (both on the plane)
+        raw = np.zeros((len(modes), grid.d) + grid.shape, dtype=np.complex128)
+        for e, (k, a) in zip(raw, modes):
+            for kk, ak in ((k, a), (tuple(-ki for ki in k), np.conj(a))):
+                if kk[-1] >= 0:
+                    e[(slice(None),) + grid.position(kk)] += ak
+        self.basis = grid.project_coeffs(grid.reduce_coeffs(raw))
 
     @property
     def dim(self) -> int:

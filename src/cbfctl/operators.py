@@ -26,12 +26,14 @@ from one coupling matrix per M-grid node, formed once per slab; it is the
 inner kernel of the time steppers, and the exactness of apply/apply_transpose
 as mutual transposes is what the discrete duality identity rests on.
 
-The stencils map raw coefficient arrays to arrays, as a Picard sweep calls
-them.  Every field goes through the M-grid once per use: an apply takes the
-values and the gradient of its argument from one 1-jet transform, a stencil
-transforms its frozen arrays once; a state apply is one contraction of that
-jet with the rows (beta |m|^2, m).  |u|^2 and every integral are the fields
-reductions speed_squared and quadrature.  An apply, and a PairStencil build,
+The module works on raw coefficient arrays only: the stencils map arrays
+to arrays, as a Picard sweep calls them, and b is no function here (check 1
+takes it from one transform and two 1-jets).  Every field goes through the
+M-grid once per use: an apply takes the values and the gradient of its
+argument from one 1-jet transform, a stencil transforms its frozen arrays
+once; a state apply is one contraction of that jet with the rows
+(beta |m|^2, m).  |u|^2 and every integral are the fields reductions
+speed_squared and quadrature.  An apply, and a PairStencil build,
 form their jets and products in the Grid's workspace; what they return or
 keep is fresh.
 """
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, SpectralField, _check_same_grid, l4_from_speed_squared, quadrature, speed_squared
+from .fields import Grid, l4_from_speed_squared, quadrature, speed_squared
 
 
 @dataclass(frozen=True)
@@ -78,18 +80,6 @@ class OperatorParams:
     def wellposed(self) -> bool:
         """Weaker condition 2*beta*mu >= 1 used by the a-priori estimate."""
         return 2.0 * self.beta * self.mu >= 1.0
-
-
-def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
-    """b(p, q, r) = integral of (p . grad) q . r, exact quadrature."""
-    _check_same_grid(p, q)
-    _check_same_grid(p, r)
-    g = p.grid
-    pv = g.to_physical(p.coeffs)
-    gq = g.grad_physical(q.coeffs)[1:]
-    rv = g.to_physical(r.coeffs)
-    conv = np.einsum("i...,ij...->j...", pv, gq)
-    return float(quadrature(g, conv * rv, g.d + 1))
 
 
 def cubic_coeffs(grid: Grid, pv: np.ndarray) -> np.ndarray:

@@ -49,12 +49,11 @@ from .fields import (
     check_aligned,
     inner_product_series,
     l2_series,
-    norm_series,
+    norm_rows,
     parseval_norm_sq,
     parseval_pairing,
     running_integral,
-    spectral_norm_series,
-    spectral_norms,
+    spectral_rows,
     time_l2_inner,
 )
 from .operators import OperatorParams, PairStencil, StateStencil
@@ -157,7 +156,7 @@ def step_state(
     divergence-free and mean-zero."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    _, vnorm = spectral_norms(m_n)
+    vnorm = spectral_rows(m_n.grid, m_n.coeffs)[1]
     if dt * vnorm > CFL_WARN:
         warnings.warn(
             f"dt * ||m||_V = {dt * vnorm:.3g} is large; the implicit solve may struggle",
@@ -244,7 +243,7 @@ def solve_state(
     sweeps = march(grid, f.coeffs, f.dt, params, operator, coeffs, picard_tol=picard_tol, max_iters=max_iters)
     l4s.append(StateStencil(grid, coeffs[-1], params).l4)
     solution = Trajectory(grid, f.t_end, coeffs)
-    l2, v = spectral_norm_series(solution)
+    l2, v = spectral_rows(grid, coeffs)
     l4 = np.array(l4s)
     f_l2 = l2_series(f)
     f_pairing = inner_product_series(f, solution)
@@ -364,7 +363,7 @@ def lipschitz_check(run1: StateRun, run2: StateRun, kappa: float) -> float:
             f"kappa={kappa:g} needs 0 < kappa < 1 and 2*beta*mu > 1/kappa "
             f"(2*beta*mu = {2 * params.beta * params.mu:g})"
         )
-    nm = norm_series(run1.solution - run2.solution)
+    nm = norm_rows(run1.grid, run1.solution.coeffs - run2.solution.coeffs)
     df = run1.forcing - run2.forcing
     int_v_v, int_v_l2, int_v_l4 = (
         float(running_integral(x[:-1], run1.dt)[-1]) for x in (nm.v**2, nm.l2**2, nm.l4**4)

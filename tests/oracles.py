@@ -1,5 +1,11 @@
 """Independent operator oracles for the tests.
 
+The field-level forms the package works without come first: make_field
+builds a field from (wavenumber, amplitude) pairs, leray_project projects a
+raw array into a field, spectral_norms is a field's (L2, V) norms, and
+trilinear_b is b(p, q, r) from fresh transforms of its three fields, the
+reference for check 1's shared jets and for the dense b tensor.
+
 Each function below evaluates one term of the difference and adjoint
 operators on its own, straight from its definition, with fresh transforms of
 every argument.  The solvers never call them: PairStencil and StateStencil
@@ -20,14 +26,68 @@ random_trajectory_by_sample is random_trajectory summed one time at a time.
 """
 
 import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from cbfctl.fields import (
-    TAU, Grid, GridMismatchError, SpectralField, Trajectory, _check_same_grid, quadrature, random_field, speed_squared,
+    TAU, Grid, GridMismatchError, SpectralField, Trajectory, _check_same_grid, quadrature, random_field, spectral_rows,
+    speed_squared,
 )
 from cbfctl.harness import DenseSystem
-from cbfctl.operators import PairStencil, StateStencil, trilinear_b
+from cbfctl.operators import PairStencil, StateStencil
+
+
+def make_field(grid: Grid, mode_list: Iterable[tuple[Sequence[int], Sequence[complex]]]) -> SpectralField:
+    """Build a field from (wavenumber, amplitude) pairs.
+
+    Each entry (k, a) contributes a*exp(i k.x) + conj(a)*exp(-i k.x), of
+    which the half cube stores the term with k_last >= 0 (both on the k_last
+    = 0 plane); the result is Leray-projected, so every invariant holds on
+    return.  k = 0 and out-of-range wavenumbers are rejected.
+    """
+    coeffs = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
+    for k, amp in mode_list:
+        kt = tuple(int(ki) for ki in k)
+        if len(kt) != grid.d:
+            raise ValueError(f"wavenumber {kt} has wrong dimension for d={grid.d}")
+        if all(ki == 0 for ki in kt):
+            raise ValueError("k = 0 is not allowed: fields have zero spatial mean")
+        if any(abs(ki) > grid.kmax for ki in kt):
+            raise ValueError(f"wavenumber {kt} outside dealiased range |k_i| <= {grid.kmax}")
+        a = np.asarray(amp, dtype=np.complex128)
+        if a.shape != (grid.d,):
+            raise ValueError(f"amplitude must be a {grid.d}-vector")
+        for kk, ak in ((kt, a), (tuple(-ki for ki in kt), np.conj(a))):
+            if kk[-1] >= 0:
+                coeffs[(slice(None),) + grid.position(kk)] += ak
+    return leray_project(grid, coeffs)
+
+
+def leray_project(grid: Grid, coeffs: np.ndarray) -> SpectralField:
+    """Leray projection of a raw (Hermitian) coefficient array.
+
+    Idempotent; gradients are annihilated, divergence-free input is unchanged.
+    """
+    return SpectralField(grid, grid.project_coeffs(grid.reduce_coeffs(coeffs)))
+
+
+def spectral_norms(u: SpectralField) -> tuple[float, float]:
+    """(||u||_2, ||grad u||_2) by Parseval; no transform."""
+    l2, v = spectral_rows(u.grid, u.coeffs)
+    return float(l2), float(v)
+
+
+def trilinear_b(p: SpectralField, q: SpectralField, r: SpectralField) -> float:
+    """b(p, q, r) = integral of (p . grad) q . r, exact quadrature."""
+    _check_same_grid(p, q)
+    _check_same_grid(p, r)
+    g = p.grid
+    pv = g.to_physical(p.coeffs)
+    gq = g.grad_physical(q.coeffs)[1:]
+    rv = g.to_physical(r.coeffs)
+    conv = np.einsum("i...,ij...->j...", pv, gq)
+    return float(quadrature(g, conv * rv, g.d + 1))
 
 
 def apply_A(u: SpectralField) -> SpectralField:

@@ -14,7 +14,6 @@ from cbfctl import (
     derivative_bound_check,
     duality_residual,
     inner_product,
-    make_field,
     random_field,
     random_trajectory,
     solve_adjoint,
@@ -26,7 +25,7 @@ from cbfctl import (
 )
 from cbfctl.fields import mode_sq, parseval_pairing, parseval_sum, random_forcing
 from cbfctl.checks import observed_order
-from oracles import trajectory_from_fields
+from oracles import make_field, trajectory_from_fields
 
 
 def _pair(grid, params, rng, t_end=1.0, nt=32, amp=1.0):

@@ -8,9 +8,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cbfctl"
 
-SRC_LINES = 3507
+SRC_LINES = 3460
 DEFAULTED_PARAMETERS = 24
-EXPORTS = 52
+EXPORTS = 49
 
 
 def _src_lines() -> int:

@@ -10,8 +10,6 @@ from cbfctl import (
     SpectralField,
     Trajectory,
     inner_product,
-    leray_project,
-    make_field,
     norms,
     random_field,
     random_trajectory,
@@ -26,7 +24,7 @@ from cbfctl.fields import (
     random_forcing,
 )
 from cbfctl.harness import DenseSystem
-from oracles import full_cube, random_trajectory_by_sample, trajectory_from_fields
+from oracles import full_cube, leray_project, make_field, random_trajectory_by_sample, trajectory_from_fields
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (2, 8), (2, 16), (3, 4), (3, 8)])

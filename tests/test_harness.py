@@ -37,8 +37,8 @@ from cbfctl.harness import (
     config_from_dict,
     config_to_dict,
 )
-from cbfctl.operators import PairStencil, StateStencil, trilinear_b
-from oracles import apply_A, b_tensor
+from cbfctl.operators import PairStencil, StateStencil
+from oracles import apply_A, b_tensor, trilinear_b
 
 
 def _write_config(tmp_path, name="config.json", **overrides):

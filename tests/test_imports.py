@@ -97,3 +97,49 @@ def test_drivers_build_no_fields():
     assert calls(ast.parse("u = SpectralField(g, c); w = fields.SpectralField(g, c)")) == [1, 1]
     found = {name: calls(ast.parse((SRC / name).read_text())) for name in ("harness.py", "checks.py", "experiments.py")}
     assert not any(found.values()), found
+
+
+def _field_sites(tree: ast.Module) -> set[str]:
+    """The qualified names of the defs and classes that name SpectralField:
+    in an annotation, a call or any other expression of their own, not of a
+    nested def; the class itself counts."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if child.name == "SpectralField":
+                    found.add(".".join(inner))
+                visit(child, inner)
+                continue
+            if scope and "SpectralField" in (getattr(child, "id", None), getattr(child, "attr", None)):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+# Every SpectralField left in src/ is one that perfbench's entry points take
+# or return: the fields' own record, constructors and pairings, the one-step
+# wrappers, the state solve and what carries its inputs, and the check helpers
+# that feed solve_state.
+FIELD_SITES = {
+    "fields": {
+        "SpectralField", "zero_field", "random_field", "Trajectory.__getitem__", "inner_product", "norms",
+        "_check_same_grid",
+    },
+    "state_solver": {"step_state", "StateRun", "solve_state"},
+    "adjoint_solver": {"step_adjoint"},
+    "optimizer": {"ControlProblem"},
+    "checks": {"_m0", "_inputs", "_solve", "reference_errors"},
+}
+
+
+def test_field_record_stays_at_the_entry_points():
+    sample = "class SpectralField: ...\ndef f(u: SpectralField):\n    def g(): return fields.SpectralField\n"
+    sample += "class C: m: SpectralField"
+    assert _field_sites(ast.parse(sample)) == {"SpectralField", "f", "f.g", "C"}
+    found = {p.stem: _field_sites(ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == FIELD_SITES

@@ -9,12 +9,14 @@ from cbfctl import (
     inner_product,
     norms,
     random_field,
-    trilinear_b,
     zero_field,
 )
 from cbfctl.fields import quadrature, speed_squared
 from cbfctl.operators import PairStencil, StateStencil, cubic_coeffs
-from oracles import adjoint_convection, adjoint_forchheimer, apply_A, apply_B, apply_C, b_dual_norm, monotonicity_gap
+from oracles import (
+    adjoint_convection, adjoint_forchheimer, apply_A, apply_B, apply_C, b_dual_norm, leray_project, make_field,
+    monotonicity_gap, trilinear_b,
+)
 
 
 def test_operator_params_validation():
@@ -40,8 +42,6 @@ def test_operator_params_validation():
 
 def test_apply_A_eigenmode():
     g = Grid(d=2, n=16)
-    from cbfctl import make_field
-
     u = make_field(g, [((1, 0), (0.0, 1.0))])
     assert np.allclose(apply_A(u).coeffs, u.coeffs)
     w = make_field(g, [((3, 4), (4.0, -3.0))])
@@ -142,8 +142,6 @@ def test_adjoint_forchheimer_symmetry_and_collapse(grid2d, rng):
     mv = g.to_physical(m.coeffs)
     qv = g.to_physical(q.coeffs)
     expected = beta * np.sum(mv**2, axis=0) * qv + 2.0 * beta * np.sum(mv * qv, axis=0) * mv
-    from cbfctl.fields import leray_project
-
     expected_field = leray_project(g, g.from_physical(expected))
     got = adjoint_forchheimer(m, m, q, beta)
     assert np.allclose(got.coeffs, expected_field.coeffs, rtol=1e-12, atol=1e-14)

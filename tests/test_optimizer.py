@@ -14,7 +14,6 @@ from cbfctl import (
     gradient,
     inner_product,
     ioc_ladder,
-    make_field,
     make_probe_bank,
     optimize,
     project_admissible,
@@ -31,7 +30,7 @@ from cbfctl.checks import certify_optimum, optimize_certificate
 from cbfctl.fields import TAU, time_l2_inner, time_l2_norm
 from cbfctl.harness import config_from_dict
 from cbfctl.optimizer import vi_scale
-from oracles import trajectory_from_fields
+from oracles import make_field, trajectory_from_fields
 
 
 def _problem(grid, params, rng, *, t_end=0.5, nt=32, lam=0.1, radius=20.0, amp=0.5):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from cbfctl import Grid, OperatorParams, SpectralField, inner_product, norms, random_field, random_trajectory
 from cbfctl.fields import read_trajectory, write_trajectory
-from cbfctl.operators import PairStencil, trilinear_b
-from oracles import apply_C, monotonicity_gap
+from cbfctl.operators import PairStencil
+from oracles import apply_C, monotonicity_gap, trilinear_b
 
 TOL = 1e-12
 

@@ -12,7 +12,6 @@ from cbfctl import (
     Trajectory,
     inner_product,
     lipschitz_check,
-    make_field,
     norms,
     random_field,
     random_trajectory,
@@ -25,7 +24,7 @@ from cbfctl.fields import random_forcing, speed_squared
 from cbfctl.checks import observed_order
 from cbfctl.operators import PairStencil, StateStencil
 from cbfctl.state_solver import _dinv, picard_solve
-from oracles import apply_B
+from oracles import apply_B, make_field
 
 
 def _l2(u):

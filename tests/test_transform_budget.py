@@ -9,7 +9,8 @@ recomputation from the solution samples exactly, not just to round-off.
 The time-step core (march, picard_solve and the stencils) works on raw
 coefficient arrays, and fields appear only at the solvers' edges: the
 SpectralFields a solve builds depend neither on how many sweeps it takes nor
-on how many steps.  Check 2 transforms each of its random samples once.
+on how many steps.  Check 1 transforms each of its random fields once, and
+check 2 each of its random samples.
 """
 
 import math
@@ -31,10 +32,10 @@ from cbfctl import (
     solve_state,
 )
 from cbfctl import state_solver
-from cbfctl.checks import MarginLedger, Samples, _field, _samples, forchheimer, verify_profile
+from cbfctl.checks import MarginLedger, Samples, _field, _samples, forchheimer, trilinear, verify_profile
 from cbfctl.fields import quadrature, speed_squared
 from cbfctl.harness import ProblemConfig
-from oracles import apply_C, monotonicity_gap
+from oracles import apply_C, monotonicity_gap, spectral_norms, trilinear_b
 
 TRANSFORMS = ("to_physical", "grad_physical", "from_physical")
 
@@ -214,7 +215,7 @@ def test_forchheimer_check_transforms_each_sample_once(monkeypatch):
     )
     identity, gap = 0.0, math.inf
     for grid, i, count, rng in _samples(profile.forchheimer):
-        a, b = _field(profile.forchheimer, grid, rng), _field(profile.forchheimer, grid, rng)
+        a, b = (SpectralField(grid, _field(profile.forchheimer, grid, rng)) for _ in range(2))
         if i < 0.5 * count:
             pairing = inner_product(apply_C(a), a)
             l4_4 = float(quadrature(grid, speed_squared(grid, grid.to_physical(a.coeffs)) ** 2, grid.d))
@@ -233,3 +234,31 @@ def test_forchheimer_check_transforms_each_sample_once(monkeypatch):
     assert calls[0] == 2 * (6 + 4) + 5 * (3 + 2)
     assert ledger.records["forchheimer_identity_rel"]["value"] == identity
     assert ledger.records["monotonicity_gap_min"]["value"] == gap
+
+
+def test_trilinear_check_transforms_each_field_once(monkeypatch):
+    # check 1 takes the three forms b(a, b, b), b(a, b, c) and b(a, c, b) of a
+    # triple from one to_physical of a and one 1-jet each of b and c, and its
+    # rows are those of the field-level trilinear_b, bit for bit
+    profile = verify_profile(ProblemConfig())._replace(
+        trilinear=Samples(((2, 8, 4, 2), (3, 6, 3, 3)), (0.5, 2.0), spawn=True)
+    )
+    zero = alt = 0.0
+    for grid, _, _, rng in _samples(profile.trilinear):
+        a, b, c = (SpectralField(grid, _field(profile.trilinear, grid, rng)) for _ in range(3))
+        na, nb, nc = (spectral_norms(x)[1] for x in (a, b, c))
+        zero = max(zero, abs(trilinear_b(a, b, b)) / max(na * nb**2, 1e-30))
+        alt = max(alt, abs(trilinear_b(a, b, c) + trilinear_b(a, c, b)) / max(na * nb * nc, 1e-30))
+    calls = {"to_physical": 0, "grad_physical": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _orig=getattr(Grid, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(Grid, name, counted)
+    ledger = MarginLedger()
+    trilinear(profile, ledger)
+    assert calls == {"to_physical": 4 + 3, "grad_physical": 2 * (4 + 3)}
+    assert ledger.records["trilinear_bqq_rel"]["value"] == zero
+    assert ledger.records["trilinear_alternation_rel"]["value"] == alt

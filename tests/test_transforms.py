@@ -12,8 +12,7 @@ import pytest
 
 from cbfctl import Grid, norms, random_field
 from cbfctl.fields import TAU
-from cbfctl.operators import trilinear_b
-from oracles import coefficient_jet, full_cube
+from oracles import coefficient_jet, full_cube, trilinear_b
 
 REL = 1e-12
 
